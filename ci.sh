@@ -273,18 +273,20 @@ if [ "$warm_speedup" -lt 4 ]; then
 fi
 echo "warm recompile speedup = ${warm_speedup}x (floor 4x)"
 
-echo "== gate: presolve + warm starts keep solver.pivots <= 40% of the cold-solver total"
-# The pre-warm-start matrix cost 6904 pivots; presolve (ASAP bound
-# propagation kills phase 1) plus dual-simplex warm rounds must hold the
-# baseline at or below 40% of that (<= 2761). A regression past this
-# ceiling means the warm path silently fell back to cold solves.
+echo "== gate: solver.pivots stays under the 2761 ceiling"
+# A coarse guard on solver work next to the bench gate's exact counters.
+# The difference solver starts every solve at the ASAP schedule and pivots
+# only where the lifetime terms pull operations off it (94 pivots across
+# the matrix); the ceiling keeps the bound set for the earlier simplex
+# solver (40% of its 6904 cold pivots). A total past it means the solves
+# stopped starting from ASAP.
 pivots=$(sed -n 's/^[[:space:]]*"solver\.pivots": \([0-9][0-9]*\).*/\1/p' BENCH_baseline.json | head -1)
 if [ -z "$pivots" ]; then
     echo "error: solver.pivots counter missing from BENCH_baseline.json" >&2
     exit 1
 fi
 if [ "$pivots" -gt 2761 ]; then
-    echo "error: solver.pivots = $pivots exceeds the warm-start ceiling of 2761 (40% of the cold 6904)" >&2
+    echo "error: solver.pivots = $pivots exceeds the ceiling of 2761" >&2
     exit 1
 fi
 echo "solver.pivots = $pivots (ceiling 2761)"

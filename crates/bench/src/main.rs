@@ -5,10 +5,11 @@
 //! the workspace root with two sections:
 //!
 //! * `deterministic` — work counters that are a pure function of the
-//!   input and the algorithms: solver pivots / branch-and-bound nodes /
+//!   input and the algorithms: solver pivots / propagation batches /
 //!   repair rounds, cache hit/miss totals, degradation counters, the
 //!   per-stage op counters summed across the matrix, a per-cell
-//!   solver-work breakdown, and the `incremental` per-stage hit/miss
+//!   solver-work breakdown with a digest of the cell's schedules, and
+//!   the `incremental` per-stage hit/miss
 //!   profile of a cold → warm no-change → warm one-edit recompile
 //!   sequence through one shared pipeline cache, and the `opt` profile of
 //!   a full -O2 matrix (per-pass rewrite totals plus modeled area and
@@ -183,6 +184,23 @@ fn bench_json() -> String {
         })
         .collect();
     let summary = aggregate::summarize(&cell_traces);
+    // One digest per cell over every unit's name and start times, so the
+    // gate pins the schedules themselves, not just the work that found
+    // them.
+    let schedule_digests: Vec<String> = serial
+        .entries
+        .iter()
+        .filter_map(|e| e.outcome.as_ref().ok())
+        .map(|c| {
+            let mut text = String::new();
+            for g in &c.graphs {
+                let starts: Vec<String> =
+                    g.schedule.start_time.iter().map(u32::to_string).collect();
+                let _ = writeln!(text, "{}:{}", g.name, starts.join(","));
+            }
+            qcache::digest(text.as_bytes()).to_hex()
+        })
+        .collect();
 
     let mut json = String::from("{\n  \"schema\": \"longnail-bench/2\",\n");
     json.push_str("  \"deterministic\": {\n");
@@ -197,12 +215,12 @@ fn bench_json() -> String {
         json.push_str(if i + 1 == summary.counters.len() { "\n" } else { ",\n" });
     }
     json.push_str("    },\n    \"per_cell\": [\n");
-    for (i, (cell, trace)) in cell_traces.iter().enumerate() {
+    for (i, ((cell, trace), schedule)) in cell_traces.iter().zip(&schedule_digests).enumerate() {
         use telemetry::metrics as m;
         let _ = write!(
             json,
             "      {{\"cell\": \"{cell}\", \"pivots\": {}, \"nodes\": {}, \"rounds\": {}, \
-             \"fallbacks\": {}, \"ops\": {}, \"verilog_bytes\": {}}}",
+             \"fallbacks\": {}, \"ops\": {}, \"verilog_bytes\": {}, \"schedule\": \"{schedule}\"}}",
             trace.counter_total(m::SOLVER_PIVOTS),
             trace.counter_total(m::SOLVER_NODES),
             trace.counter_total(m::SOLVER_ROUNDS),

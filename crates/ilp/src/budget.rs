@@ -1,11 +1,9 @@
-//! Deterministic work budgets for the solver stack.
+//! Deterministic work budgets for the solver.
 //!
-//! The solver's old safety limits (`MAX_PIVOTS`, `MAX_NODES`) were per-call
-//! panic bounds: exceeding them aborted the whole process. A [`Budget`] is
-//! the replacement — a single pool of abstract *work units* shared across
-//! every layer touched by one scheduling attempt (simplex pivots,
-//! branch-and-bound nodes, chaining-repair re-solve rounds). Exhaustion is a
-//! typed error ([`Exhausted`], surfaced as
+//! A [`Budget`] is a single pool of abstract *work units* shared across
+//! every layer touched by one scheduling attempt (chaining-repair rounds,
+//! and within each round the solver's propagation batches and tree
+//! pivots). Exhaustion is a typed error ([`Exhausted`], surfaced as
 //! [`SolveError::Exhausted`](crate::SolveError::Exhausted)), so callers can
 //! fall back to a cheaper algorithm instead of crashing.
 //!
@@ -20,17 +18,19 @@ use std::fmt;
 /// expense of each step so a single limit governs all layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkKind {
-    /// One simplex pivot (tableau row reduction) — primal or dual, and
-    /// including phase-1 artificial drive-out pivots, so the pivot counter
-    /// reflects every tableau row reduction actually performed.
+    /// One tree pivot of the difference solver: a subtree shift that
+    /// swaps one tight arc for another.
     Pivot,
-    /// One branch-and-bound node (bound-delta child + warm LP re-solve).
+    /// One branch-and-bound node. Never charged: a difference system's
+    /// LP optimum is integral, so the solver never branches. The kind
+    /// stays so the `solver.nodes` counter keeps its meaning (always 0).
     Node,
-    /// One lazy-constraint repair round (ILP re-solve with added rows).
+    /// One lazy-constraint repair round (a from-scratch re-solve with the
+    /// added chain breakers).
     Round,
-    /// One presolve charge — a batch of
-    /// [`PRESOLVE_BATCH`](crate::presolve::PRESOLVE_BATCH) constraint
-    /// propagation visits (bound tightening before the first pivot).
+    /// One started batch of [`RELAX_BATCH`](crate::RELAX_BATCH) arc
+    /// relaxations in the solver's two propagation passes (the ASAP start
+    /// and the least-optimum finish).
     Presolve,
 }
 
@@ -49,10 +49,10 @@ impl WorkKind {
 impl fmt::Display for WorkKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            WorkKind::Pivot => "simplex pivot",
+            WorkKind::Pivot => "tree pivot",
             WorkKind::Node => "branch-and-bound node",
             WorkKind::Round => "repair round",
-            WorkKind::Presolve => "presolve propagation batch",
+            WorkKind::Presolve => "propagation batch",
         })
     }
 }
@@ -85,12 +85,12 @@ impl std::error::Error for Exhausted {}
 ///
 /// Shared by reference across solver layers; interior mutability keeps the
 /// call signatures `&Budget` so one budget can thread through nested calls
-/// (repair loop → branch-and-bound → simplex) without plumbing `&mut`.
+/// (repair loop → solver) without plumbing `&mut`.
 #[derive(Debug)]
 pub struct Budget {
     limit: u64,
     used: Cell<u64>,
-    /// Completed steps per kind (pivots, nodes, rounds, presolve batches)
+    /// Completed steps per kind (pivots, nodes, rounds, propagation batches)
     /// — the solver metrics telemetry reads after a solve. A step whose
     /// charge failed is not counted: the counters describe work actually
     /// performed.
@@ -108,9 +108,8 @@ const fn kind_index(kind: WorkKind) -> usize {
 
 impl Budget {
     /// The default limit, sized so that every well-formed scheduling model
-    /// solves without coming near it (it exceeds the solver's historical
-    /// per-call pivot and node bounds combined). Hitting it indicates a
-    /// pathological model, for which callers degrade gracefully.
+    /// solves without coming near it. Hitting it indicates a pathological
+    /// model, for which callers degrade gracefully.
     pub const DEFAULT_LIMIT: u64 = 4_000_000;
 
     /// Creates a budget with the given work-unit limit.
@@ -154,7 +153,7 @@ impl Budget {
         self.used.get()
     }
 
-    /// Completed steps of `kind` charged so far (e.g. simplex pivots).
+    /// Completed steps of `kind` charged so far (e.g. tree pivots).
     pub fn count(&self, kind: WorkKind) -> u64 {
         self.counts[kind_index(kind)].get()
     }

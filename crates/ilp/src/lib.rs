@@ -1,51 +1,34 @@
-//! An exact integer linear programming solver.
+//! The exact integer solver behind the Figure 7 scheduling ILP.
 //!
-//! The paper schedules the *LongnailProblem* with the ILP of Figure 7,
-//! solved by Cbc via OR-Tools. This crate is the from-scratch replacement:
-//! a two-phase primal simplex with branch-and-bound for integrality
-//! ([`branch_bound`]). The tableau pivots in `f64`; each optimum is
-//! snapped to exact rationals ([`rational::Rational`]) and re-checked
-//! exactly against the model, so results are exact while pivots are not.
+//! The paper solves the *LongnailProblem* ILP with Cbc via OR-Tools. Every
+//! constraint of that model is a difference `t_j − t_i >= c` or a bound,
+//! so its LP relaxation is totally unimodular and its dual is a min-cost
+//! flow (SDC scheduling, Cong & Zhang, DAC'06). This crate solves exactly
+//! that class and nothing more: [`DiffSystem`] minimizes `Σ w_i·t_i` over
+//! difference arcs and bounds with a tree-pivoting network simplex in
+//! `i64`, returns the *least* optimal point, and checks an optimality
+//! certificate before returning it. It has no general LP/ILP model, no
+//! floating point, and no branch-and-bound.
 //!
-//! The scheduling ILPs are built from difference constraints and variable
-//! bounds, so their LP relaxations are integral (totally unimodular
-//! constraint matrices) and branch-and-bound rarely branches — but the
-//! solver is general and handles arbitrary models.
-//!
-//! Before the first pivot, every solve runs an exact [`presolve`] pass
-//! (bound propagation, variable fixing, redundant-row elimination,
-//! difference-system detection); repeated solves of a growing model can
-//! go through [`Incremental`], which keeps the final simplex basis
-//! between rounds and re-optimizes added rows with a dual-simplex step
-//! instead of solving from scratch.
+//! All work is charged against a deterministic [`Budget`].
 //!
 //! # Examples
 //!
 //! ```
-//! use ilp::{Model, Sense};
+//! use ilp::{Budget, DiffSystem};
 //!
-//! // minimize x + y  s.t.  x + 2y >= 4,  x >= 1,  x,y integer
-//! let mut m = Model::new(Sense::Minimize);
-//! let x = m.int_var("x");
-//! let y = m.int_var("y");
-//! m.obj(x, 1);
-//! m.obj(y, 1);
-//! m.constraint_ge(&[(x, 1), (y, 2)], 4);
-//! m.constraint_ge(&[(x, 1)], 1);
-//! let sol = m.solve().unwrap();
-//! assert_eq!(sol.value(x) + sol.value(y), 3);
+//! // minimize −p + 2c  s.t.  c − p >= 1,  0 <= p,  3 <= c <= 3
+//! let mut sys = DiffSystem::new();
+//! let p = sys.var(-1, 0, None);
+//! let c = sys.var(2, 3, Some(3));
+//! sys.arc(p, c, 1);
+//! let sol = sys.solve(&Budget::default()).unwrap();
+//! assert_eq!(sol.values, vec![2, 3]);
+//! assert_eq!(sol.objective, 4);
 //! ```
 
-pub mod branch_bound;
 pub mod budget;
-pub mod incremental;
-pub mod model;
-pub mod presolve;
-pub mod rational;
-pub mod simplex;
+pub mod difference;
 
 pub use budget::{Budget, Exhausted, WorkKind};
-pub use incremental::Incremental;
-pub use model::{Constraint, ConstraintOp, Model, Sense, Solution, SolveError, VarId};
-pub use presolve::{Presolve, Presolved, PRESOLVE_BATCH};
-pub use rational::Rational;
+pub use difference::{DiffSystem, Solution, SolveError, RELAX_BATCH};

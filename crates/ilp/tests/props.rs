@@ -1,144 +1,124 @@
-//! Property-based tests: the ILP solver against brute-force enumeration on
-//! small bounded models.
+//! Property tests: the difference solver against brute-force enumeration
+//! of small systems with bounded windows.
+//!
+//! Every variable has a finite window, so the integer grid is finite and
+//! the enumeration sees every feasible point. The solver must agree with
+//! it on feasibility, on the optimal objective, and on the tie-break: its
+//! answer is the componentwise minimum of all optimal points.
 
-use ilp::{Model, Rational, Sense, SolveError};
+use ilp::{Budget, DiffSystem, SolveError};
 use proptest::prelude::*;
 
-/// A small random model: up to 3 integer variables with bounds [0, 6],
-/// up to 4 constraints with coefficients in [-3, 3] and rhs in [-8, 8].
+/// A small random system: up to 6 variables with windows of width ≤ 3
+/// starting in [0, 2], and up to 8 arcs between any two variables (cycles
+/// and self-loops included) with gaps in [-3, 3].
 #[derive(Debug, Clone)]
-struct SmallModel {
-    num_vars: usize,
-    objective: Vec<i64>,
-    maximize: bool,
-    constraints: Vec<(Vec<i64>, i64, u8)>, // (coeffs, rhs, op: 0 le, 1 ge, 2 eq)
+struct SmallSystem {
+    vars: Vec<(i64, i64, i64)>, // (weight, lower, upper)
+    arcs: Vec<(usize, usize, i64)>,
 }
 
-fn small_model() -> impl Strategy<Value = SmallModel> {
-    (1usize..=3).prop_flat_map(|num_vars| {
+fn small_system() -> impl Strategy<Value = SmallSystem> {
+    (1usize..=6).prop_flat_map(|n| {
         (
-            proptest::collection::vec(-4i64..=4, num_vars),
-            any::<bool>(),
-            proptest::collection::vec(
-                (
-                    proptest::collection::vec(-3i64..=3, num_vars),
-                    -8i64..=8,
-                    0u8..=2,
-                ),
-                0..=4,
-            ),
+            proptest::collection::vec((-3i64..=3, 0i64..=2, 0i64..=3), n),
+            proptest::collection::vec((0usize..n, 0usize..n, -3i64..=3), 0..=8),
         )
-            .prop_map(move |(objective, maximize, constraints)| SmallModel {
-                num_vars,
-                objective,
-                maximize,
-                constraints,
+            .prop_map(|(vars, arcs)| SmallSystem {
+                vars: vars
+                    .into_iter()
+                    .map(|(w, lower, width)| (w, lower, lower + width))
+                    .collect(),
+                arcs,
             })
     })
 }
 
-const BOUND: i64 = 6;
-
-fn build(m: &SmallModel) -> (Model, Vec<ilp::VarId>) {
-    let mut model = Model::new(if m.maximize {
-        Sense::Maximize
-    } else {
-        Sense::Minimize
-    });
-    let vars: Vec<_> = (0..m.num_vars)
-        .map(|i| {
-            let v = model.int_var(&format!("x{i}"));
-            model.set_upper(v, BOUND);
-            model.obj(v, m.objective[i]);
-            v
-        })
-        .collect();
-    for (coeffs, rhs, op) in &m.constraints {
-        let terms: Vec<_> = vars.iter().copied().zip(coeffs.iter().copied()).collect();
-        match op {
-            0 => model.constraint_le(&terms, *rhs),
-            1 => model.constraint_ge(&terms, *rhs),
-            _ => model.constraint_eq(&terms, *rhs),
-        }
+fn build(s: &SmallSystem) -> DiffSystem {
+    let mut sys = DiffSystem::new();
+    for &(w, lower, upper) in &s.vars {
+        sys.var(w, lower, Some(upper));
     }
-    (model, vars)
+    for &(from, to, gap) in &s.arcs {
+        sys.arc(from, to, gap);
+    }
+    sys
 }
 
-/// Exhaustively enumerates the integer grid [0, BOUND]^n.
-fn brute_force(m: &SmallModel) -> Option<i64> {
-    let n = m.num_vars;
-    let mut best: Option<i64> = None;
-    let total = (BOUND as usize + 1).pow(n as u32);
-    for idx in 0..total {
-        let mut point = Vec::with_capacity(n);
-        let mut rest = idx;
-        for _ in 0..n {
-            point.push((rest % (BOUND as usize + 1)) as i64);
-            rest /= BOUND as usize + 1;
+/// The exhaustive answer: `None` when no grid point is feasible, else the
+/// optimal objective and the componentwise minimum of all optimal points.
+/// Every grid point is inside the windows, so only the arcs can reject it.
+fn brute_force(s: &SmallSystem) -> Option<(i64, Vec<i64>)> {
+    let mut point: Vec<i64> = s.vars.iter().map(|v| v.1).collect();
+    let mut best: Option<(i64, Vec<i64>)> = None;
+    loop {
+        let feasible = s
+            .arcs
+            .iter()
+            .all(|&(from, to, gap)| point[to] - point[from] >= gap);
+        if feasible {
+            let obj: i64 = s.vars.iter().zip(&point).map(|(v, t)| v.0 * t).sum();
+            best = match best {
+                Some((b, least)) if b < obj => Some((b, least)),
+                Some((b, least)) if b == obj => Some((
+                    b,
+                    least.iter().zip(&point).map(|(&x, &y)| x.min(y)).collect(),
+                )),
+                _ => Some((obj, point.clone())),
+            };
         }
-        let feasible = m.constraints.iter().all(|(coeffs, rhs, op)| {
-            let lhs: i64 = coeffs.iter().zip(&point).map(|(c, x)| c * x).sum();
-            match op {
-                0 => lhs <= *rhs,
-                1 => lhs >= *rhs,
-                _ => lhs == *rhs,
+        // Odometer step over the windows.
+        let mut i = 0;
+        loop {
+            if i == point.len() {
+                return best;
             }
-        });
-        if !feasible {
-            continue;
+            if point[i] < s.vars[i].2 {
+                point[i] += 1;
+                break;
+            }
+            point[i] = s.vars[i].1;
+            i += 1;
         }
-        let obj: i64 = m.objective.iter().zip(&point).map(|(c, x)| c * x).sum();
-        best = Some(match best {
-            None => obj,
-            Some(b) => {
-                if m.maximize {
-                    b.max(obj)
-                } else {
-                    b.min(obj)
-                }
-            }
-        });
     }
-    best
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
-    fn solver_matches_brute_force(m in small_model()) {
-        let (model, _) = build(&m);
-        let brute = brute_force(&m);
-        match (model.solve(), brute) {
-            (Ok(sol), Some(best)) => {
-                prop_assert!(model.is_feasible(&sol.values),
-                    "solver returned an infeasible point: {:?}", sol.values);
-                prop_assert_eq!(sol.objective, Rational::int(best as i128),
-                    "objective mismatch (brute force: {})", best);
+    fn solver_matches_brute_force(s in small_system()) {
+        let sys = build(&s);
+        match (sys.solve(&Budget::unlimited()), brute_force(&s)) {
+            (Ok(sol), Some((best, least))) => {
+                prop_assert_eq!(sol.objective, best, "objective (brute force: {})", best);
+                prop_assert_eq!(sol.values, least, "not the least optimum");
             }
             (Err(SolveError::Infeasible), None) => {}
             (Ok(sol), None) => {
                 prop_assert!(false, "solver found {:?} but the grid has no feasible point", sol.values);
             }
-            (Err(e), Some(best)) => {
-                prop_assert!(false, "solver said {} but brute force found optimum {}", e, best);
-            }
-            (Err(e), None) => {
-                // All variables are bounded and the models are tiny, so
-                // neither unboundedness nor budget exhaustion can happen.
-                prop_assert!(false, "infeasible model reported as {}", e);
+            (Err(e), brute) => {
+                prop_assert!(false, "solver said {} but brute force found {:?}", e, brute);
             }
         }
     }
 
+    /// Every limit below what a solve needs — 0, half, and needed − 1 —
+    /// fails with a typed `Exhausted`, never a panic or a wrong answer:
+    /// the contract the scheduler's ASAP fallback relies on.
     #[test]
-    fn lp_relaxation_bounds_the_ilp(m in small_model()) {
-        let (model, _) = build(&m);
-        if let (Ok(relax), Ok(exact)) = (model.solve_relaxation(), model.solve()) {
-            if m.maximize {
-                prop_assert!(relax.objective >= exact.objective);
-            } else {
-                prop_assert!(relax.objective <= exact.objective);
+    fn budget_exhaustion_is_typed(s in small_system()) {
+        let sys = build(&s);
+        let full = Budget::unlimited();
+        let outcome = sys.solve(&full);
+        prop_assume!(outcome.is_ok());
+        let needed = full.used();
+        prop_assert!(needed > 0);
+        for limit in [0, needed / 2, needed - 1] {
+            match sys.solve(&Budget::new(limit)) {
+                Err(SolveError::Exhausted(e)) => prop_assert_eq!(e.limit, limit),
+                other => prop_assert!(false, "limit {limit}: unexpected {other:?}"),
             }
         }
     }

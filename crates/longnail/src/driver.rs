@@ -150,8 +150,9 @@ pub struct CompiledGraph {
     pub graph: Graph,
     /// Per-LIL-operation start times and in-cycle times.
     pub schedule: Schedule,
-    /// The constructed hardware module with port bindings.
-    pub built: BuiltModule,
+    /// The constructed hardware module with port bindings, shared with the
+    /// stage cache entry it came from (a warm replay does not copy it).
+    pub built: Arc<BuiltModule>,
     /// Emitted SystemVerilog.
     pub verilog: String,
     /// Overall execution mode (worst interface variant, §3.2/§4.3).
@@ -173,8 +174,9 @@ pub struct CompiledIsax {
     pub core: String,
     /// The elaborated, type-checked module (golden-model input).
     pub module: TypedModule,
-    /// The lowered LIL module.
-    pub lil: LilModule,
+    /// The lowered LIL module, shared with the frontend cache entry (and
+    /// so with every core compiled from the same source).
+    pub lil: Arc<LilModule>,
     /// One compiled artifact per instruction / always-block.
     ///
     /// Units that failed to compile are missing here and reported in
@@ -340,8 +342,32 @@ impl Longnail {
         datasheet: &VirtualDatasheet,
         pipe: &PipelineCache,
     ) -> Result<CompiledIsax, FlowError> {
+        let keys = (pipeline::frontend_key(unit, src), self.config_key(datasheet));
+        self.compile_keyed(src, unit, datasheet, pipe, keys)
+    }
+
+    /// The content key of everything core- and option-shaped that feeds
+    /// the backend of a compile against `datasheet`.
+    fn config_key(&self, datasheet: &VirtualDatasheet) -> Digest {
+        pipeline::core_config_key(
+            datasheet,
+            self.chain_depth,
+            self.work_limit,
+            &self.config_fingerprint(),
+        )
+    }
+
+    /// [`Longnail::compile_cell`] with its frontend and config keys
+    /// already computed.
+    fn compile_keyed(
+        &self,
+        src: &str,
+        unit: &str,
+        datasheet: &VirtualDatasheet,
+        pipe: &PipelineCache,
+        (fe_key, cfg_key): (Digest, Digest),
+    ) -> Result<CompiledIsax, FlowError> {
         let core = &datasheet.core;
-        let fe_key = pipeline::frontend_key(unit, src);
         let private;
         let backend_pipe = match &self.fault_plan {
             Some(plan) if plan.targets_cell(unit, core) => {
@@ -387,12 +413,7 @@ impl Longnail {
         let cx = PipeCtx {
             pipe: backend_pipe,
             fe_key,
-            cfg_key: pipeline::core_config_key(
-                datasheet,
-                self.chain_depth,
-                self.work_limit,
-                &self.config_fingerprint(),
-            ),
+            cfg_key,
         };
         let artifacts = result?;
         Ok(self.backend(&artifacts, datasheet, lookup, &cx))
@@ -514,7 +535,7 @@ impl Longnail {
             name: lil.name.clone(),
             core: datasheet.core.clone(),
             module: module.clone(),
-            lil: lil.clone(),
+            lil: Arc::clone(&artifacts.lil),
             graphs,
             config,
             diagnostics,
@@ -548,11 +569,37 @@ impl Longnail {
             .stage_stats()
             .into_iter()
             .collect();
+        // Cells share sources and datasheets across the matrix: hash each
+        // distinct one once, not once per cell.
+        let mut fe_keys: HashMap<(&str, &str), Digest> = HashMap::new();
+        let mut cfg_keys: Vec<(&VirtualDatasheet, Digest)> = Vec::new();
+        let keys: Vec<(Digest, Digest)> = cells
+            .iter()
+            .map(|cell| {
+                let fe_key = *fe_keys
+                    .entry((&cell.unit, &cell.src))
+                    .or_insert_with(|| pipeline::frontend_key(&cell.unit, &cell.src));
+                let ds = &cell.datasheet;
+                // `==` equates a 0.0 and a -0.0 clock; the key does not.
+                let same = |d: &VirtualDatasheet| {
+                    d == ds && d.clock_ns.to_bits() == ds.clock_ns.to_bits()
+                };
+                let cfg_key = match cfg_keys.iter().find(|(d, _)| same(d)) {
+                    Some(&(_, key)) => key,
+                    None => {
+                        let key = self.config_key(ds);
+                        cfg_keys.push((ds, key));
+                        key
+                    }
+                };
+                (fe_key, cfg_key)
+            })
+            .collect();
         let pool = Pool::new(jobs);
         let (outcomes, pool_stats) = pool.run_with_stats(cells.len(), |k| {
             let cell = &cells[k];
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.compile_cell(&cell.src, &cell.unit, &cell.datasheet, pipe)
+                self.compile_keyed(&cell.src, &cell.unit, &cell.datasheet, pipe, keys[k])
             }))
             .unwrap_or_else(|p| {
                 Err(FlowError::fault(
@@ -813,7 +860,10 @@ impl Longnail {
         tape.counter(metrics::PROBLEM_DEPS, graph.edge_count() as u64);
         tape.gauge(metrics::SCHED_CHAIN_LIMIT, chain_limit);
         StageVal {
-            outcome: Ok(ProblemOut { problem, op_ids }),
+            outcome: Ok(ProblemOut {
+                problem: Arc::new(problem),
+                op_ids,
+            }),
             tape,
         }
     }
@@ -823,9 +873,9 @@ impl Longnail {
     fn solve_stage(&self, pout: &ProblemOut, graph: &Graph) -> StageVal<SolveOut> {
         let mut tape = Tape::default();
         let budget = Budget::new(self.work_limit);
-        // The solver mutates the problem (presolve rewrites it); the
-        // cached ProblemOut must stay pristine for replay.
-        let mut problem = pout.problem.clone();
+        // The solver adds chain breakers to the problem; the cached
+        // ProblemOut must stay pristine for replay.
+        let mut problem = (*pout.problem).clone();
         let result = schedule_resilient(&mut problem, &budget);
         // Solver work is counted, not timed — these are deterministic.
         tape.counter(metrics::SOLVER_PIVOTS, budget.count(WorkKind::Pivot));
@@ -972,10 +1022,11 @@ fn stage_bytes<T>(v: &StageVal<T>, payload: fn(&T) -> u64) -> u64 {
     }
 }
 
-/// Cached output of the `problem` stage.
+/// Cached output of the `problem` stage. The problem is shared so that a
+/// cache hit costs a reference count, not a copy.
 #[derive(Debug, Clone)]
 pub(crate) struct ProblemOut {
-    problem: LongnailProblem,
+    problem: Arc<LongnailProblem>,
     /// Graph-index → problem operation id (the solver's namespace).
     op_ids: Vec<OperationId>,
 }
@@ -1059,7 +1110,7 @@ fn rtl_stage(
     lil: &LilModule,
     datasheet: &VirtualDatasheet,
     sout: &SolveOut,
-) -> StageVal<BuiltModule> {
+) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
     let ds = datasheet.clone();
     let read_latency = move |kind: &OpKind| -> u32 {
@@ -1090,7 +1141,7 @@ fn rtl_stage(
     tape.gauge(metrics::EDA_AREA_UM2, estimate.area.total());
     tape.gauge(metrics::EDA_CRIT_NS, estimate.timing.critical_path_ns);
     StageVal {
-        outcome: Ok(built),
+        outcome: Ok(Arc::new(built)),
         tape,
     }
 }
@@ -1110,7 +1161,7 @@ const OPT_VERIFY_CYCLES: u32 = 32;
 /// stage falls back to the unoptimized netlist, records a warning, and
 /// counts the fallback. (The third gate — `lnc --xcheck` over the full
 /// matrix — runs downstream on whatever module this stage emits.)
-fn opt_stage(built: &BuiltModule, level: OptLevel) -> StageVal<BuiltModule> {
+fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
     let opts = EmitOptions::default();
     let fall_back = |mut tape: Tape, why: String| {
@@ -1172,10 +1223,10 @@ fn opt_stage(built: &BuiltModule, level: OptLevel) -> StageVal<BuiltModule> {
     tape.gauge(metrics::OPT_AREA_BEFORE_UM2, before.area.total());
     tape.gauge(metrics::EDA_AREA_UM2, after.area.total());
     tape.gauge(metrics::EDA_CRIT_NS, after.timing.critical_path_ns);
-    let mut out = built.clone();
+    let mut out = (**built).clone();
     out.module = module;
     StageVal {
-        outcome: Ok(out),
+        outcome: Ok(Arc::new(out)),
         tape,
     }
 }
@@ -1214,7 +1265,7 @@ struct FrontendArtifacts {
     module: TypedModule,
     /// The lowered LIL module; only graphs that passed the stage verifier
     /// are present.
-    lil: LilModule,
+    lil: Arc<LilModule>,
     /// Diagnostics raised during lowering/verification. Core-independent,
     /// so they are replayed verbatim into every per-core compilation
     /// (re-stamped with that compilation's trace span).
@@ -1266,7 +1317,7 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
     }
     FrontendArtifacts {
         module,
-        lil,
+        lil: Arc::new(lil),
         lower_events: diagnostics.events,
     }
 }

@@ -49,7 +49,19 @@ fn trace_covers_every_pipeline_stage_exactly_once() {
 fn trace_records_solver_and_hardware_counters() {
     let compiled = compile_dotprod();
     let trace = &compiled.trace;
-    assert!(trace.counter_total(metrics::SOLVER_PIVOTS) > 0, "no pivots");
+    // dotprod's ASAP schedule is already optimal, so its solve propagates
+    // but never pivots; sqrt's lifetime terms move operations off ASAP.
+    assert!(
+        trace.counter_total(metrics::SOLVER_PRESOLVE) > 0,
+        "no propagation"
+    );
+    let (unit, src) = isax_lib::isax_source("sqrt_tightly").unwrap();
+    let ds = builtin_datasheet("ORCA").unwrap();
+    let sqrt = Longnail::new().compile(&src, &unit, &ds).unwrap();
+    assert!(
+        sqrt.trace.counter_total(metrics::SOLVER_PIVOTS) > 0,
+        "no pivots"
+    );
     assert!(trace.counter_total(metrics::SOLVER_ROUNDS) > 0, "no rounds");
     assert!(trace.counter_total(metrics::SOLVER_WORK_USED) > 0);
     assert!(trace.counter_total(metrics::SOLVER_WORK_LIMIT) > 0);

@@ -111,10 +111,12 @@ pub fn compute_chain_breakers(problem: &mut LongnailProblem) -> Result<(), Sched
 
 /// Finds chain-breaking edges that would repair the chaining violations of
 /// a computed schedule: for every zero-latency operation whose in-cycle
-/// completion exceeds the budget, the same-cycle combinational dependence
-/// feeding it latest must move to an earlier cycle. Returns an empty vector
-/// when the schedule already meets the budget (used as a lazy-constraint
-/// loop by the ILP driver).
+/// completion exceeds the budget, the dependence whose result arrives
+/// latest in its start cycle must deliver one cycle later. That is either
+/// a same-cycle combinational producer, or a multi-cycle producer whose
+/// result lands in that cycle; the breaker's `latency + 1` form (C5)
+/// covers both. Returns an empty vector when the schedule already meets
+/// the budget (used as a lazy-constraint loop by the ILP driver).
 pub fn repair_breakers(
     problem: &LongnailProblem,
     schedule: &crate::problem::Schedule,
@@ -131,18 +133,21 @@ pub fn repair_breakers(
         {
             continue;
         }
-        // Break the same-cycle zero-latency edge with the largest arrival
-        // contribution.
+        // Break the in-cycle edge with the largest arrival contribution.
         let mut best: Option<(f64, Dependence)> = None;
         for d in &problem.dependences {
             if d.to.0 != i {
                 continue;
             }
             let pot = problem.lot(d.from);
-            if pot.latency != 0 || schedule.start_time[d.from.0] != schedule.start_time[i] {
+            if schedule.start_time[d.from.0] + pot.latency != schedule.start_time[i] {
                 continue;
             }
-            let contrib = schedule.start_time_in_cycle[d.from.0] + pot.outgoing_delay;
+            let contrib = if pot.latency == 0 {
+                schedule.start_time_in_cycle[d.from.0] + pot.outgoing_delay
+            } else {
+                pot.outgoing_delay
+            };
             if best.as_ref().map(|(c, _)| contrib > *c).unwrap_or(true) {
                 best = Some((contrib, *d));
             }

@@ -13,11 +13,16 @@
 //!            t_i, l_ij ∈ ℕ0                                     (C4)
 //!            t_i + latency(i) + 1 <= t_j    ∀ i→j ∈ chainBreakers (C5)
 //! ```
+//!
+//! With C2 folded into the objective (see `build_system`), every
+//! remaining constraint is a difference or a bound, so the model is solved
+//! exactly as a difference system by [`ilp::DiffSystem`], which returns
+//! the least optimal schedule.
 
 use crate::chain::compute_chain_breakers;
 use crate::problem::{LongnailProblem, Schedule, ScheduleError};
 use crate::stic::compute_stic;
-use ilp::{Budget, Incremental, Model, Sense, SolveError, VarId, WorkKind};
+use ilp::{Budget, DiffSystem, SolveError, WorkKind};
 
 /// Schedules `problem` with the Figure 7 ILP under a fresh default
 /// [`Budget`]. See [`schedule_ilp_with_budget`].
@@ -34,7 +39,7 @@ pub fn schedule_ilp(problem: &mut LongnailProblem) -> Result<Schedule, ScheduleE
 /// computation and STIC back-annotation. Verifies the solution against all
 /// constraint levels before returning it.
 ///
-/// All solver work — simplex pivots, branch-and-bound nodes, and one
+/// All solver work — propagation batches, tree pivots, and one
 /// [`WorkKind::Round`] per lazy-constraint repair round — is charged
 /// against `budget`, so a single budget bounds the whole scheduling
 /// attempt deterministically.
@@ -43,7 +48,9 @@ pub fn schedule_ilp(problem: &mut LongnailProblem) -> Result<Schedule, ScheduleE
 ///
 /// Returns [`ScheduleError::InvalidProblem`] for malformed inputs,
 /// [`ScheduleError::Infeasible`] when the interface windows cannot be met,
-/// and [`ScheduleError::Exhausted`] when the budget runs out first.
+/// [`ScheduleError::Exhausted`] when the budget runs out first, and
+/// [`ScheduleError::Violation`] when the solver's optimality certificate
+/// fails.
 pub fn schedule_ilp_with_budget(
     problem: &mut LongnailProblem,
     budget: &Budget,
@@ -52,30 +59,21 @@ pub fn schedule_ilp_with_budget(
     compute_chain_breakers(problem)?;
     // Lazy-constraint loop: solve, and if the solution violates the
     // chaining budget (the initial breakers are a heuristic), add breakers
-    // on the offending edges and re-solve. Each round adds at least one
-    // new breaker edge, so this terminates.
-    //
-    // The model is built once; repair rounds push the new breaker rows
-    // into the warm [`Incremental`] solver, which re-optimizes from the
-    // previous round's basis with a dual-simplex step instead of solving
-    // the grown model from scratch.
-    let (model, t) = build_model(problem);
-    let mut solver = Incremental::new(model);
+    // on the offending edges and re-solve from scratch. Each round adds at
+    // least one new breaker edge, so this terminates.
     for _ in 0..problem.dependences.len() + 1 {
         budget
             .charge(WorkKind::Round)
             .map_err(ScheduleError::Exhausted)?;
-        let solution = solver.solve(budget).map_err(map_solve_error)?;
-        let start_time: Vec<u32> = t.iter().map(|&v| solution.value(v) as u32).collect();
+        let solution = build_system(problem)
+            .solve(budget)
+            .map_err(map_solve_error)?;
+        let start_time: Vec<u32> = solution.values.iter().map(|&v| v as u32).collect();
         let schedule = compute_stic(problem, start_time)?;
         let extra = crate::chain::repair_breakers(problem, &schedule);
         if extra.is_empty() {
             problem.verify(&schedule)?;
             return Ok(schedule);
-        }
-        for d in &extra {
-            let latency = problem.lot(d.from).latency as i64;
-            solver.add_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -(latency + 1));
         }
         problem.chain_breakers.extend(extra);
     }
@@ -93,18 +91,16 @@ fn map_solve_error(e: SolveError) -> ScheduleError {
             ScheduleError::InvalidProblem("scheduling objective is unbounded".into())
         }
         SolveError::Exhausted(e) => ScheduleError::Exhausted(e),
-        // An inexact vertex reconstruction is a solver fault, not a model
-        // property: surface it as a violation so the resilient path falls
-        // back to ASAP instead of trusting a wrong value.
-        SolveError::Numerical(m) => ScheduleError::Violation(format!("ILP solver: {m}")),
+        // A failed certificate is a solver fault, not a model property:
+        // surface it as a violation so the resilient path falls back to
+        // ASAP instead of trusting the answer.
+        SolveError::Uncertified(m) => ScheduleError::Violation(format!("ILP solver: {m}")),
     }
 }
 
 /// Builds the Figure 7 model (obj + C1, C3, C4, C5 over the breakers known
-/// so far) and returns it with the start-time variable per operation.
-fn build_model(problem: &LongnailProblem) -> (Model, Vec<VarId>) {
-    let mut model = Model::new(Sense::Minimize);
-
+/// so far) as a difference system whose variable `i` is `t_i`.
+fn build_system(problem: &LongnailProblem) -> DiffSystem {
     // Because every latency is non-negative, C1 forces t_j >= t_i on every
     // dependence, so at any optimum the lifetime variable l_ij of (C2)
     // equals exactly t_j - t_i. Substituting into the objective folds the
@@ -112,44 +108,31 @@ fn build_model(problem: &LongnailProblem) -> (Model, Vec<VarId>) {
     //
     //   Σ t_i + Σ_(i→j) (t_j - t_i)  =  Σ_i (1 + indeg(i) - outdeg(i)) t_i
     //
-    // which halves the model size without changing the optimum.
+    // which leaves only start-time variables, differences, and bounds.
     let mut weight = vec![1i64; problem.operations.len()];
     for d in &problem.dependences {
         weight[d.from.0] -= 1;
         weight[d.to.0] += 1;
     }
 
-    // t_i variables with window bounds (C3, C4) and folded objective (obj).
-    let t: Vec<_> = problem
-        .operations
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let var = model.int_var(&format!("t{i}"));
-            let ot = &problem.operator_types[op.operator_type.0];
-            model.set_lower(var, ot.earliest as i64);
-            if let Some(latest) = ot.latest {
-                model.set_upper(var, latest as i64);
-            }
-            model.obj(var, weight[i]);
-            var
-        })
-        .collect();
+    // t_i with window bounds (C3, C4) and folded objective (obj).
+    let mut system = DiffSystem::new();
+    for (i, op) in problem.operations.iter().enumerate() {
+        let ot = &problem.operator_types[op.operator_type.0];
+        system.var(weight[i], i64::from(ot.earliest), ot.latest.map(i64::from));
+    }
 
     // Dependences: precedence (C1); lifetimes (C2) are folded (see above).
     for d in &problem.dependences {
-        let latency = problem.lot(d.from).latency as i64;
-        model.constraint_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -latency);
+        system.arc(d.from.0, d.to.0, i64::from(problem.lot(d.from).latency));
     }
 
-    // Chain breakers (C5) known before the first solve; repair rounds add
-    // later ones through the warm solver.
+    // Chain breakers (C5).
     for d in &problem.chain_breakers {
-        let latency = problem.lot(d.from).latency as i64;
-        model.constraint_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -(latency + 1));
+        system.arc(d.from.0, d.to.0, i64::from(problem.lot(d.from).latency) + 1);
     }
 
-    (model, t)
+    system
 }
 
 #[cfg(test)]

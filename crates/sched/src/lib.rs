@@ -8,8 +8,9 @@
 //!   *LongnailProblem*),
 //! * [`chain`] — computation of chain-breaking dependences that split
 //!   overlong combinational chains against a cycle-time budget,
-//! * [`ilp_sched`] — the exact ILP formulation of Figure 7, solved with the
-//!   `ilp` crate,
+//! * [`ilp_sched`] — the exact ILP formulation of Figure 7, solved as a
+//!   difference system by the `ilp` crate (least optimal schedule, checked
+//!   against an optimality certificate),
 //! * [`list_sched`] — a fast ASAP list scheduler used as a baseline and for
 //!   ablation benchmarks,
 //! * [`resilient`] — the budgeted facade over both schedulers: exact ILP

@@ -1,11 +1,13 @@
 //! Resilient scheduling facade: exact ILP first, graceful degradation to
-//! the ASAP list scheduler when the solver cannot finish.
+//! the ASAP list scheduler when the exact path cannot finish.
 //!
-//! The ILP of Figure 7 is optimal but its cost is only loosely bounded by
-//! the input size; a pathological instruction can drive the solver into a
-//! long search. [`schedule_resilient`] bounds that risk with a
-//! deterministic work [`Budget`] and, when the budget runs out (or the ILP
-//! fails in a recoverable way), falls back to [`schedule_asap`] — which is
+//! The ILP of Figure 7 is solved exactly as a difference system, but the
+//! lazy chain-breaker loop re-solves it from scratch once per repair
+//! round, so a pathological instruction can still cost many rounds and
+//! pivots. [`schedule_resilient`] bounds that risk with a deterministic
+//! work [`Budget`] and, when the budget runs out (or the exact path fails
+//! in a recoverable way, such as a failed optimality certificate), falls
+//! back to [`schedule_asap`] — which is
 //! linear-time, satisfies the same Table 2 constraint hierarchy, and only
 //! sacrifices the register-lifetime term of the objective. The fallback
 //! schedule is re-verified against *all* constraint levels before being
@@ -31,8 +33,9 @@ pub enum DegradationReason {
     /// schedule (a lazy-constraint artifact, e.g. breaker-induced
     /// over-constraint).
     IlpInfeasible(String),
-    /// The ILP produced a schedule that failed post-verification — an
-    /// internal solver fault contained by falling back.
+    /// The solver's optimality certificate or the schedule's
+    /// post-verification failed — an internal fault contained by falling
+    /// back.
     IlpFault(String),
 }
 
@@ -190,14 +193,30 @@ mod tests {
         assert!(schedule_resilient(&mut p2, &Budget::new(0)).is_err());
     }
 
+    /// mul (1 cycle, 1.0 ns out) -> add (0.7 ns) at 1.6 ns: an add in the
+    /// mul's result cycle would complete at 1.7 ns, and the initial
+    /// breakers only cover combinational edges, so the exact path needs a
+    /// repair round.
+    fn mul_feeds_add() -> LongnailProblem {
+        let mut p = LongnailProblem {
+            cycle_time: 1.6,
+            ..LongnailProblem::default()
+        };
+        let mul = p.add_operator_type(OperatorType::sequential("mul", 1, 1.0));
+        let add = p.add_operator_type(OperatorType::combinational("add", 0.7));
+        let a = p.add_operation("a", mul);
+        let b = p.add_operation("b", add);
+        p.add_dependence(a, b);
+        p
+    }
+
     #[test]
-    fn exhaustion_mid_warm_round_degrades_to_asap() {
-        // A two-level reduction tree under a tight cycle time makes the
-        // breaker heuristic underestimate, so the lazy-constraint loop
-        // takes warm repair rounds. Measure the full cost, then replay
-        // with less: exhaustion lands mid-solve (including mid-warm-round
-        // at `needed - 1`) and the ASAP fallback must still produce a
-        // verified schedule.
+    fn exhaustion_mid_repair_round_degrades_to_asap() {
+        // Measure the full cost, then replay with less: exhaustion lands
+        // mid-solve (at `needed - 1`, in the last propagation batch) and
+        // the ASAP fallback must still produce a verified schedule. The
+        // reduction tree solves in one round; the mul -> add pair takes a
+        // repair round, so there exhaustion lands in the second round.
         fn tree_problem() -> LongnailProblem {
             let mut p = LongnailProblem {
                 cycle_time: 1.5,
@@ -218,23 +237,38 @@ mod tests {
             p.add_dependence(m1, root);
             p
         }
-        let mut probe = tree_problem();
-        let full = Budget::unlimited();
-        let out = schedule_resilient(&mut probe, &full).unwrap();
-        assert!(out.is_exact());
-        let needed = full.used();
-        assert!(needed > 0);
-        for limit in [needed / 2, needed - 1] {
-            let mut p = tree_problem();
-            let budget = Budget::new(limit);
-            let out = schedule_resilient(&mut p, &budget).unwrap();
-            let deg = out
-                .degradation
-                .expect("a limit below the requirement must degrade");
-            assert!(matches!(deg.reason, DegradationReason::BudgetExhausted(_)));
-            assert!(deg.work_used <= limit);
-            p.verify(&out.schedule).unwrap();
+        for (build, rounds) in [
+            (tree_problem as fn() -> LongnailProblem, 1),
+            (mul_feeds_add, 2),
+        ] {
+            let mut probe = build();
+            let full = Budget::unlimited();
+            let out = schedule_resilient(&mut probe, &full).unwrap();
+            assert!(out.is_exact());
+            assert_eq!(full.count(ilp::WorkKind::Round), rounds);
+            let needed = full.used();
+            for limit in [needed / 2, needed - 1] {
+                let mut p = build();
+                let budget = Budget::new(limit);
+                let out = schedule_resilient(&mut p, &budget).unwrap();
+                let deg = out
+                    .degradation
+                    .expect("a limit below the requirement must degrade");
+                assert!(matches!(deg.reason, DegradationReason::BudgetExhausted(_)));
+                assert!(deg.work_used <= limit);
+                p.verify(&out.schedule).unwrap();
+            }
         }
+    }
+
+    #[test]
+    fn multi_cycle_producer_feeding_a_chain_stays_exact() {
+        // The repair must break the sequential edge too, not give up and
+        // fall back.
+        let mut p = mul_feeds_add();
+        let out = schedule_resilient(&mut p, &Budget::default()).unwrap();
+        assert!(out.is_exact(), "{:?}", out.degradation);
+        assert_eq!(out.schedule.start_time, vec![0, 2]);
     }
 
     #[test]

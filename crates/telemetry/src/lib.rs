@@ -7,7 +7,7 @@
 //!
 //! * [`Telemetry`] — the recording sink. The driver opens one span per
 //!   pipeline stage ([`STAGES`]) and attaches counters (monotonic integer
-//!   totals, e.g. simplex pivots), gauges (point-in-time floats, e.g. cell
+//!   totals, e.g. solver pivots), gauges (point-in-time floats, e.g. cell
 //!   area in µm²), and attrs (strings, e.g. the execution mode).
 //! * [`Trace`] — the finished, ordered event stream. Serializes to JSON
 //!   lines ([`Trace::to_jsonl`]) and parses back ([`Trace::from_jsonl`])
@@ -34,13 +34,16 @@ use std::time::Instant;
 /// Canonical metric names. The driver records them, [`report`] reads them;
 /// keeping the strings here keeps the two ends agreeing.
 pub mod metrics {
-    /// Simplex pivots performed (counter, per `solve` span).
+    /// Tree pivots of the difference solver (counter, per `solve` span).
     pub const SOLVER_PIVOTS: &str = "solver.pivots";
-    /// Branch-and-bound nodes expanded (counter).
+    /// Branch-and-bound nodes (counter). Always 0: the Figure 7 model is
+    /// a difference system whose LP optimum is integral, so nothing
+    /// branches.
     pub const SOLVER_NODES: &str = "solver.nodes";
     /// Lazy-constraint repair rounds (counter).
     pub const SOLVER_ROUNDS: &str = "solver.rounds";
-    /// Presolve propagation batches charged before the first pivot
+    /// Started batches of 32 arc relaxations in the solver's two
+    /// propagation passes, the ASAP start and the least-optimum finish
     /// (counter).
     pub const SOLVER_PRESOLVE: &str = "solver.presolve";
     /// Abstract work units spent against the solver budget (counter).
