@@ -38,9 +38,15 @@ if [ -n "$empty" ]; then
     exit 1
 fi
 
+echo "== cargo test --release -p bits -p rtl"
+# Release builds drop overflow checks and debug_assert!, so the limb
+# arithmetic and the simulators also run their tests the way the compiler
+# ships.
+cargo test --release -p bits -p rtl
+
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== cargo fmt -p telemetry -- --check"
-    cargo fmt -p telemetry -- --check
+    echo "== cargo fmt -p telemetry -p bits -- --check"
+    cargo fmt -p telemetry -p bits -- --check
 else
     echo "== rustfmt not installed; skipping format step"
 fi

@@ -1,23 +1,41 @@
 //! The [`ApInt`] container type and basic bit accessors.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A fixed-width bit pattern of arbitrary width, stored as little-endian
 /// 64-bit limbs.
 ///
+/// Storage: a value of at most two limbs (128 bits) keeps its limbs
+/// inline, a wider one in a boxed slice. Netlist values are rarely wider
+/// than that, so creating, copying and dropping the values the simulators
+/// work on never touches the heap. Either way the type is 32 bytes.
+///
 /// Invariants:
 /// * `width >= 1`
-/// * `limbs.len() == ceil(width / 64)`
-/// * all bits at positions `>= width` in the last limb are zero
-///   (the *canonical* unsigned representation)
+/// * the value has `ceil(width / 64)` limbs, held inline exactly when that
+///   is at most two
+/// * all bits at positions `>= width` are zero, in the last limb and in an
+///   unused inline limb alike (the *canonical* unsigned representation)
 ///
 /// Signedness is an interpretation supplied per operation (e.g.
 /// [`ApInt::slt`] vs [`ApInt::ult`]), not a property of the value.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ApInt {
     pub(crate) width: u32,
-    pub(crate) limbs: Vec<u64>,
+    storage: Storage,
 }
+
+/// Limb storage; which variant a value uses follows from its width alone,
+/// so the derived equality compares like with like.
+#[derive(Clone, PartialEq, Eq)]
+enum Storage {
+    Inline([u64; INLINE_LIMBS]),
+    Heap(Box<[u64]>),
+}
+
+/// Limbs held inline before a value moves to the heap.
+pub(crate) const INLINE_LIMBS: usize = 2;
 
 pub(crate) const LIMB_BITS: u32 = 64;
 
@@ -25,33 +43,54 @@ pub(crate) fn limbs_for(width: u32) -> usize {
     (width as usize).div_ceil(64)
 }
 
+/// The valid bits of the last limb of a `width`-bit value.
+fn top_mask(width: u32) -> u64 {
+    u64::MAX >> ((LIMB_BITS - width % LIMB_BITS) % LIMB_BITS)
+}
+
 impl ApInt {
+    /// Builds a `width`-bit value whose limb `i` is `limb(i)`, called once
+    /// per limb from low to high, with the bits past `width` cleared. The
+    /// constructors and most operations build their result here in one
+    /// pass, without a temporary value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `width > MAX_WIDTH`.
+    pub(crate) fn from_limb_fn(width: u32, mut limb: impl FnMut(usize) -> u64) -> ApInt {
+        assert!(width >= 1, "ApInt width must be at least 1");
+        assert!(
+            width <= crate::MAX_WIDTH,
+            "ApInt width {width} exceeds MAX_WIDTH"
+        );
+        let n = limbs_for(width);
+        let storage = if n <= INLINE_LIMBS {
+            let mut limbs = [0; INLINE_LIMBS];
+            for (i, l) in limbs[..n].iter_mut().enumerate() {
+                *l = limb(i);
+            }
+            Storage::Inline(limbs)
+        } else {
+            Storage::Heap((0..n).map(limb).collect())
+        };
+        let mut v = ApInt { width, storage };
+        v.canonicalize();
+        v
+    }
+
     /// Creates the all-zero value of the given width.
     ///
     /// # Panics
     ///
     /// Panics if `width == 0` or `width > MAX_WIDTH`.
     pub fn zero(width: u32) -> Self {
-        assert!(width >= 1, "ApInt width must be at least 1");
-        assert!(
-            width <= crate::MAX_WIDTH,
-            "ApInt width {width} exceeds MAX_WIDTH"
-        );
-        ApInt {
-            width,
-            limbs: vec![0; limbs_for(width)],
-        }
+        Self::from_limb_fn(width, |_| 0)
     }
 
     /// Creates the all-ones value of the given width (i.e. `-1` when read as
     /// signed, `2^width - 1` when read as unsigned).
     pub fn ones(width: u32) -> Self {
-        let mut v = Self::zero(width);
-        for l in &mut v.limbs {
-            *l = u64::MAX;
-        }
-        v.canonicalize();
-        v
+        Self::from_limb_fn(width, |_| u64::MAX)
     }
 
     /// Creates the value `1` of the given width.
@@ -61,24 +100,13 @@ impl ApInt {
 
     /// Creates an `ApInt` from the low `width` bits of `value`.
     pub fn from_u64(value: u64, width: u32) -> Self {
-        let mut v = Self::zero(width);
-        v.limbs[0] = value;
-        v.canonicalize();
-        v
+        Self::from_limb_fn(width, |i| if i == 0 { value } else { 0 })
     }
 
     /// Creates an `ApInt` from `value`, sign-extended or truncated to `width`.
     pub fn from_i64(value: i64, width: u32) -> Self {
-        let mut v = Self::zero(width);
-        let bits = value as u64;
-        v.limbs[0] = bits;
-        if value < 0 {
-            for l in v.limbs.iter_mut().skip(1) {
-                *l = u64::MAX;
-            }
-        }
-        v.canonicalize();
-        v
+        let fill = if value < 0 { u64::MAX } else { 0 };
+        Self::from_limb_fn(width, |i| if i == 0 { value as u64 } else { fill })
     }
 
     /// Creates an `ApInt` from a bool (width 1).
@@ -94,10 +122,41 @@ impl ApInt {
     /// Masks off bits beyond `width` in the last limb, restoring the
     /// canonical representation.
     pub(crate) fn canonicalize(&mut self) {
-        let rem = self.width % LIMB_BITS;
-        if rem != 0 {
-            let last = self.limbs.len() - 1;
-            self.limbs[last] &= (1u64 << rem) - 1;
+        let mask = top_mask(self.width);
+        if let Some(last) = self.limbs_mut().last_mut() {
+            *last &= mask;
+        }
+    }
+
+    /// The limbs, mutably. A caller that can set bits past `width` must
+    /// [`ApInt::canonicalize`] afterwards.
+    pub(crate) fn limbs_mut(&mut self) -> &mut [u64] {
+        let n = limbs_for(self.width);
+        match &mut self.storage {
+            Storage::Inline(limbs) => &mut limbs[..n],
+            Storage::Heap(limbs) => limbs,
+        }
+    }
+
+    /// The 64 bits of `self` starting at bit `pos`, which lands in bit 0.
+    /// Positions below zero read 0; positions at or above the width read
+    /// the bits of `fill` (0 or all-ones), so a window past the top sees a
+    /// zero or a sign extension. Shifts, extension, extraction and
+    /// concatenation are all limb-by-limb windows.
+    pub(crate) fn window(&self, pos: i64, fill: u64) -> u64 {
+        let limbs = self.limbs();
+        let top = limbs.len() - 1;
+        let pad = fill & !top_mask(self.width);
+        let limb = |k: i64| match usize::try_from(k) {
+            Err(_) => 0,
+            Ok(k) if k < top => limbs[k],
+            Ok(k) if k == top => limbs[k] | pad,
+            Ok(_) => fill,
+        };
+        let k = pos.div_euclid(i64::from(LIMB_BITS));
+        match pos.rem_euclid(i64::from(LIMB_BITS)) as u32 {
+            0 => limb(k),
+            sh => limb(k) >> sh | limb(k + 1) << (LIMB_BITS - sh),
         }
     }
 
@@ -108,7 +167,7 @@ impl ApInt {
     /// Panics if `pos >= self.width()`.
     pub fn bit(&self, pos: u32) -> bool {
         assert!(pos < self.width, "bit index {pos} out of range");
-        (self.limbs[(pos / LIMB_BITS) as usize] >> (pos % LIMB_BITS)) & 1 == 1
+        (self.limbs()[(pos / LIMB_BITS) as usize] >> (pos % LIMB_BITS)) & 1 == 1
     }
 
     /// Sets the bit at position `pos` to `value`.
@@ -118,12 +177,12 @@ impl ApInt {
     /// Panics if `pos >= self.width()`.
     pub fn set_bit(&mut self, pos: u32, value: bool) {
         assert!(pos < self.width, "bit index {pos} out of range");
-        let limb = (pos / LIMB_BITS) as usize;
+        let limb = &mut self.limbs_mut()[(pos / LIMB_BITS) as usize];
         let mask = 1u64 << (pos % LIMB_BITS);
         if value {
-            self.limbs[limb] |= mask;
+            *limb |= mask;
         } else {
-            self.limbs[limb] &= !mask;
+            *limb &= !mask;
         }
     }
 
@@ -134,22 +193,23 @@ impl ApInt {
 
     /// True if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
+        self.limbs().iter().all(|&l| l == 0)
     }
 
     /// True if every bit is one.
     pub fn is_all_ones(&self) -> bool {
-        *self == Self::ones(self.width)
+        let (last, rest) = self.limbs().split_last().expect("at least one limb");
+        *last == top_mask(self.width) && rest.iter().all(|&l| l == u64::MAX)
     }
 
     /// Number of leading (most-significant) zero bits.
     pub fn leading_zeros(&self) -> u32 {
-        for pos in (0..self.width).rev() {
-            if self.bit(pos) {
-                return self.width - 1 - pos;
-            }
+        let limbs = self.limbs();
+        match limbs.iter().rposition(|&l| l != 0) {
+            // The top set bit sits at `64 * i + 63 - lz`.
+            Some(i) => self.width + limbs[i].leading_zeros() - LIMB_BITS * (i as u32 + 1),
+            None => self.width,
         }
-        self.width
     }
 
     /// Minimal width needed to represent this value as unsigned (at least 1).
@@ -159,7 +219,18 @@ impl ApInt {
 
     /// Iterates over the raw little-endian limbs.
     pub fn limbs(&self) -> &[u64] {
-        &self.limbs
+        match &self.storage {
+            Storage::Inline(limbs) => &limbs[..limbs_for(self.width)],
+            Storage::Heap(limbs) => limbs,
+        }
+    }
+}
+
+/// Hashes exactly what equality compares: the width, then the limbs.
+impl Hash for ApInt {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.limbs().hash(state);
     }
 }
 
@@ -178,7 +249,7 @@ impl fmt::Display for ApInt {
 impl fmt::LowerHex for ApInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut started = false;
-        for (i, limb) in self.limbs.iter().enumerate().rev() {
+        for (i, limb) in self.limbs().iter().enumerate().rev() {
             if started {
                 write!(f, "{limb:016x}")?;
             } else if *limb != 0 || i == 0 {

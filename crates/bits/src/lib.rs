@@ -10,6 +10,14 @@
 //! no sign until an operator interprets it). All operations are exact within
 //! their stated result width; arithmetic wraps modulo `2^width` like RTL.
 //!
+//! The simulators evaluate every net of every cycle through this crate, so
+//! its cost is their cost. A value of up to 128 bits keeps its limbs inline
+//! (as LLVM's `APInt` keeps single-word values inline) and only a wider one
+//! allocates; every operation builds its result in one pass, a whole limb at
+//! a time, without temporary values. `tests/model` holds a bit-serial
+//! reference model that the limb-level operations are property-tested
+//! against on both sides of the 64- and 128-bit boundaries.
+//!
 //! # Examples
 //!
 //! ```

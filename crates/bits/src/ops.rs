@@ -6,8 +6,13 @@
 //! [`ApInt::sext`], and [`ApInt::trunc`] — mirroring how the CoreDSL type
 //! checker inserts explicit extension/truncation casts.
 
-use crate::apint::{limbs_for, ApInt, LIMB_BITS};
+use crate::apint::{ApInt, LIMB_BITS};
 use std::cmp::Ordering;
+
+/// Bit position of limb `i`'s least significant bit.
+fn limb_pos(i: usize) -> i64 {
+    i as i64 * i64::from(LIMB_BITS)
+}
 
 impl ApInt {
     fn assert_same_width(&self, rhs: &ApInt, op: &str) {
@@ -18,6 +23,24 @@ impl ApInt {
         );
     }
 
+    /// The equal-width, limb-wise combination `f(self, rhs)`, applied from
+    /// the low limb up so `f` can carry state between limbs.
+    fn zip_limbs(&self, rhs: &ApInt, op: &str, mut f: impl FnMut(u64, u64) -> u64) -> ApInt {
+        self.assert_same_width(rhs, op);
+        let (a, b) = (self.limbs(), rhs.limbs());
+        ApInt::from_limb_fn(self.width, |i| f(a[i], b[i]))
+    }
+
+    /// All-ones if the sign bit is set, else zero: the bits a sign
+    /// extension shifts in.
+    fn sign_fill(&self) -> u64 {
+        if self.sign_bit() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
     /// Zero-extends (or keeps) the value to `width`.
     ///
     /// # Panics
@@ -25,9 +48,8 @@ impl ApInt {
     /// Panics if `width < self.width()`.
     pub fn zext(&self, width: u32) -> ApInt {
         assert!(width >= self.width, "zext cannot narrow");
-        let mut out = ApInt::zero(width);
-        out.limbs[..self.limbs.len()].copy_from_slice(&self.limbs);
-        out
+        let src = self.limbs();
+        ApInt::from_limb_fn(width, |i| src.get(i).copied().unwrap_or(0))
     }
 
     /// Sign-extends (or keeps) the value to `width`.
@@ -37,13 +59,8 @@ impl ApInt {
     /// Panics if `width < self.width()`.
     pub fn sext(&self, width: u32) -> ApInt {
         assert!(width >= self.width, "sext cannot narrow");
-        let mut out = self.zext(width);
-        if self.sign_bit() {
-            for pos in self.width..width {
-                out.set_bit(pos, true);
-            }
-        }
-        out
+        let fill = self.sign_fill();
+        ApInt::from_limb_fn(width, |i| self.window(limb_pos(i), fill))
     }
 
     /// Truncates to the low `width` bits.
@@ -53,11 +70,8 @@ impl ApInt {
     /// Panics if `width > self.width()` or `width == 0`.
     pub fn trunc(&self, width: u32) -> ApInt {
         assert!(width <= self.width, "trunc cannot widen");
-        let mut out = ApInt::zero(width);
-        let n = out.limbs.len();
-        out.limbs.copy_from_slice(&self.limbs[..n]);
-        out.canonicalize();
-        out
+        let src = self.limbs();
+        ApInt::from_limb_fn(width, |i| src[i])
     }
 
     /// Resizes with zero-extension or truncation as needed.
@@ -80,91 +94,74 @@ impl ApInt {
 
     /// Wrapping addition of equal-width values.
     pub fn add(&self, rhs: &ApInt) -> ApInt {
-        self.assert_same_width(rhs, "add");
-        let mut out = ApInt::zero(self.width);
-        let mut carry = 0u64;
-        for i in 0..self.limbs.len() {
-            let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.limbs[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        out.canonicalize();
-        out
+        let mut carry = false;
+        self.zip_limbs(rhs, "add", |a, b| {
+            let (s1, c1) = a.overflowing_add(b);
+            let (s2, c2) = s1.overflowing_add(u64::from(carry));
+            carry = c1 | c2;
+            s2
+        })
     }
 
     /// Wrapping subtraction of equal-width values.
     pub fn sub(&self, rhs: &ApInt) -> ApInt {
-        self.assert_same_width(rhs, "sub");
-        self.add(&rhs.neg())
+        let mut borrow = false;
+        self.zip_limbs(rhs, "sub", |a, b| {
+            let (d1, b1) = a.overflowing_sub(b);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            borrow = b1 | b2;
+            d2
+        })
     }
 
-    /// Two's-complement negation (wrapping).
+    /// Two's-complement negation (wrapping): `!self + 1`.
     pub fn neg(&self) -> ApInt {
-        self.not().add(&ApInt::one(self.width))
+        let src = self.limbs();
+        let mut carry = true;
+        ApInt::from_limb_fn(self.width, |i| {
+            let (s, c) = (!src[i]).overflowing_add(u64::from(carry));
+            carry = c;
+            s
+        })
     }
 
     /// Bitwise NOT.
     pub fn not(&self) -> ApInt {
-        let mut out = self.clone();
-        for l in &mut out.limbs {
-            *l = !*l;
-        }
-        out.canonicalize();
-        out
+        let src = self.limbs();
+        ApInt::from_limb_fn(self.width, |i| !src[i])
     }
 
     /// Bitwise AND of equal-width values.
     pub fn and(&self, rhs: &ApInt) -> ApInt {
-        self.assert_same_width(rhs, "and");
-        let mut out = self.clone();
-        for (o, r) in out.limbs.iter_mut().zip(&rhs.limbs) {
-            *o &= r;
-        }
-        out
+        self.zip_limbs(rhs, "and", |a, b| a & b)
     }
 
     /// Bitwise OR of equal-width values.
     pub fn or(&self, rhs: &ApInt) -> ApInt {
-        self.assert_same_width(rhs, "or");
-        let mut out = self.clone();
-        for (o, r) in out.limbs.iter_mut().zip(&rhs.limbs) {
-            *o |= r;
-        }
-        out
+        self.zip_limbs(rhs, "or", |a, b| a | b)
     }
 
     /// Bitwise XOR of equal-width values.
     pub fn xor(&self, rhs: &ApInt) -> ApInt {
-        self.assert_same_width(rhs, "xor");
-        let mut out = self.clone();
-        for (o, r) in out.limbs.iter_mut().zip(&rhs.limbs) {
-            *o ^= r;
-        }
-        out
+        self.zip_limbs(rhs, "xor", |a, b| a ^ b)
     }
 
     /// Wrapping multiplication of equal-width values (low half of product).
     pub fn mul(&self, rhs: &ApInt) -> ApInt {
         self.assert_same_width(rhs, "mul");
-        let n = self.limbs.len();
-        let mut acc = vec![0u64; n + 1];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            if a == 0 {
-                continue;
-            }
+        let (a, b) = (self.limbs(), rhs.limbs());
+        // Schoolbook, accumulating the low limbs of the product in place.
+        let mut out = ApInt::zero(self.width);
+        let acc = out.limbs_mut();
+        let n = acc.len();
+        for (i, &x) in a.iter().enumerate().filter(|&(_, &x)| x != 0) {
             let mut carry = 0u128;
-            for (j, &b) in rhs.limbs.iter().enumerate() {
-                if i + j >= n {
-                    break;
-                }
-                let t = (a as u128) * (b as u128) + (acc[i + j] as u128) + carry;
+            for j in 0..n - i {
+                let t = u128::from(x) * u128::from(b[j]) + u128::from(acc[i + j]) + carry;
                 acc[i + j] = t as u64;
                 carry = t >> 64;
             }
         }
-        let mut out = ApInt::zero(self.width);
-        out.limbs.copy_from_slice(&acc[..n]);
         out.canonicalize();
         out
     }
@@ -216,7 +213,11 @@ impl ApInt {
         }
         let la = self.sign_bit();
         let a = if la { self.neg() } else { self.clone() };
-        let b = if rhs.sign_bit() { rhs.neg() } else { rhs.clone() };
+        let b = if rhs.sign_bit() {
+            rhs.neg()
+        } else {
+            rhs.clone()
+        };
         let r = a.udivrem(&b).1;
         if la {
             r.neg()
@@ -247,18 +248,8 @@ impl ApInt {
         if amount >= self.width {
             return ApInt::zero(self.width);
         }
-        let mut out = ApInt::zero(self.width);
-        let limb_shift = (amount / LIMB_BITS) as usize;
-        let bit_shift = amount % LIMB_BITS;
-        for i in (limb_shift..self.limbs.len()).rev() {
-            let mut v = self.limbs[i - limb_shift] << bit_shift;
-            if bit_shift > 0 && i > limb_shift {
-                v |= self.limbs[i - limb_shift - 1] >> (LIMB_BITS - bit_shift);
-            }
-            out.limbs[i] = v;
-        }
-        out.canonicalize();
-        out
+        let amount = i64::from(amount);
+        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) - amount, 0))
     }
 
     /// Logical right shift by a compile-time amount. Shift amounts `>= width`
@@ -267,37 +258,19 @@ impl ApInt {
         if amount >= self.width {
             return ApInt::zero(self.width);
         }
-        let mut out = ApInt::zero(self.width);
-        let limb_shift = (amount / LIMB_BITS) as usize;
-        let bit_shift = amount % LIMB_BITS;
-        for i in 0..(self.limbs.len() - limb_shift) {
-            let mut v = self.limbs[i + limb_shift] >> bit_shift;
-            if bit_shift > 0 && i + limb_shift + 1 < self.limbs.len() {
-                v |= self.limbs[i + limb_shift + 1] << (LIMB_BITS - bit_shift);
-            }
-            out.limbs[i] = v;
-        }
-        out
+        let amount = i64::from(amount);
+        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) + amount, 0))
     }
 
     /// Arithmetic right shift by a compile-time amount. Shift amounts
     /// `>= width` yield all-sign-bits.
     pub fn ashr_bits(&self, amount: u32) -> ApInt {
-        let sign = self.sign_bit();
+        let fill = self.sign_fill();
         if amount >= self.width {
-            return if sign {
-                ApInt::ones(self.width)
-            } else {
-                ApInt::zero(self.width)
-            };
+            return ApInt::from_limb_fn(self.width, |_| fill);
         }
-        let mut out = self.lshr_bits(amount);
-        if sign {
-            for pos in (self.width - amount)..self.width {
-                out.set_bit(pos, true);
-            }
-        }
-        out
+        let amount = i64::from(amount);
+        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) + amount, fill))
     }
 
     /// Left shift by a runtime amount (`rhs` read as unsigned).
@@ -328,13 +301,8 @@ impl ApInt {
     /// Unsigned comparison.
     pub fn ucmp(&self, rhs: &ApInt) -> Ordering {
         self.assert_same_width(rhs, "ucmp");
-        for i in (0..self.limbs.len()).rev() {
-            match self.limbs[i].cmp(&rhs.limbs[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        let (a, b) = (self.limbs(), rhs.limbs());
+        a.iter().rev().cmp(b.iter().rev())
     }
 
     /// Signed comparison.
@@ -386,17 +354,17 @@ impl ApInt {
             lo,
             self.width
         );
-        self.lshr_bits(lo).trunc(width)
+        let lo = i64::from(lo);
+        ApInt::from_limb_fn(width, |i| self.window(limb_pos(i) + lo, 0))
     }
 
     /// Concatenation `self :: rhs` — `self` becomes the *most* significant
     /// part, matching CoreDSL's and Verilog's `{a, b}` semantics.
     pub fn concat(&self, rhs: &ApInt) -> ApInt {
-        let width = self.width + rhs.width;
-        let mut out = rhs.zext(width);
-        let hi = self.zext(width).shl_bits(rhs.width);
-        out = out.or(&hi);
-        out
+        let shift = i64::from(rhs.width);
+        ApInt::from_limb_fn(self.width + rhs.width, |i| {
+            rhs.window(limb_pos(i), 0) | self.window(limb_pos(i) - shift, 0)
+        })
     }
 
     /// Replicates the value `count` times (Verilog `{count{self}}`).
@@ -415,36 +383,28 @@ impl ApInt {
 
     /// Fallible conversion to `u64` (unsigned interpretation).
     pub fn try_to_u64(&self) -> Option<u64> {
-        if self.limbs.iter().skip(1).all(|&l| l == 0) {
-            Some(self.limbs[0])
-        } else {
-            None
+        match self.limbs() {
+            [low, rest @ ..] if rest.iter().all(|&l| l == 0) => Some(*low),
+            _ => None,
         }
     }
 
     /// Low 64 bits (unsigned interpretation, silently truncating).
     pub fn to_u64(&self) -> u64 {
-        self.limbs[0]
+        self.limbs()[0]
     }
 
     /// Signed interpretation as `i64`; sign-extends values narrower than 64
     /// bits and truncates wider ones.
     pub fn to_i64(&self) -> i64 {
+        let raw = self.to_u64();
         if self.width >= 64 {
-            return self.limbs[0] as i64;
+            return raw as i64;
         }
-        let raw = self.limbs[0];
         if self.sign_bit() {
             (raw | (u64::MAX << self.width)) as i64
         } else {
             raw as i64
         }
     }
-}
-
-// Allow `limbs_for` to be referenced from this module without an unused
-// import warning when compiled standalone.
-#[allow(unused)]
-fn _touch(width: u32) -> usize {
-    limbs_for(width)
 }

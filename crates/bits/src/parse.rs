@@ -41,7 +41,9 @@ impl ApInt {
             let digit = ch.to_digit(radix).ok_or_else(|| ParseApIntError {
                 message: format!("invalid digit {ch:?} for radix {radix}"),
             })?;
-            acc = acc.mul(&radix_ap).add(&ApInt::from_u64(digit as u64, width));
+            acc = acc
+                .mul(&radix_ap)
+                .add(&ApInt::from_u64(digit as u64, width));
             any = true;
         }
         if !any {

@@ -158,7 +158,10 @@ fn replicate_matches_verilog() {
 
 #[test]
 fn parse_radix_strings() {
-    assert_eq!(ApInt::from_str_radix("cafe", 16, 16).unwrap().to_u64(), 0xcafe);
+    assert_eq!(
+        ApInt::from_str_radix("cafe", 16, 16).unwrap().to_u64(),
+        0xcafe
+    );
     assert_eq!(ApInt::from_str_radix("111", 2, 3).unwrap().to_u64(), 7);
     assert_eq!(ApInt::from_str_radix("42", 10, 8).unwrap().to_u64(), 42);
     assert_eq!(

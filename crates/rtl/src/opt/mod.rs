@@ -472,16 +472,13 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A `width`-bit value whose limbs, low to high, are the next
+/// `ceil(width / 64)` words of the stream (the top one truncated).
 fn rand_apint(state: &mut u64, width: u32) -> ApInt {
-    let mut v = ApInt::zero(width);
-    let mut pos = 0;
-    while pos < width {
-        let word = splitmix64(state);
-        let take = (width - pos).min(64);
-        for j in 0..take {
-            v.set_bit(pos + j, (word >> j) & 1 == 1);
-        }
-        pos += take;
+    let mut v = ApInt::from_u64(splitmix64(state), width.min(64));
+    while v.width() < width {
+        let take = (width - v.width()).min(64);
+        v = ApInt::from_u64(splitmix64(state), take).concat(&v);
     }
     v
 }
@@ -513,6 +510,15 @@ pub fn verify_equivalent(
     xsim_a.reset();
     xsim_b.reset();
     let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
+    // Outputs are compared in port-connection order, so the first
+    // divergence reported does not depend on hash-map iteration order.
+    let outputs = || {
+        original
+            .outputs
+            .iter()
+            .map(|&(port, _)| &original.ports[port].name)
+    };
+    let missing = |name: &str| format!("output `{name}` missing from optimized module");
     for cycle in 0..cycles {
         let mut known = HashMap::new();
         let mut fourstate = HashMap::new();
@@ -536,10 +542,8 @@ pub fn verify_equivalent(
         }
         let out_a = interp_a.step(&known);
         let out_b = interp_b.step(&known);
-        for (name, va) in &out_a {
-            let vb = out_b
-                .get(name)
-                .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
+        for name in outputs() {
+            let (va, vb) = (&out_a[name], out_b.get(name).ok_or_else(|| missing(name))?);
             if va != vb {
                 return Err(format!(
                     "cycle {cycle}: output `{name}` diverged: original={va:x} optimized={vb:x}"
@@ -548,10 +552,8 @@ pub fn verify_equivalent(
         }
         let x_a = xsim_a.eval_x(&fourstate);
         let x_b = xsim_b.eval_x(&fourstate);
-        for (name, va) in &x_a {
-            let vb = x_b
-                .get(name)
-                .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
+        for name in outputs() {
+            let (va, vb) = (&x_a[name], x_b.get(name).ok_or_else(|| missing(name))?);
             let disagree = va.value_plane().xor(vb.value_plane());
             let bad = va
                 .known_plane()
@@ -717,6 +719,67 @@ mod tests {
         }
         let err = verify_equivalent(&m, &broken, &EmitOptions::default(), 32).unwrap_err();
         assert!(err.contains("diverged") || err.contains("lost known bits"), "{err}");
+    }
+
+    /// Three outputs `o0..o2` driven by `a + 1`, `a + 2` and `a + 3`; with
+    /// `op` = `Sub` instead, every output diverges from the `Add` original.
+    fn three_output_module(op: CombOp) -> Module {
+        let mut m = Module::new("t");
+        let a = m.add_port("a", PortDir::Input, 8);
+        let na = m.add_net(Driver::Input { port: a }, 8, "a");
+        for k in 0..3u64 {
+            let o = m.add_port(&format!("o{k}"), PortDir::Output, 8);
+            let c = m.add_net(Driver::Const(ApInt::from_u64(k + 1, 8)), 8, "c");
+            let r = m.add_net(
+                Driver::Comb {
+                    op,
+                    args: vec![na, c],
+                    lo: 0,
+                },
+                8,
+                "r",
+            );
+            m.connect_output(o, r);
+        }
+        m.validate().unwrap();
+        m
+    }
+
+    #[test]
+    fn verify_reports_the_first_divergent_output_in_port_order() {
+        let original = three_output_module(CombOp::Add);
+        let broken = three_output_module(CombOp::Sub);
+        let messages: std::collections::BTreeSet<String> = (0..32)
+            .map(|_| {
+                verify_equivalent(&original, &broken, &EmitOptions::default(), 32).unwrap_err()
+            })
+            .collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        let message = messages.first().unwrap();
+        assert!(message.contains("output `o0`"), "{message}");
+    }
+
+    #[test]
+    fn gate_stimulus_stream_is_pinned() {
+        // The stream decides which rewrites the gate accepts, so a change
+        // to it must be deliberate: each width takes the next
+        // `ceil(width / 64)` words as its limbs, low limb first.
+        let mut state = 0x6c6e_6770_7470_0001u64 ^ 32;
+        let drawn: Vec<String> = [1, 16, 64, 65, 129]
+            .iter()
+            .map(|&w| format!("{:?}", rand_apint(&mut state, w)))
+            .collect();
+        assert_eq!(
+            drawn,
+            [
+                "1'h0",
+                "16'h9239",
+                "64'h4bf3ef601a84b735",
+                "65'h152a4788fa010df50",
+                "129'h5c3cf1207b042e005c95a36c97459f94",
+            ]
+        );
+        assert_eq!(state, 0x5e2a_353c_6ec3_e0c9);
     }
 
     #[test]

@@ -60,13 +60,10 @@ fn abstract_eval(m: &Module, opts: &EmitOptions) -> Vec<XVal> {
 }
 
 /// Number of low bits that can carry information: width minus the run of
-/// top bits known to be zero.
+/// top bits known to be zero (the bits clear in `value | !known`).
 fn live_width(v: &XVal) -> u32 {
-    let mut w = v.width();
-    while w > 0 && v.known_plane().bit(w - 1) && !v.value_plane().bit(w - 1) {
-        w -= 1;
-    }
-    w
+    let maybe_one = v.value_plane().or(&v.known_plane().not());
+    v.width() - maybe_one.leading_zeros()
 }
 
 enum Rewrite {

@@ -95,6 +95,19 @@ impl XVal {
         self.width() - ones
     }
 
+    /// Bits `[lo + width - 1 : lo]` as a `width`-bit value, with every bit
+    /// past the top X: both planes shift down and the vacated known bits
+    /// read zero.
+    fn window(&self, lo: u64, width: u32) -> XVal {
+        match u32::try_from(lo) {
+            Ok(lo) if lo < self.width() => XVal {
+                value: self.value.lshr_bits(lo).zext_or_trunc(width),
+                known: self.known.lshr_bits(lo).zext_or_trunc(width),
+            },
+            _ => XVal::all_x(width),
+        }
+    }
+
     /// Pessimistic merge of two same-width candidates (the IEEE conditional
     /// operator with an ambiguous select): bits where both sides are known
     /// and agree survive, everything else is X.
@@ -417,18 +430,7 @@ pub(crate) fn eval_comb<'a>(
         CombOp::Extract => {
             // `base[lo+width-1:lo]` — bits past the base are X in SV (the
             // lint rejects such netlists; the interpreter zero-pads).
-            let x = a(0);
-            let bw = x.width();
-            let mut value = ApInt::zero(width);
-            let mut known = ApInt::zero(width);
-            for i in 0..width {
-                let src = u64::from(lo) + u64::from(i);
-                if src < u64::from(bw) {
-                    value.set_bit(i, x.value.bit(src as u32));
-                    known.set_bit(i, x.known.bit(src as u32));
-                }
-            }
-            XVal { value, known }
+            a(0).window(u64::from(lo), width)
         }
         CombOp::ExtractDyn => {
             let (x, off) = (a(0), a(1));
@@ -441,22 +443,9 @@ pub(crate) fn eval_comb<'a>(
             } else {
                 // Emitted as `base[off +: width]`: out-of-range bits are X,
                 // an unknown index poisons everything.
-                match off.as_known() {
+                match off.as_known().and_then(ApInt::try_to_u64) {
+                    Some(o) => x.window(o, width),
                     None => XVal::all_x(width),
-                    Some(q) => {
-                        let bw = u64::from(x.width());
-                        let base_off = q.try_to_u64();
-                        let mut value = ApInt::zero(width);
-                        let mut known = ApInt::zero(width);
-                        for i in 0..width {
-                            let src = base_off.and_then(|o| o.checked_add(u64::from(i)));
-                            if let Some(s) = src.filter(|&s| s < bw) {
-                                value.set_bit(i, x.value.bit(s as u32));
-                                known.set_bit(i, x.known.bit(s as u32));
-                            }
-                        }
-                        XVal { value, known }
-                    }
                 }
             }
         }
@@ -955,6 +944,110 @@ mod tests {
         // Unknown index: X word.
         let out = sim.eval(&HashMap::new());
         assert_eq!(out["o"].x_bits(), 4);
+    }
+
+    #[test]
+    fn values_keep_their_layout() {
+        // Every netlist constant and simulator value is one of these, so
+        // growing them moves the memory footprint of every compile.
+        assert!(std::mem::size_of::<ApInt>() <= 32);
+        assert!(std::mem::size_of::<XVal>() <= 64);
+    }
+
+    /// Widths at and around the limb and inline-storage boundaries.
+    const WIDTHS: [u32; 9] = [1, 7, 63, 64, 65, 127, 128, 129, 200];
+
+    /// A `width`-bit value from `words`, set one bit at a time.
+    fn from_words(width: u32, words: &[u64]) -> ApInt {
+        let mut v = ApInt::zero(width);
+        for i in 0..width {
+            v.set_bit(i, words[(i / 64) as usize] >> (i % 64) & 1 == 1);
+        }
+        v
+    }
+
+    /// Four-state planes: `x_words` clear known bits, none when `all_known`.
+    fn planes(width: u32, value: &[u64], x_words: &[u64], all_known: bool) -> XVal {
+        let x = from_words(width, x_words);
+        let known = if all_known {
+            ApInt::ones(width)
+        } else {
+            x.not()
+        };
+        XVal::from_planes(from_words(width, value), known)
+    }
+
+    /// The per-bit definition of `base[lo +: width]` over four-state
+    /// planes: bit `i` is the base's bit `lo + i`, and X past the top.
+    fn extract_by_bit(x: &XVal, lo: u64, width: u32) -> XVal {
+        let mut value = ApInt::zero(width);
+        let mut known = ApInt::zero(width);
+        for i in 0..width {
+            let src = lo.checked_add(u64::from(i));
+            if let Some(s) = src.filter(|&s| s < u64::from(x.width())) {
+                value.set_bit(i, x.value.bit(s as u32));
+                known.set_bit(i, x.known.bit(s as u32));
+            }
+        }
+        XVal { value, known }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn word_level_extract_matches_the_per_bit_definition(
+            (bw, w) in (0usize..9, 0usize..9),
+            lo_seed: u32,
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 8),
+            all_known: bool,
+        ) {
+            let (bw, w) = (WIDTHS[bw], WIDTHS[w]);
+            // Windows from inside the base to wholly past its top.
+            let lo = lo_seed % (bw + 70);
+            let x = planes(bw, &words[..4], &words[4..], all_known);
+            let got = eval_comb(CombOp::Extract, |_| &x, lo, w, &EmitOptions::default());
+            proptest::prop_assert_eq!(got, extract_by_bit(&x, u64::from(lo), w));
+        }
+
+        #[test]
+        fn word_level_extract_dyn_matches_the_per_bit_definition(
+            (bw, w, ow) in (0usize..9, 0usize..9, 0usize..4),
+            off_seed: u64,
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 8),
+            (base_known, off_known) in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+        ) {
+            let (bw, w) = (WIDTHS[bw], WIDTHS[w]);
+            // A 70-bit offset with bit 64 set is past any u64 index.
+            let ow = [4, 8, 64, 70][ow];
+            let off_words = [off_seed % u64::from(bw + 70), off_seed >> 63];
+            let x = planes(bw, &words[..4], &words[4..], base_known);
+            let off = planes(ow, &off_words, &words[6..], off_known);
+            let args = [&x, &off];
+            for bounded in [false, true] {
+                let opts = EmitOptions {
+                    bounded_extract_dyn: bounded,
+                    ..EmitOptions::default()
+                };
+                let got = eval_comb(CombOp::ExtractDyn, |k| args[k], 0, w, &opts);
+                let want = match (off.as_known(), bounded) {
+                    // An unknown index poisons the whole part-select.
+                    (None, _) => XVal::all_x(w),
+                    // The bounded form is a zero-filled shift of a known
+                    // base, and all X otherwise.
+                    (Some(q), true) => match x.as_known() {
+                        Some(_) => {
+                            let o = q.try_to_u64().unwrap_or(u64::MAX);
+                            XVal::known(extract_by_bit(&x, o, w).value)
+                        }
+                        None => XVal::all_x(w),
+                    },
+                    (Some(q), false) => match q.try_to_u64() {
+                        Some(o) => extract_by_bit(&x, o, w),
+                        None => XVal::all_x(w),
+                    },
+                };
+                proptest::prop_assert_eq!(got, want, "bounded_extract_dyn = {}", bounded);
+            }
+        }
     }
 
     #[test]
