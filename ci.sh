@@ -4,13 +4,45 @@
 #   ./ci.sh            build + tests (+ clippy when available)
 #
 # Every step is deterministic and offline; the workspace has no external
-# crate dependencies (rand/proptest/criterion are local stubs in crates/).
+# crate dependencies (rand/proptest are local stubs in crates/). No step
+# gates on wall-clock time: compile speed is measured by compilebench/.
 set -eu
 
 echo "== guard: no build artifacts tracked by git"
 if git ls-files | grep -q '^target/\|/target/'; then
     echo "error: target/ paths are tracked by git:" >&2
     git ls-files | grep '^target/\|/target/' | head >&2
+    exit 1
+fi
+
+echo "== docs: DESIGN.md §3 lists every crate, and every cited repo path exists"
+# Every crates/* directory needs a `| \`crates/<name>\` |` row in the
+# workspace inventory (DESIGN.md §3).
+inventory=$(awk '/^## 3\./ { on = 1; next } /^## / { on = 0 } on' DESIGN.md)
+stale=""
+for dir in crates/*/; do
+    name=$(basename "$dir")
+    printf '%s\n' "$inventory" | grep -qF "| \`crates/$name\` |" ||
+        stale="$stale
+DESIGN.md §3 has no \`crates/$name\` row"
+done
+# A backticked token in README, DESIGN or EXPERIMENTS is a repo path when
+# its first component is a tracked top-level directory or a crate name
+# (`tests/x.rs`, `rtl/tests/y.rs`); a `::test_name` suffix is dropped.
+# Each must match something, globs allowed, under the root, crates/ or
+# crates/*/.
+roots=$( (git ls-files | cut -d/ -f1; git ls-files crates | cut -d/ -f2) | sort -u)
+stale="$stale$(grep -o '`[^` <>]*/[^` <>]*`' README.md DESIGN.md EXPERIMENTS.md | sort -u |
+    while IFS= read -r cite; do
+        path=$(printf '%s\n' "${cite#*:}" | tr -d '`' | sed 's/::.*//')
+        printf '%s\n' "$roots" | grep -qxF "${path%%/*}" || continue
+        for hit in ./$path crates/$path crates/*/$path; do
+            if [ -e "$hit" ]; then continue 2; fi
+        done
+        printf '\n%s cites `%s`, which matches no repo path' "${cite%%:*}" "$path"
+    done)"
+if [ -n "$stale" ]; then
+    echo "error: the docs drifted from the tree:$stale" >&2
     exit 1
 fi
 
@@ -241,7 +273,10 @@ grep -q '"id": "j3", "status": "fault", "exit": 2' "$smoke_dir/serve.out"
 echo "== bench gate: deterministic work counters vs BENCH_baseline.json"
 # cargo run -p bench rewrites BENCH_compile.json (gitignored) and compares
 # its deterministic section textually against the checked-in baseline.
-# Hard failure on any counter change; wall-time drift only warns. When a
+# Hard failure on any counter change. This is also the replay gate: the
+# bench asserts zero misses on every stage of a warm no-change recompile
+# and byte-identical artifacts, and the baseline pins the warm_no_change
+# row. Replay speed is measured by compilebench's serve_edit p50. When a
 # work-counter change is intentional, refresh the baseline with:
 #   cp BENCH_compile.json BENCH_baseline.json
 cargo run -q --release -p bench -- --check BENCH_baseline.json
@@ -262,22 +297,6 @@ if [ "$area_o2" -gt "$area_o0" ]; then
     exit 1
 fi
 echo "matrix area: ${area_o0} um2 at -O0, ${area_o2} um2 at -O2"
-
-echo "== gate: incremental warm recompile is at least 4x faster than cold"
-# The bench run above rewrote BENCH_compile.json with measured wall times
-# for the in-process cold/warm matrix pair; a warm no-change recompile
-# must replay from the stage cache at >= 4x the cold speed (typically
-# 40-150x). Wall time, so a floor rather than an exact compare.
-warm_speedup=$(sed -n 's/.*"warm_speedup": \([0-9][0-9]*\)\..*/\1/p' BENCH_compile.json | head -1)
-if [ -z "$warm_speedup" ]; then
-    echo "error: warm_speedup missing from BENCH_compile.json" >&2
-    exit 1
-fi
-if [ "$warm_speedup" -lt 4 ]; then
-    echo "error: warm recompile speedup ${warm_speedup}x is below the 4x floor" >&2
-    exit 1
-fi
-echo "warm recompile speedup = ${warm_speedup}x (floor 4x)"
 
 echo "== gate: solver.pivots stays under the 2761 ceiling"
 # A coarse guard on solver work next to the bench gate's exact counters.

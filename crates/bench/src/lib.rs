@@ -2,8 +2,8 @@
 //!
 //! Each `[[bench]]` target with `harness = false` regenerates one table or
 //! figure of the paper (see `DESIGN.md` §5 for the index); run them all
-//! with `cargo bench -p bench`. `perf_compiler` is an ordinary Criterion
-//! bench measuring the compiler itself.
+//! with `cargo bench -p bench`. None of them times the compiler; that is
+//! `compilebench`'s job.
 
 use cores::{descriptor, ExtendedCore};
 use eda::report::IsaxInput;

@@ -1,50 +1,36 @@
-//! `cargo run -p bench` — the deterministic perf-regression gate.
+//! `cargo run -p bench` — the deterministic work gate.
 //!
 //! Compiles the full 8×4 evaluation matrix (through the shared frontend
-//! cache, serially and with 4 workers) and writes `BENCH_compile.json` at
-//! the workspace root with two sections:
+//! cache) and writes `BENCH_compile.json` at the workspace root. Its one
+//! `deterministic` section holds work counters that are a pure function
+//! of the input and the algorithms: solver pivots / propagation batches /
+//! repair rounds, cache hit/miss totals, degradation counters, the
+//! per-stage op counters summed across the matrix, a per-cell solver-work
+//! breakdown with a digest of the cell's schedules, the `incremental`
+//! per-stage hit/miss profile of a cold → warm no-change → warm one-edit
+//! recompile sequence through one shared pipeline cache (the warm
+//! no-change run must be pure replay with byte-identical artifacts), and
+//! the `opt` profile of a full -O2 matrix (per-pass rewrite totals plus
+//! modeled area and critical path against -O0, with the strict area win
+//! asserted). Byte-identical on every run of the same code.
 //!
-//! * `deterministic` — work counters that are a pure function of the
-//!   input and the algorithms: solver pivots / propagation batches /
-//!   repair rounds, cache hit/miss totals, degradation counters, the
-//!   per-stage op counters summed across the matrix, a per-cell
-//!   solver-work breakdown with a digest of the cell's schedules, and
-//!   the `incremental` per-stage hit/miss
-//!   profile of a cold → warm no-change → warm one-edit recompile
-//!   sequence through one shared pipeline cache, and the `opt` profile of
-//!   a full -O2 matrix (per-pass rewrite totals plus modeled area and
-//!   critical path against -O0, with the strict area win asserted).
-//!   Byte-identical on every run of the same code.
-//! * `wall` — wall-clock timings and the cache/pool/incremental
-//!   speedups. Machine- and load-dependent, informational only (except
-//!   the warm no-change replay, which ci.sh requires to be at least 4×
-//!   faster than the cold compile — a regression there means the warm
-//!   path silently recomputes).
+//! The gate measures no time: wall-clock time, end to end and layer by
+//! layer, is `compilebench`'s job.
 //!
 //! With `--check <baseline>` the freshly measured `deterministic` section
 //! is compared **textually** against the checked-in `BENCH_baseline.json`:
 //! any divergence (a solver change, a cache regression, a new fallback) is
 //! a hard failure naming the first differing line, with the update command
-//! to run when the change is intentional. Wall-time drift beyond
-//! ±[`WALL_TOLERANCE`] only warns — timings are not gate-worthy.
+//! to run when the change is intentional.
 
 use longnail::driver::{eval_datasheets, MatrixResult};
 use longnail::{isax_lib, matrix_cells, Longnail, PipelineCache};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 use telemetry::aggregate;
-
-/// Allowed relative wall-time drift against the baseline before the
-/// (non-fatal) drift warning fires.
-const WALL_TOLERANCE: f64 = 0.5;
 
 /// Workspace-root path of the freshly written benchmark result.
 const BENCH_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compile.json");
-
-fn elapsed_ns(since: Instant) -> u64 {
-    since.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
 
 /// Renders one run's per-stage cache profile as `"stage": "Mm/Hh"`
 /// fields in pipeline order. Hit/miss totals are deterministic (the
@@ -94,27 +80,15 @@ fn bench_json() -> String {
     let cores = eval_datasheets();
     let cells = matrix_cells(&isaxes, &cores);
     let ln = Longnail::new();
-    let t0 = Instant::now();
     let serial = ln.compile_cells(&cells, 1, &PipelineCache::new());
-    let serial_ns = elapsed_ns(t0);
-    let t0 = Instant::now();
-    let parallel = ln.compile_cells(&cells, 4, &PipelineCache::new());
-    let parallel_ns = elapsed_ns(t0);
-    // The cache totals are part of the determinism contract: identical
-    // for every worker count.
-    assert_eq!(serial.cache_hits, parallel.cache_hits);
-    assert_eq!(serial.cache_misses, parallel.cache_misses);
 
     // Incremental profile: cold, warm no-change, warm one-edit — all
-    // through one shared pipeline cache, the way `lnc serve` and warm
-    // matrix recompiles run.
+    // through one shared pipeline cache with 4 workers, the way `lnc
+    // serve` and warm matrix recompiles run. The cold row pins the cache
+    // totals at that worker count; the serial run above pins them at one.
     let pipe = PipelineCache::new();
-    let t0 = Instant::now();
     let cold = ln.compile_cells(&cells, 4, &pipe);
-    let cold_ns = elapsed_ns(t0);
-    let t0 = Instant::now();
     let warm = ln.compile_cells(&cells, 4, &pipe);
-    let warm_ns = elapsed_ns(t0);
     let warm_misses: u64 = warm.stage_stats.iter().map(|s| s.misses).sum();
     assert_eq!(warm_misses, 0, "warm no-change recompile must be pure replay");
     assert_artifacts_identical(&cold, &warm, "warm no-change");
@@ -122,9 +96,7 @@ fn bench_json() -> String {
     // content key changed, so exactly that ISAX's cone recomputes.
     let mut edited = isaxes.clone();
     edited[0].2.push_str("\n// incremental bench edit\n");
-    let t0 = Instant::now();
     let edit = ln.compile_cells(&matrix_cells(&edited, &cores), 4, &pipe);
-    let edit_ns = elapsed_ns(t0);
     let edit_fe = edit
         .stage_stats
         .iter()
@@ -202,7 +174,7 @@ fn bench_json() -> String {
         })
         .collect();
 
-    let mut json = String::from("{\n  \"schema\": \"longnail-bench/2\",\n");
+    let mut json = String::from("{\n  \"schema\": \"longnail-bench/3\",\n");
     json.push_str("  \"deterministic\": {\n");
     let _ = writeln!(json, "    \"cells\": {},", serial.entries.len());
     let _ = writeln!(json, "    \"cache_hits\": {},", serial.cache_hits);
@@ -263,17 +235,7 @@ fn bench_json() -> String {
             json.push_str(if i + 1 == rewrites.len() { "}\n" } else { ", " });
         }
     }
-    json.push_str("    }\n  },\n");
-    let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
-    let warm_speedup = cold_ns as f64 / warm_ns.max(1) as f64;
-    let edit_speedup = cold_ns as f64 / edit_ns.max(1) as f64;
-    let _ = write!(
-        json,
-        "  \"wall\": {{\"serial_wall_ns\": {serial_ns}, \"parallel_wall_ns\": {parallel_ns}, \
-         \"speedup\": {speedup:.3},\n           \"cold_wall_ns\": {cold_ns}, \
-         \"warm_wall_ns\": {warm_ns}, \"warm_speedup\": {warm_speedup:.3},\n           \
-         \"edit_wall_ns\": {edit_ns}, \"edit_speedup\": {edit_speedup:.3}}}\n}}\n"
-    );
+    json.push_str("    }\n  }\n}\n");
     json
 }
 
@@ -296,18 +258,6 @@ fn extract_section(json: &str, key: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// Extracts the first `"key": <u64>` scalar from `json`.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = json.find(&marker)? + marker.len();
-    let digits: String = json[start..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// First line where the two texts differ, as `(line_no, got, want)`.
@@ -361,27 +311,6 @@ fn check_against(current: &str, baseline_path: &str) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("bench gate: deterministic counters match the baseline");
-    // Wall drift: machine-dependent, warn-only.
-    if let (Some(cur), Some(base)) = (
-        extract_u64(current, "parallel_wall_ns"),
-        extract_u64(&baseline, "parallel_wall_ns"),
-    ) {
-        if base > 0 {
-            let drift = (cur as f64 - base as f64) / base as f64;
-            if drift.abs() > WALL_TOLERANCE {
-                eprintln!(
-                    "bench gate: warning: parallel wall time drifted {:+.0}% vs baseline \
-                     ({cur} ns vs {base} ns) — informational, not a failure",
-                    drift * 100.0
-                );
-            } else {
-                println!(
-                    "bench gate: wall time within tolerance ({:+.0}% vs baseline)",
-                    drift * 100.0
-                );
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -413,7 +342,7 @@ mod tests {
 
     const SAMPLE: &str = "{\n  \"deterministic\": {\n    \"cells\": 32,\n    \
          \"counters\": {\n      \"a\": 1\n    }\n  },\n  \
-         \"wall\": {\"parallel_wall_ns\": 1200, \"speedup\": 2.5}\n}\n";
+         \"other\": {\"b\": 2}\n}\n";
 
     #[test]
     fn extract_section_balances_nested_braces() {
@@ -421,16 +350,8 @@ mod tests {
         assert!(det.starts_with('{') && det.ends_with('}'));
         assert!(det.contains("\"cells\": 32"));
         assert!(det.contains("\"a\": 1"));
-        assert!(!det.contains("wall"));
+        assert!(!det.contains("other"));
         assert!(extract_section(SAMPLE, "missing").is_none());
-    }
-
-    #[test]
-    fn extract_u64_reads_scalars() {
-        assert_eq!(extract_u64(SAMPLE, "parallel_wall_ns"), Some(1200));
-        assert_eq!(extract_u64(SAMPLE, "cells"), Some(32));
-        assert_eq!(extract_u64(SAMPLE, "speedup"), Some(2)); // integer prefix
-        assert_eq!(extract_u64(SAMPLE, "nope"), None);
     }
 
     #[test]

@@ -97,7 +97,8 @@
 //! goes to stderr as `cache-stats:` lines. Cells a fault plan targets
 //! bypass the cache in both directions, and cells with errors are never
 //! stored, so deterministic failures keep failing (identically) warm.
-//! Incompatible with --xcheck, which needs in-memory compilations.
+//! Incompatible with --xcheck, by design: the disk keeps the bytes a
+//! cell writes, not the netlists the oracle simulates.
 //!
 //! serve runs the compile daemon: line-delimited JSON jobs on stdin
 //! (`{"id": ..., "isax": <builtin>, "core": <core>}` or `{"id": ...,
@@ -401,11 +402,36 @@ fn build_cache(
     Ok(pipe)
 }
 
+/// Writes one cell's artifact bundle into `cell_dir` and prints the
+/// bundle's rendered diagnostics to stderr, each line prefixed with
+/// `label`. Pseudo-files (`__`-prefixed) are not written.
+fn write_bundle(
+    cell_dir: &std::path::Path,
+    bundle: &longnail::CellBundle,
+    label: &str,
+) -> Result<(), ExitCode> {
+    use longnail::serve::DIAGNOSTICS_FILE;
+    for line in bundle.file(DIAGNOSTICS_FILE).unwrap_or_default().lines() {
+        eprintln!("{label}: {line}");
+    }
+    for (name, contents) in &bundle.files {
+        if name.starts_with("__") {
+            continue;
+        }
+        let path = cell_dir.join(name);
+        if let Err(e) = std::fs::write(&path, contents) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return Err(ExitCode::FAILURE);
+        }
+    }
+    Ok(())
+}
+
 /// Compiles and writes the full evaluation matrix. With `--cache-dir`,
 /// cells whose content key matches a stored bundle are served from disk
 /// verbatim and only the rest are compiled.
 fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
-    use longnail::serve::{bundle_units, run_cells, CellSource, DIAGNOSTICS_FILE};
+    use longnail::serve::{bundle_units, cell_bundle, run_cells, CellSource};
     let cells = longnail::matrix_cells(&isax_lib::all_isaxes(), &eval_datasheets());
     let pipe = match build_cache(args.cache_dir.as_deref(), ln, args.cache_mem_bytes) {
         Ok(p) => p,
@@ -429,132 +455,82 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
             eprintln!("error: cannot create {}: {e}", cell_dir.display());
             return ExitCode::FAILURE;
         }
-        let entry = match source {
-            CellSource::Compiled(entry) => entry,
+        // A compiled cell writes the same bundle the disk layer stores for
+        // it, so a warm run served from disk writes what the cold run did.
+        let fresh;
+        let (bundle, compiled) = match source {
             CellSource::Disk(bundle) => {
-                // Warm path: the stored bytes are what the cold run wrote,
-                // so byte-identity holds by construction.
-                for (name, contents) in &bundle.files {
-                    if name.starts_with("__") {
-                        continue;
-                    }
-                    let path = cell_dir.join(name);
-                    if let Err(e) = std::fs::write(&path, contents) {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(diags) = bundle.file(DIAGNOSTICS_FILE) {
-                    eprint!(
-                        "{}",
-                        diags
-                            .lines()
-                            .map(|l| format!("{}×{core}: {l}\n", cell.isax))
-                            .collect::<String>()
-                    );
-                }
                 served_traces[i] = bundle
                     .file("trace.jsonl")
                     .and_then(|t| telemetry::Trace::from_jsonl(t).ok());
                 clean_cells += 1;
-                println!(
-                    "compiled {:<14} for {:<9} -> {} unit(s)",
-                    cell.isax,
-                    core,
-                    bundle_units(bundle)
-                );
-                if args.verbose {
-                    eprintln!(
-                        "cell {}_{core}: ok {} unit(s), served from cell cache",
-                        cell.isax,
-                        bundle_units(bundle)
-                    );
-                }
-                continue;
+                (bundle, None)
             }
-        };
-        let compiled = match &entry.outcome {
-            Ok(c) => c,
-            Err(e) => {
-                if e.frontend_errors.is_empty() {
-                    eprintln!("{}: {}×{}: {e}", e.severity, entry.isax, entry.core);
-                } else {
-                    for d in &e.frontend_errors {
-                        eprintln!("error: {}×{}: [frontend] {d}", entry.isax, entry.core);
+            CellSource::Compiled(entry) => {
+                let compiled = match &entry.outcome {
+                    Ok(c) => c,
+                    Err(e) => {
+                        if e.frontend_errors.is_empty() {
+                            eprintln!("{}: {}×{core}: {e}", e.severity, cell.isax);
+                        } else {
+                            for d in &e.frontend_errors {
+                                eprintln!("error: {}×{core}: [frontend] {d}", cell.isax);
+                            }
+                        }
+                        worst = worst.max(if e.severity == Severity::Fault { 2 } else { 1 });
+                        failed_cells += 1;
+                        if args.verbose {
+                            eprintln!(
+                                "cell {}_{core}: failed [{}] {}",
+                                cell.isax, e.stage, e.message
+                            );
+                        }
+                        continue;
                     }
+                };
+                worst = worst.max(match compiled.diagnostics.worst() {
+                    Some(Severity::Fault) => 2,
+                    Some(Severity::Error) => 1,
+                    _ => 0,
+                });
+                if compiled.diagnostics.has_errors() {
+                    failed_cells += 1;
+                } else {
+                    clean_cells += 1;
                 }
-                worst = worst.max(if e.severity == Severity::Fault { 2 } else { 1 });
-                failed_cells += 1;
-                if args.verbose {
-                    eprintln!(
-                        "cell {}_{}: failed [{}] {}",
-                        entry.isax, entry.core, e.stage, e.message
-                    );
-                }
-                continue;
+                fresh = cell_bundle(compiled);
+                (&fresh, Some(compiled))
             }
         };
-        if !compiled.diagnostics.is_empty() {
-            eprint!(
-                "{}",
-                compiled
-                    .diagnostics
-                    .render()
-                    .lines()
-                    .map(|l| format!("{}×{}: {l}\n", entry.isax, entry.core))
-                    .collect::<String>()
-            );
+        if let Err(code) = write_bundle(&cell_dir, bundle, &format!("{}×{core}", cell.isax)) {
+            return code;
         }
-        worst = worst.max(match compiled.diagnostics.worst() {
-            Some(Severity::Fault) => 2,
-            Some(Severity::Error) => 1,
-            _ => 0,
-        });
-        if compiled.diagnostics.has_errors() {
-            failed_cells += 1;
-        } else {
-            clean_cells += 1;
-        }
-        for g in &compiled.graphs {
-            let path = cell_dir.join(format!("{}_{}.sv", compiled.name, g.name));
-            if let Err(e) = std::fs::write(&path, &g.verilog) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        let config_path = cell_dir.join(format!("{}.scaiev.yaml", compiled.name));
-        if let Err(e) = std::fs::write(&config_path, compiled.config.to_yaml()) {
-            eprintln!("error: cannot write {}: {e}", config_path.display());
-            return ExitCode::FAILURE;
-        }
-        // The stripped trace is the deterministic projection: byte-equal
-        // for every --jobs value, which ci.sh's determinism gate diffs.
-        let trace_path = cell_dir.join("trace.jsonl");
-        if let Err(e) = std::fs::write(&trace_path, compiled.trace.stripped().to_jsonl()) {
-            eprintln!("error: cannot write {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
+        let units = bundle_units(bundle);
         println!(
-            "compiled {:<14} for {:<9} -> {} unit(s)",
-            entry.isax,
-            entry.core,
-            compiled.graphs.len()
+            "compiled {:<14} for {core:<9} -> {units} unit(s)",
+            cell.isax
         );
         if args.verbose {
-            let stage_spans: usize = telemetry::STAGES
-                .iter()
-                .map(|s| compiled.trace.span_count(s))
-                .sum();
-            eprintln!(
-                "cell {}_{}: ok {} unit(s), {} stage span(s), {} cache hit(s)",
-                entry.isax,
-                entry.core,
-                compiled.graphs.len(),
-                stage_spans,
-                compiled
-                    .trace
-                    .counter_total(telemetry::metrics::CACHE_FRONTEND_HIT)
-            );
+            match compiled {
+                None => eprintln!(
+                    "cell {}_{core}: ok {units} unit(s), served from cell cache",
+                    cell.isax
+                ),
+                Some(compiled) => {
+                    let stage_spans: usize = telemetry::STAGES
+                        .iter()
+                        .map(|s| compiled.trace.span_count(s))
+                        .sum();
+                    eprintln!(
+                        "cell {}_{core}: ok {units} unit(s), {stage_spans} stage span(s), \
+                         {} cache hit(s)",
+                        cell.isax,
+                        compiled
+                            .trace
+                            .counter_total(telemetry::metrics::CACHE_FRONTEND_HIT)
+                    );
+                }
+            }
         }
     }
     if args.xcheck {

@@ -1,8 +1,8 @@
 //! Query-style incremental pipeline plumbing.
 //!
-//! Each of the eight telemetry stages (frontend / lower / problem / solve
-//! / modes / rtl / verilog / config) is a *query*: a pure function of a
-//! content-addressed key. Keys chain Merkle-style —
+//! Each of the nine telemetry stages (frontend / lower / problem / solve
+//! / modes / rtl / opt / verilog / config) is a *query*: a pure function
+//! of a content-addressed key. Keys chain Merkle-style —
 //!
 //! ```text
 //! frontend_key = H(unit ‖ source)                    (lower rides along)
@@ -12,7 +12,8 @@
 //! solve_key    = H("solve" ‖ problem_key)
 //! modes_key    = H("modes" ‖ solve_key)
 //! rtl_key      = H("rtl" ‖ solve_key)
-//! verilog_key  = H("verilog" ‖ rtl_key)
+//! opt_key      = H("opt" ‖ rtl_key)                   (above -O0 only)
+//! verilog_key  = H("verilog" ‖ opt_key)               (rtl_key at -O0)
 //! config_key   = H("config" ‖ frontend_key ‖ cfg_key)
 //! cell_key     = H("cell" ‖ frontend_key ‖ cfg_key)
 //! ```

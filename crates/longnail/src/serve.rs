@@ -382,26 +382,23 @@ impl JobResult {
     }
 
     /// The result of a compiled job: `ok` unless a unit failed (then the
-    /// first error diagnostic) or the whole cell did (then its stage and
-    /// message, as `fault` for an internal fault).
+    /// first diagnostic of the worst severity) or the whole cell did (then
+    /// its stage and message). An internal fault answers `fault`, exit 2,
+    /// like `lnc` on the same compile; anything else `error`, exit 1.
     fn from_outcome(id: &str, outcome: &Result<CompiledIsax, FlowError>) -> JobResult {
-        match outcome {
-            Ok(compiled) if !compiled.diagnostics.has_errors() => {
-                JobResult::ok(id, compiled.graphs.len())
-            }
-            Ok(compiled) => {
-                let first = compiled
-                    .diagnostics
-                    .of(Severity::Error)
-                    .next()
-                    .map(|d| d.to_string())
-                    .unwrap_or_default();
-                JobResult::failed(id, "error", 1, first)
-            }
-            Err(e) if e.severity == Severity::Fault => {
-                JobResult::failed(id, "fault", 2, format!("[{}] {}", e.stage, e.message))
-            }
-            Err(e) => JobResult::failed(id, "error", 1, format!("[{}] {}", e.stage, e.message)),
+        let (severity, message) = match outcome {
+            Ok(compiled) => match compiled.diagnostics.worst() {
+                Some(worst) if worst >= Severity::Error => {
+                    let first = compiled.diagnostics.of(worst).next();
+                    (worst, first.map(ToString::to_string).unwrap_or_default())
+                }
+                _ => return JobResult::ok(id, compiled.graphs.len()),
+            },
+            Err(e) => (e.severity, format!("[{}] {}", e.stage, e.message)),
+        };
+        match severity {
+            Severity::Fault => JobResult::failed(id, "fault", 2, message),
+            _ => JobResult::failed(id, "error", 1, message),
         }
     }
 
@@ -582,6 +579,32 @@ mod tests {
         assert!(lines[1].contains(r#""id": "badcore", "status": "error""#), "{text}");
         assert!(lines[2].contains(r#""status": "error""#), "{text}");
         assert!(lines[3].contains(r#""id": "inline", "status": "error", "exit": 1"#), "{text}");
+    }
+
+    #[test]
+    fn a_unit_fault_answers_fault_with_its_first_line() {
+        // What a netlist lint finding leaves behind: the cell compiles, but
+        // its only unit is dropped with a fault-severity diagnostic.
+        let ds = builtin_datasheet("ORCA").unwrap();
+        let (unit, src) = isax_lib::isax_source("dotprod").unwrap();
+        let mut compiled = Longnail::new().compile(&src, &unit, &ds).unwrap();
+        compiled.graphs.clear();
+        let diags = &mut compiled.diagnostics;
+        diags.fault("netlist", Some("dotp"), None, "planted lint");
+        let r = JobResult::from_outcome("j", &Ok(compiled.clone()));
+        assert_eq!((r.status, r.exit, r.units), ("fault", 2, 0), "{r:?}");
+        assert_eq!(r.message, "internal fault[netlist] `dotp`: planted lint");
+        // A unit error next to the fault does not mask it.
+        let diags = &mut compiled.diagnostics;
+        diags.error("lower", Some("dotp"), None, "planted error");
+        let r = JobResult::from_outcome("j", &Ok(compiled.clone()));
+        assert_eq!((r.status, r.exit), ("fault", 2), "{r:?}");
+        // Errors alone answer `error` with the first error line.
+        let diags = &mut compiled.diagnostics;
+        diags.events.retain(|e| e.severity != Severity::Fault);
+        let r = JobResult::from_outcome("j", &Ok(compiled));
+        assert_eq!((r.status, r.exit), ("error", 1), "{r:?}");
+        assert_eq!(r.message, "error[lower] `dotp`: planted error");
     }
 
     #[test]

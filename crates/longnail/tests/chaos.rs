@@ -80,8 +80,9 @@ fn sweep(jobs: usize) {
         let unit = baseline.entries[k].unit.clone();
         let core = baseline.entries[k].core.clone();
         let kind = kinds[k % kinds.len()];
-        // Panics rotate across all eight stage boundaries over the sweep;
-        // the other kinds have a fixed stage.
+        // Panics rotate across eight of the nine stage boundaries over the
+        // sweep (all but `rtl`, which ci.sh's chaos run covers); the other
+        // kinds have a fixed stage.
         let stage = match kind {
             FaultKind::Panic => telemetry::STAGES[k % telemetry::STAGES.len()],
             FaultKind::ParseError | FaultKind::PoisonCache => "frontend",

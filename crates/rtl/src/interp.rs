@@ -9,6 +9,64 @@ use crate::netlist::{CombOp, Driver, Module};
 use bits::ApInt;
 use std::collections::HashMap;
 
+/// Evaluates one combinational operator on the operands `a(0)`, `a(1)`,
+/// … to a `width`-bit result: the compiler's two-valued reference
+/// semantics, shared by [`Simulator::eval`] and the optimizer's constant
+/// folding. Operands are read through `a` so the simulator evaluates its
+/// nets in place.
+pub(crate) fn eval_comb<'a>(
+    op: CombOp,
+    a: impl Fn(usize) -> &'a ApInt,
+    lo: u32,
+    width: u32,
+) -> ApInt {
+    match op {
+        CombOp::Add => a(0).add(a(1)),
+        CombOp::Sub => a(0).sub(a(1)),
+        CombOp::Mul => a(0).mul(a(1)),
+        CombOp::DivU => a(0).udiv(a(1)),
+        CombOp::DivS => a(0).sdiv(a(1)),
+        CombOp::RemU => a(0).urem(a(1)),
+        CombOp::RemS => a(0).srem(a(1)),
+        CombOp::And => a(0).and(a(1)),
+        CombOp::Or => a(0).or(a(1)),
+        CombOp::Xor => a(0).xor(a(1)),
+        CombOp::Not => a(0).not(),
+        CombOp::Shl => a(0).shl(a(1)),
+        CombOp::ShrU => a(0).lshr(a(1)),
+        CombOp::ShrS => a(0).ashr(a(1)),
+        CombOp::Eq => ApInt::from_bool(a(0) == a(1)),
+        CombOp::Ne => ApInt::from_bool(a(0) != a(1)),
+        CombOp::Ult => ApInt::from_bool(a(0).ult(a(1))),
+        CombOp::Ule => ApInt::from_bool(a(0).ule(a(1))),
+        CombOp::Slt => ApInt::from_bool(a(0).slt(a(1))),
+        CombOp::Sle => ApInt::from_bool(a(0).sle(a(1))),
+        CombOp::Mux => {
+            if a(0).is_zero() {
+                a(2).clone()
+            } else {
+                a(1).clone()
+            }
+        }
+        CombOp::Concat => a(0).concat(a(1)),
+        CombOp::Replicate => a(0).replicate(lo),
+        CombOp::Extract => {
+            let base = a(0);
+            let need = lo + width;
+            let padded = if base.width() < need {
+                base.zext(need)
+            } else {
+                base.clone()
+            };
+            padded.extract(lo, width)
+        }
+        CombOp::ExtractDyn => a(0).lshr(a(1)).zext_or_trunc(width),
+        CombOp::ZExt => a(0).zext(width),
+        CombOp::SExt => a(0).sext(width),
+        CombOp::Trunc => a(0).trunc(width),
+    }
+}
+
 /// A netlist simulator instance.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -93,52 +151,7 @@ impl Simulator {
                         .unwrap_or_else(|| ApInt::zero(table.width))
                 }
                 Driver::Comb { op, args, lo } => {
-                    let a = |k: usize| &self.values[args[k].0];
-                    match op {
-                        CombOp::Add => a(0).add(a(1)),
-                        CombOp::Sub => a(0).sub(a(1)),
-                        CombOp::Mul => a(0).mul(a(1)),
-                        CombOp::DivU => a(0).udiv(a(1)),
-                        CombOp::DivS => a(0).sdiv(a(1)),
-                        CombOp::RemU => a(0).urem(a(1)),
-                        CombOp::RemS => a(0).srem(a(1)),
-                        CombOp::And => a(0).and(a(1)),
-                        CombOp::Or => a(0).or(a(1)),
-                        CombOp::Xor => a(0).xor(a(1)),
-                        CombOp::Not => a(0).not(),
-                        CombOp::Shl => a(0).shl(a(1)),
-                        CombOp::ShrU => a(0).lshr(a(1)),
-                        CombOp::ShrS => a(0).ashr(a(1)),
-                        CombOp::Eq => ApInt::from_bool(a(0) == a(1)),
-                        CombOp::Ne => ApInt::from_bool(a(0) != a(1)),
-                        CombOp::Ult => ApInt::from_bool(a(0).ult(a(1))),
-                        CombOp::Ule => ApInt::from_bool(a(0).ule(a(1))),
-                        CombOp::Slt => ApInt::from_bool(a(0).slt(a(1))),
-                        CombOp::Sle => ApInt::from_bool(a(0).sle(a(1))),
-                        CombOp::Mux => {
-                            if a(0).is_zero() {
-                                a(2).clone()
-                            } else {
-                                a(1).clone()
-                            }
-                        }
-                        CombOp::Concat => a(0).concat(a(1)),
-                        CombOp::Replicate => a(0).replicate(*lo),
-                        CombOp::Extract => {
-                            let base = a(0);
-                            let need = lo + width;
-                            let padded = if base.width() < need {
-                                base.zext(need)
-                            } else {
-                                base.clone()
-                            };
-                            padded.extract(*lo, width)
-                        }
-                        CombOp::ExtractDyn => a(0).lshr(a(1)).zext_or_trunc(width),
-                        CombOp::ZExt => a(0).zext(width),
-                        CombOp::SExt => a(0).sext(width),
-                        CombOp::Trunc => a(0).trunc(width),
-                    }
+                    eval_comb(*op, |k| &self.values[args[k].0], *lo, width)
                 }
             };
             debug_assert_eq!(value.width(), width, "net {i} width mismatch");

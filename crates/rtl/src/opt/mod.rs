@@ -27,7 +27,7 @@
 //! the full matrix re-checks under `lnc --xcheck`.
 
 use crate::interp::Simulator;
-use crate::netlist::{CombOp, Driver, Module, NetId};
+use crate::netlist::{Driver, Module, NetId};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
@@ -151,28 +151,30 @@ impl Pass {
 /// If the pass produces a structurally invalid netlist (an optimizer bug).
 pub fn run_pass(module: &Module, pass: Pass, opts: &EmitOptions) -> Result<(Module, u64), String> {
     let mut m = module.clone();
-    let count = match pass {
-        Pass::Fold => fold::run(&mut m),
-        Pass::Cse => cse::run(&mut m),
-        Pass::Mux => mux::run(&mut m),
-        Pass::Strength => match strength::run(&m) {
-            Some((reduced, count)) => {
-                m = reduced;
-                count
-            }
-            None => 0,
-        },
-        Pass::Narrow => match narrow::run(&m, opts) {
-            Some((narrowed, count)) => {
-                m = narrowed;
-                count
-            }
-            None => 0,
-        },
-        Pass::Dce => dce(&mut m),
-    };
-    check(&m, pass.name())?;
+    let count = apply(&mut m, pass, opts)?;
     Ok((m, count))
+}
+
+/// Runs `pass` once over `m` in place, re-validates the result, and
+/// returns the pass's rewrite count.
+fn apply(m: &mut Module, pass: Pass, opts: &EmitOptions) -> Result<u64, String> {
+    let rebuilt = |m: &mut Module, out: Option<(Module, u64)>| match out {
+        Some((rewritten, count)) => {
+            *m = rewritten;
+            count
+        }
+        None => 0,
+    };
+    let count = match pass {
+        Pass::Fold => fold::run(m),
+        Pass::Cse => cse::run(m),
+        Pass::Mux => mux::run(m),
+        Pass::Strength => rebuilt(m, strength::run(m)),
+        Pass::Narrow => rebuilt(m, narrow::run(m, opts)),
+        Pass::Dce => dce(m),
+    };
+    check(m, pass.name())?;
+    Ok(count)
 }
 
 /// Upper bound on fixpoint iterations; convergence is typically reached in
@@ -204,41 +206,18 @@ pub fn optimize(
     }
     for _ in 0..MAX_ITERATIONS {
         let mut changed = 0;
-        let folded = fold::run(&mut m);
-        check(&m, "fold")?;
-        report.record("fold", folded);
-        changed += folded;
-
-        let shared = cse::run(&mut m);
-        check(&m, "cse")?;
-        report.record("cse", shared);
-        changed += shared;
-
-        let flattened = mux::run(&mut m);
-        check(&m, "mux")?;
-        report.record("mux", flattened);
-        changed += flattened;
-
-        if let Some((reduced, count)) = strength::run(&m) {
-            m = reduced;
-            check(&m, "strength")?;
-            report.record("strength", count);
-            changed += count;
-        }
-
-        if level >= OptLevel::O2 {
-            if let Some((narrowed, count)) = narrow::run(&m, opts) {
-                m = narrowed;
-                check(&m, "narrow")?;
-                report.record("narrow", count);
+        for pass in Pass::ALL {
+            if pass == Pass::Narrow && level < OptLevel::O2 {
+                continue;
+            }
+            let count = apply(&mut m, pass, opts)?;
+            report.record(pass.name(), count);
+            // DCE only sweeps what the other passes orphaned, so its
+            // removals do not keep the fixpoint going.
+            if pass != Pass::Dce {
                 changed += count;
             }
         }
-
-        let removed = dce(&mut m);
-        check(&m, "dce")?;
-        report.record("dce", removed);
-
         report.iterations += 1;
         if changed == 0 {
             break;
@@ -320,58 +299,6 @@ pub(crate) fn as_const(m: &Module, id: NetId) -> Option<&ApInt> {
     match &m.nets[id.0].driver {
         Driver::Const(c) => Some(c),
         _ => None,
-    }
-}
-
-/// Evaluates one combinational operator on constant operands with the
-/// two-valued interpreter's semantics (the compiler's reference
-/// semantics; see `crate::interp`).
-pub(crate) fn eval_const_comb(op: CombOp, args: &[&ApInt], lo: u32, width: u32) -> ApInt {
-    let a = |k: usize| args[k];
-    match op {
-        CombOp::Add => a(0).add(a(1)),
-        CombOp::Sub => a(0).sub(a(1)),
-        CombOp::Mul => a(0).mul(a(1)),
-        CombOp::DivU => a(0).udiv(a(1)),
-        CombOp::DivS => a(0).sdiv(a(1)),
-        CombOp::RemU => a(0).urem(a(1)),
-        CombOp::RemS => a(0).srem(a(1)),
-        CombOp::And => a(0).and(a(1)),
-        CombOp::Or => a(0).or(a(1)),
-        CombOp::Xor => a(0).xor(a(1)),
-        CombOp::Not => a(0).not(),
-        CombOp::Shl => a(0).shl(a(1)),
-        CombOp::ShrU => a(0).lshr(a(1)),
-        CombOp::ShrS => a(0).ashr(a(1)),
-        CombOp::Eq => ApInt::from_bool(a(0) == a(1)),
-        CombOp::Ne => ApInt::from_bool(a(0) != a(1)),
-        CombOp::Ult => ApInt::from_bool(a(0).ult(a(1))),
-        CombOp::Ule => ApInt::from_bool(a(0).ule(a(1))),
-        CombOp::Slt => ApInt::from_bool(a(0).slt(a(1))),
-        CombOp::Sle => ApInt::from_bool(a(0).sle(a(1))),
-        CombOp::Mux => {
-            if a(0).is_zero() {
-                a(2).clone()
-            } else {
-                a(1).clone()
-            }
-        }
-        CombOp::Concat => a(0).concat(a(1)),
-        CombOp::Replicate => a(0).replicate(lo),
-        CombOp::Extract => {
-            let base = a(0);
-            let need = lo + width;
-            let padded = if base.width() < need {
-                base.zext(need)
-            } else {
-                base.clone()
-            };
-            padded.extract(lo, width)
-        }
-        CombOp::ExtractDyn => a(0).lshr(a(1)).zext_or_trunc(width),
-        CombOp::ZExt => a(0).zext(width),
-        CombOp::SExt => a(0).sext(width),
-        CombOp::Trunc => a(0).trunc(width),
     }
 }
 
@@ -575,7 +502,7 @@ pub fn verify_equivalent(
 mod tests {
     use super::*;
     use crate::lint::lint_module;
-    use crate::netlist::PortDir;
+    use crate::netlist::{CombOp, PortDir};
 
     /// a, b 16-bit in; builds a little expression DAG with redundancy,
     /// constants, pow-2 multiplies, and a register.
