@@ -273,11 +273,15 @@ grep -q '"id": "j3", "status": "fault", "exit": 2' "$smoke_dir/serve.out"
 echo "== bench gate: deterministic work counters vs BENCH_baseline.json"
 # cargo run -p bench rewrites BENCH_compile.json (gitignored) and compares
 # its deterministic section textually against the checked-in baseline.
-# Hard failure on any counter change. This is also the replay gate: the
-# bench asserts zero misses on every stage of a warm no-change recompile
-# and byte-identical artifacts, and the baseline pins the warm_no_change
-# row. Replay speed is measured by compilebench's serve_edit p50. When a
-# work-counter change is intentional, refresh the baseline with:
+# Hard failure on any counter change. This is also the replay and
+# early-cutoff gate: the bench asserts zero misses on every stage of a
+# warm no-change recompile, zero backend misses after a comment edit, and
+# byte-identical artifacts on every warm run (the one-instruction SPARKLE
+# edit against a cold compile of the edited sources), and the baseline
+# pins the warm_no_change, warm_one_edit and warm_semantic_edit rows.
+# Replay speed is measured by compilebench's serve_edit p50, edit speed by
+# its p95. When a work-counter change is intentional, refresh the
+# baseline with:
 #   cp BENCH_compile.json BENCH_baseline.json
 cargo run -q --release -p bench -- --check BENCH_baseline.json
 

@@ -8,8 +8,10 @@
 //! per-stage op counters summed across the matrix, a per-cell solver-work
 //! breakdown with a digest of the cell's schedules, the `incremental`
 //! per-stage hit/miss profile of a cold → warm no-change → warm one-edit
-//! recompile sequence through one shared pipeline cache (the warm
-//! no-change run must be pure replay with byte-identical artifacts), and
+//! (a comment) → warm semantic-edit (one SPARKLE instruction) recompile
+//! sequence through one shared pipeline cache (the no-change run must be
+//! pure replay, the comment edit must recompute no backend stage, and
+//! every warm run's artifacts must match a cold compile byte for byte), and
 //! the `opt` profile of a full -O2 matrix (per-pass rewrite totals plus
 //! modeled area and critical path against -O0, with the strict area win
 //! asserted). Byte-identical on every run of the same code.
@@ -82,18 +84,20 @@ fn bench_json() -> String {
     let ln = Longnail::new();
     let serial = ln.compile_cells(&cells, 1, &PipelineCache::new());
 
-    // Incremental profile: cold, warm no-change, warm one-edit — all
-    // through one shared pipeline cache with 4 workers, the way `lnc
-    // serve` and warm matrix recompiles run. The cold row pins the cache
-    // totals at that worker count; the serial run above pins them at one.
+    // Incremental profile: cold, warm no-change, warm one-edit, warm
+    // semantic edit — all through one shared pipeline cache with 4
+    // workers, the way `lnc serve` and warm matrix recompiles run. The
+    // cold row pins the cache totals at that worker count; the serial run
+    // above pins them at one.
     let pipe = PipelineCache::new();
     let cold = ln.compile_cells(&cells, 4, &pipe);
     let warm = ln.compile_cells(&cells, 4, &pipe);
     let warm_misses: u64 = warm.stage_stats.iter().map(|s| s.misses).sum();
     assert_eq!(warm_misses, 0, "warm no-change recompile must be pure replay");
     assert_artifacts_identical(&cold, &warm, "warm no-change");
-    // The "edit": append a comment to one ISAX — semantics unchanged,
-    // content key changed, so exactly that ISAX's cone recomputes.
+    // The comment edit: append a comment to one ISAX. Its source key
+    // changes, so the frontend reruns once; its LIL graphs do not, so
+    // every backend stage is cut off and replays.
     let mut edited = isaxes.clone();
     edited[0].2.push_str("\n// incremental bench edit\n");
     let edit = ln.compile_cells(&matrix_cells(&edited, &cores), 4, &pipe);
@@ -101,10 +105,39 @@ fn bench_json() -> String {
         .stage_stats
         .iter()
         .find(|s| s.stage == "frontend")
-        .cloned()
-        .unwrap_or_default();
-    assert_eq!(edit_fe.misses, 1, "one edited source, one frontend recompute");
+        .map_or(0, |s| s.misses);
+    assert_eq!(edit_fe, 1, "one edited source, one frontend recompute");
+    let backend_misses: u64 = edit
+        .stage_stats
+        .iter()
+        .filter(|s| !matches!(s.stage.as_str(), "frontend" | "lower"))
+        .map(|s| s.misses)
+        .sum();
+    assert_eq!(
+        backend_misses, 0,
+        "a comment edit must recompute no backend stage"
+    );
     assert_artifacts_identical(&cold, &edit, "warm one-edit");
+    // The semantic edit: swap the operands of one of SPARKLE's eight
+    // instructions, so exactly that unit recomputes on every core (plus
+    // the ISAX's config). Its artifacts change, so the reference is a
+    // cold compile of the edited sources.
+    let mut semantic = isaxes.clone();
+    let sparkle = semantic
+        .iter_mut()
+        .find(|(name, _, _)| name == "sparkle")
+        .expect("sparkle is a builtin ISAX");
+    let swapped = sparkle.2.replacen(
+        "alzette0_x(X[rs1], X[rs2])",
+        "alzette0_x(X[rs2], X[rs1])",
+        1,
+    );
+    assert_ne!(swapped, sparkle.2, "the semantic edit applies");
+    sparkle.2 = swapped;
+    let semantic_cells = matrix_cells(&semantic, &cores);
+    let semantic_edit = ln.compile_cells(&semantic_cells, 4, &pipe);
+    let semantic_cold = ln.compile_cells(&semantic_cells, 4, &PipelineCache::new());
+    assert_artifacts_identical(&semantic_cold, &semantic_edit, "warm semantic edit");
 
     // Optimized matrix: the same 8×4 matrix at -O2 through the netlist
     // optimizer. Everything recorded here is deterministic — the rewrite
@@ -205,7 +238,12 @@ fn bench_json() -> String {
     json.push_str("    ],\n    \"incremental\": {\n");
     let _ = writeln!(json, "      \"cold\": {{{}}},", stage_mix(&cold));
     let _ = writeln!(json, "      \"warm_no_change\": {{{}}},", stage_mix(&warm));
-    let _ = writeln!(json, "      \"warm_one_edit\": {{{}}}", stage_mix(&edit));
+    let _ = writeln!(json, "      \"warm_one_edit\": {{{}}},", stage_mix(&edit));
+    let _ = writeln!(
+        json,
+        "      \"warm_semantic_edit\": {{{}}}",
+        stage_mix(&semantic_edit)
+    );
     json.push_str("    },\n    \"opt\": {\n");
     let _ = writeln!(json, "      \"area_o0_um2\": {area_o0:.1},");
     let _ = writeln!(json, "      \"area_o2_um2\": {area_o2:.1},");

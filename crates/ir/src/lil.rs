@@ -47,7 +47,7 @@ impl LilModule {
 }
 
 /// A custom (ISAX-internal) register file to be instantiated by SCAIE-V.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CustomReg {
     pub name: String,
     /// Element data width (DW in Table 1).
@@ -59,7 +59,7 @@ pub struct CustomReg {
 }
 
 /// A read-only lookup table internal to the ISAX module.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rom {
     pub name: String,
     /// Element width.
@@ -69,7 +69,7 @@ pub struct Rom {
 }
 
 /// What a graph implements.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GraphKind {
     /// An instruction with its 32-bit decode mask/match.
     Instruction {
@@ -83,7 +83,10 @@ pub enum GraphKind {
 }
 
 /// One flat control-data-flow graph.
-#[derive(Debug, Clone)]
+///
+/// `Hash` covers every field, which is what lets a content digest of the
+/// graph key the backend stages that compile it.
+#[derive(Debug, Clone, Hash)]
 pub struct Graph {
     /// Instruction or `always`-block name.
     pub name: String,
@@ -94,7 +97,7 @@ pub struct Graph {
 }
 
 /// An operation in a LIL graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Op {
     pub kind: OpKind,
     /// Operand values (producers appear earlier in `ops`).

@@ -321,10 +321,12 @@ impl Longnail {
 
     /// [`Longnail::compile`] through a caller-owned [`PipelineCache`]:
     /// every stage is looked up in (and populates) `pipe`'s content-keyed
-    /// stage store, so recompiling an unchanged cell is pure cache replay
-    /// and editing a source recomputes only its downstream cone. The
-    /// emitted trace is byte-identical (after [`Trace::stripped`]) warm or
-    /// cold.
+    /// stage store, so recompiling an unchanged cell is pure cache replay.
+    /// An edited source reruns the frontend, but each backend stage is
+    /// keyed on the LIL graph it compiles: only the units whose graphs the
+    /// edit changed recompute, and a comment or reformat recomputes no
+    /// backend stage at all. The emitted trace is byte-identical (after
+    /// [`Trace::stripped`]) warm or cold.
     ///
     /// A cell that a fault plan targets shares only the frontend: its
     /// backend runs on a private store, so an injected panic or
@@ -404,15 +406,13 @@ impl Longnail {
             "frontend",
             fe_key,
             || frontend_artifacts(src, unit).map(Arc::new),
-            // Typed module + lowered LIL scale with the source text.
-            |_| 1024 + (src.len() as u64) * 8,
+            |r| frontend_bytes(r, src.len()),
         );
         // The lowered LIL rides inside the frontend artifact; mirror the
         // lookup so `cache.lower.*` stats stay observable per stage.
         pipe.store().record("lower", lookup);
         let cx = PipeCtx {
             pipe: backend_pipe,
-            fe_key,
             cfg_key,
         };
         let artifacts = result?;
@@ -466,7 +466,7 @@ impl Longnail {
             .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
             .collect();
         let mut graphs = Vec::new();
-        for (gi, graph) in lil.graphs.iter().enumerate() {
+        for (gi, (graph, digest)) in lil.graphs.iter().zip(&artifacts.graph_digests).enumerate() {
             let unit_span = tel.start_unit_span("unit", Some(&graph.name));
             diagnostics.set_trace_span(Some(unit_span.0));
             // Cell-level fault injection fires once per compilation, on
@@ -475,7 +475,7 @@ impl Longnail {
             let inject = gi == 0;
             match self.compile_graph(
                 graph,
-                gi,
+                digest,
                 lil,
                 datasheet,
                 &mut diagnostics,
@@ -504,7 +504,7 @@ impl Longnail {
         let config_span = tel.start_span("config");
         let cval = cx.run(
             "config",
-            pipeline::derive("config", &[&cx.fe_key, &cx.cfg_key]),
+            pipeline::derive("config", &[&artifacts.module_digest, &cx.cfg_key]),
             || config_stage(lil, &graphs),
             |c| (c.functionalities.len() as u64 + 1) * 256,
         );
@@ -550,8 +550,9 @@ impl Longnail {
     /// persistent layer passes only the cells it could not serve from disk.
     /// With a fresh cache this is a cold compile; with a reused one, every
     /// stage whose content key is unchanged since the previous run is
-    /// replayed — a warm recompile with one edited ISAX recomputes only
-    /// that ISAX's cells, stage by stage.
+    /// replayed. A warm recompile with one edited ISAX reruns that ISAX's
+    /// frontend once, then recomputes only the units whose LIL graphs the
+    /// edit changed (and the ISAX's `config`), on every core.
     ///
     /// Each cell is isolated: a panic anywhere in its flow becomes a
     /// [`Severity::Fault`] outcome attributed to the stage boundary the
@@ -667,7 +668,7 @@ impl Longnail {
     fn compile_graph(
         &self,
         graph: &Graph,
-        gi: usize,
+        graph_digest: &Digest,
         lil: &LilModule,
         datasheet: &VirtualDatasheet,
         diagnostics: &mut Diagnostics,
@@ -677,10 +678,10 @@ impl Longnail {
         cx: &PipeCtx<'_>,
     ) -> Result<CompiledGraph, FlowError> {
         let is_always = graph.kind == GraphKind::Always;
-        // Stage keys chain Merkle-style from this graph's scope key: an
-        // upstream edit flips every key downstream of it and no other.
-        let scope = pipeline::graph_scope_key(&cx.fe_key, gi, &graph.name);
-        let problem_key = pipeline::derive("problem", &[&scope, &cx.cfg_key]);
+        // Stage keys chain Merkle-style from this graph's content digest:
+        // an edit that changes the graph flips every key downstream of it,
+        // and an edit that leaves it unchanged flips none.
+        let problem_key = pipeline::derive("problem", &[graph_digest, &cx.cfg_key]);
         let solve_key = pipeline::derive("solve", &[&problem_key]);
         let rtl_key = pipeline::derive("rtl", &[&solve_key]);
 
@@ -747,7 +748,7 @@ impl Longnail {
             "rtl",
             rtl_key,
             || rtl_stage(graph, lil, datasheet, &sout),
-            |b| (b.module.nets.len() as u64 + 1) * 160,
+            |b| module_bytes(b),
         );
         rval.tape
             .replay(tel, rtl_span, unit_span, diagnostics, &graph.name);
@@ -771,7 +772,7 @@ impl Longnail {
                 "opt",
                 opt_key,
                 || opt_stage(&built, self.opt_level),
-                |b| (b.module.nets.len() as u64 + 1) * 160,
+                |b| module_bytes(b),
             );
             oval.tape
                 .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
@@ -980,11 +981,10 @@ impl Longnail {
 }
 
 /// Stage-cache context of one cell compilation: the store its backend
-/// stages run through plus the two roots every stage key chains from.
+/// stages run through plus the core/options root every backend key
+/// chains from (the other root is the digest of the LIL it compiles).
 struct PipeCtx<'a> {
     pipe: &'a PipelineCache,
-    /// Content-address of the frontend artifact this cell consumes.
-    fe_key: Digest,
     /// Content-address of the core/options configuration.
     cfg_key: Digest,
 }
@@ -1013,13 +1013,55 @@ impl PipeCtx<'_> {
 /// Rough heap footprint of one cached stage value, charged against the
 /// byte-accounted in-memory LRU (`--cache-mem-bytes`). Coarse per-stage
 /// payload estimates plus a fixed slot/tape overhead — the cap is a
-/// budget, not an allocator audit.
+/// budget, not an allocator audit, but `tests/cache_footprint.rs` keeps
+/// it within 2× of the heap it stands for.
 fn stage_bytes<T>(v: &StageVal<T>, payload: fn(&T) -> u64) -> u64 {
     const BASE: u64 = 512;
     match &v.outcome {
         Ok(t) => BASE + payload(t),
-        Err(e) => BASE + e.message.len() as u64,
+        Err(e) => BASE + error_bytes(e),
     }
+}
+
+/// Heap charge of one cached frontend value: the typed module scales with
+/// the source text, the lowered LIL with its operations (an op, its
+/// operand list and its share of the graph and digest vectors).
+fn frontend_bytes(v: &Result<Arc<FrontendArtifacts>, FlowError>, src_len: usize) -> u64 {
+    match v {
+        Ok(a) => {
+            let ops: usize = a.lil.graphs.iter().map(Graph::len).sum();
+            1024 + 8 * src_len as u64 + 160 * ops as u64
+        }
+        Err(e) => 512 + error_bytes(e),
+    }
+}
+
+/// Heap held by a cached failure: its message and every frontend
+/// diagnostic it carries.
+fn error_bytes(e: &FlowError) -> u64 {
+    let diagnostics: usize = e
+        .frontend_errors
+        .iter()
+        .map(|d| {
+            std::mem::size_of::<Diagnostic>()
+                + d.message.len()
+                + d.source_name.len()
+                + d.fixit.as_ref().map_or(0, String::len)
+        })
+        .sum();
+    (e.message.len() + diagnostics) as u64
+}
+
+/// Payload model of a built (or optimized) module: its nets, plus the
+/// ROM contents `rtl` copies into every module of an ISAX.
+fn module_bytes(b: &BuiltModule) -> u64 {
+    let roms: usize = b
+        .module
+        .roms
+        .iter()
+        .map(|r| r.name.len() + r.contents.len() * std::mem::size_of::<bits::ApInt>())
+        .sum();
+    (b.module.nets.len() as u64 + 1) * 160 + roms as u64
 }
 
 /// Cached output of the `problem` stage. The problem is shared so that a
@@ -1255,10 +1297,11 @@ fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfi
 }
 
 /// The core-independent half of a compilation: the elaborated typed
-/// module plus its verified LIL lowering and any per-unit diagnostics the
-/// lowering raised. Produced once per `(source, unit)` pair — the value of
-/// the store's `frontend` slot — and shared across every core the ISAX is
-/// compiled for.
+/// module plus its verified LIL lowering, the content digests the backend
+/// keys chain from, and any per-unit diagnostics the lowering raised.
+/// Produced once per `(source, unit)` pair — the value of the store's
+/// `frontend` slot — and shared across every core the ISAX is compiled
+/// for.
 #[derive(Debug, Clone)]
 struct FrontendArtifacts {
     /// The elaborated, type-checked module.
@@ -1266,6 +1309,11 @@ struct FrontendArtifacts {
     /// The lowered LIL module; only graphs that passed the stage verifier
     /// are present.
     lil: Arc<LilModule>,
+    /// One content digest per graph of `lil`, in order
+    /// ([`pipeline::lil_digests`]): the root of that unit's backend keys.
+    graph_digests: Vec<Digest>,
+    /// Content digest of `lil` as the `config` stage reads it.
+    module_digest: Digest,
     /// Diagnostics raised during lowering/verification. Core-independent,
     /// so they are replayed verbatim into every per-core compilation
     /// (re-stamped with that compilation's trace span).
@@ -1315,9 +1363,12 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
         }
         lil.graphs.push(graph);
     }
+    let (graph_digests, module_digest) = pipeline::lil_digests(&lil);
     FrontendArtifacts {
         module,
         lil: Arc::new(lil),
+        graph_digests,
+        module_digest,
         lower_events: diagnostics.events,
     }
 }
@@ -1642,3 +1693,35 @@ pub fn builtin_datasheet(core: &str) -> Option<VirtualDatasheet> {
 
 /// The four evaluation cores (Table 4).
 pub const EVAL_CORES: [&str; 4] = ["ORCA", "Piccolo", "PicoRV32", "VexRiscv"];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The other half of early cutoff: what changes only the text of a
+    /// source (layout, a local's name) changes no LIL digest.
+    #[test]
+    fn reformatting_and_renaming_a_local_keep_every_digest() {
+        let digests = |src: &str| {
+            let a = frontend_artifacts(src, "X_DOTP").expect("dotprod compiles");
+            assert!(!a.graph_digests.is_empty());
+            (a.graph_digests, a.module_digest)
+        };
+        let src = crate::isax_lib::DOTPROD;
+        let base = digests(src);
+        let reformatted = format!(
+            "\n\n{}",
+            src.replace('\n', "\n\n  ").replace(" = ", "  =  ")
+        );
+        assert_eq!(digests(&reformatted), base, "reformatted");
+        let renamed = src.replace("res", "acc").replace("prod", "product");
+        assert_ne!(renamed, src);
+        assert_eq!(digests(&renamed), base, "renamed locals");
+        let edited = src.replace("i += 8", "i += 16");
+        assert_ne!(
+            digests(&edited).0,
+            base.0,
+            "a semantic edit changes the digest"
+        );
+    }
+}

@@ -2,28 +2,36 @@
 //!
 //! Each of the nine telemetry stages (frontend / lower / problem / solve
 //! / modes / rtl / opt / verilog / config) is a *query*: a pure function
-//! of a content-addressed key. Keys chain Merkle-style —
+//! of a content-addressed key. Each key covers exactly the value its
+//! stage consumes —
 //!
 //! ```text
 //! frontend_key = H(unit ‖ source)                    (lower rides along)
 //! cfg_key      = H(datasheet ‖ clock ‖ chain ‖ work-limit ‖ config-fp)
-//! graph_key    = H(frontend_key ‖ graph-index ‖ graph-name)
-//! problem_key  = H("problem" ‖ graph_key ‖ cfg_key)
+//! lil_ctx      = H(module name ‖ ROMs ‖ custom registers)
+//! graph_digest = H(lil_ctx ‖ graph)                  (one per LIL graph)
+//! module_digest = H(lil_ctx ‖ graph_digest…)
+//! problem_key  = H("problem" ‖ graph_digest ‖ cfg_key)
 //! solve_key    = H("solve" ‖ problem_key)
 //! modes_key    = H("modes" ‖ solve_key)
 //! rtl_key      = H("rtl" ‖ solve_key)
 //! opt_key      = H("opt" ‖ rtl_key)                   (above -O0 only)
 //! verilog_key  = H("verilog" ‖ opt_key)               (rtl_key at -O0)
-//! config_key   = H("config" ‖ frontend_key ‖ cfg_key)
+//! config_key   = H("config" ‖ module_digest ‖ cfg_key)
 //! cell_key     = H("cell" ‖ frontend_key ‖ cfg_key)
 //! ```
 //!
-//! — so editing one ISAX source flips its `frontend_key` and with it the
-//! whole downstream cone for that unit, while every other unit's keys
-//! (and cached stage artifacts) survive untouched. The compiler itself
-//! is deterministic, which is what lets a stage key hash the upstream
-//! *inputs* instead of the upstream artifact bytes: same inputs, same
-//! artifact.
+//! — so the backend is cut off early: the frontend reruns on any edit to
+//! an ISAX source, but the digests it produces ([`lil_digests`]) change
+//! only for the LIL graphs the edit changed. A comment or a reformat
+//! recomputes no backend stage at all; an edit to one instruction
+//! recomputes that unit's cone (and the ISAX's `config`) on every core,
+//! while every other unit's keys and cached stage artifacts survive. The
+//! compiler itself is deterministic, which is what lets a stage key hash
+//! the upstream *inputs* instead of the upstream artifact bytes: same
+//! inputs, same artifact. Source positions never enter a backend value:
+//! a unit's diagnostics take their span from the live frontend, so a
+//! replayed failure still points at the edited source's lines.
 //!
 //! Cached stage values are [`StageVal`]s: the stage outcome plus a
 //! [`Tape`] of the telemetry the computation emitted. A cache hit
@@ -32,8 +40,10 @@
 //! one — the determinism contract holds by construction, not by luck.
 
 use crate::diag::Diagnostics;
+use ir::lil::LilModule;
 use qcache::{digest, Digest, DiskCache, Sha256, StageStats, Store};
 use scaiev::datasheet::VirtualDatasheet;
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use telemetry::{SpanId, Telemetry};
@@ -159,14 +169,37 @@ pub fn core_config_key(
         .finalize()
 }
 
-/// Scope key of one LIL graph within a frontend artifact.
-pub(crate) fn graph_scope_key(frontend: &Digest, index: usize, name: &str) -> Digest {
-    Sha256::new()
-        .chain(b"longnail.graph\0")
-        .chain(&frontend.0)
-        .chain(&(index as u64).to_le_bytes())
-        .chain(name.as_bytes())
-        .finalize()
+/// Content digests of a lowered module: `(graph_digests, module_digest)`.
+/// `graph_digests[i]` roots the backend keys of `lil.graphs[i]`, and
+/// `module_digest` roots the `config` key.
+///
+/// Each digest covers the graph (or every graph) plus the module context
+/// the backend reads besides it: the name, which prefixes every Verilog
+/// module; every ROM, which `rtl` copies into each module; and the custom
+/// registers, which `config` lists. The values are streamed through their
+/// derived `Hash`, so a field added to a LIL type later is keyed without
+/// anyone remembering to. Std `Hash` streams are only stable within one
+/// build: these digests key the in-memory store and must never reach disk.
+pub(crate) fn lil_digests(lil: &LilModule) -> (Vec<Digest>, Digest) {
+    let mut cx = Sha256::new().chain(b"longnail.lil\0");
+    lil.name.hash(&mut cx);
+    lil.roms.hash(&mut cx);
+    lil.custom_regs.hash(&mut cx);
+    let cx = cx.finalize();
+    let graphs: Vec<Digest> = lil
+        .graphs
+        .iter()
+        .map(|g| {
+            let mut h = Sha256::new().chain(&cx.0);
+            g.hash(&mut h);
+            h.finalize()
+        })
+        .collect();
+    let module = graphs
+        .iter()
+        .fold(Sha256::new().chain(&cx.0), |h, d| h.chain(&d.0))
+        .finalize();
+    (graphs, module)
 }
 
 /// Chains a stage key from its upstream keys, domain-separated by stage
@@ -371,18 +404,133 @@ mod tests {
 
     #[test]
     fn stage_keys_chain() {
-        let fe = frontend_key("u", "s");
         let ds = crate::driver::builtin_datasheet("ORCA").unwrap();
         let cfg = core_config_key(&ds, 6.0, 1000, "opt=0");
-        let p = derive("problem", &[&graph_scope_key(&fe, 0, "g"), &cfg]);
+        let graph = digest(b"graph");
+        let p = derive("problem", &[&graph, &cfg]);
         let s = derive("solve", &[&p]);
         assert_ne!(p, s, "stage tag separates domains");
-        let fe2 = frontend_key("u", "s2");
-        let p2 = derive("problem", &[&graph_scope_key(&fe2, 0, "g"), &cfg]);
-        assert_ne!(p, p2, "source edit invalidates the downstream cone");
+        let p2 = derive("problem", &[&digest(b"edited graph"), &cfg]);
+        assert_ne!(p, p2, "a changed graph invalidates its downstream cone");
         let cfg2 = core_config_key(&ds, 6.0, 1000, "opt=2");
-        let p3 = derive("problem", &[&graph_scope_key(&fe, 0, "g"), &cfg2]);
+        let p3 = derive("problem", &[&graph, &cfg2]);
         assert_ne!(p, p3, "opt level flips the whole backend cone");
+    }
+
+    /// A module with one instance of every field the digests must cover.
+    fn sample_lil() -> LilModule {
+        use bits::ApInt;
+        use ir::lil::{CustomReg, Graph, GraphKind, Op, OpKind, Rom, ValueId};
+        let op = |kind, operands: &[usize], width| Op {
+            kind,
+            operands: operands.iter().map(|&i| ValueId(i)).collect(),
+            width,
+            pred: None,
+            in_spawn: false,
+        };
+        let insn = Graph {
+            name: "insn".into(),
+            kind: GraphKind::Instruction {
+                mask: 0x7f,
+                match_value: 0x0b,
+            },
+            ops: vec![
+                op(OpKind::ReadRs1, &[], 32),
+                op(OpKind::Const(ApInt::from_u64(5, 32)), &[], 32),
+                op(OpKind::Add, &[0, 1], 32),
+                op(OpKind::RomRead("T".into()), &[2], 8),
+                op(OpKind::WriteRd, &[3], 0),
+                op(OpKind::Sink, &[], 0),
+            ],
+        };
+        let always = Graph {
+            name: "tick".into(),
+            kind: GraphKind::Always,
+            ops: vec![op(OpKind::ReadPc, &[], 32), op(OpKind::Sink, &[], 0)],
+        };
+        LilModule {
+            name: "m".into(),
+            graphs: vec![insn, always],
+            custom_regs: vec![CustomReg {
+                name: "R".into(),
+                width: 32,
+                elems: 1,
+                addr_width: 0,
+            }],
+            roms: vec![Rom {
+                name: "T".into(),
+                width: 8,
+                contents: (0..4).map(|i| ApInt::from_u64(i, 8)).collect(),
+            }],
+        }
+    }
+
+    /// Key completeness: changing any one field the backend reads changes
+    /// the digests that key it. A field of the first graph changes that
+    /// graph's digest and the module's, and leaves the other graph's
+    /// alone; a field of the module context changes every digest.
+    #[test]
+    fn every_lil_field_is_keyed() {
+        use bits::ApInt;
+        use ir::lil::{GraphKind, OpKind, ValueId};
+        type Edit = fn(&mut LilModule);
+        let graph_edits: [(&str, Edit); 8] = [
+            ("const payload", |m| {
+                m.graphs[0].ops[1].kind = OpKind::Const(ApInt::from_u64(6, 32))
+            }),
+            ("operand", |m| m.graphs[0].ops[2].operands.reverse()),
+            ("width", |m| m.graphs[0].ops[2].width = 33),
+            ("pred", |m| m.graphs[0].ops[4].pred = Some(ValueId(0))),
+            ("in_spawn", |m| m.graphs[0].ops[4].in_spawn = true),
+            ("graph name", |m| m.graphs[0].name = "insn2".into()),
+            ("mask", |m| {
+                m.graphs[0].kind = GraphKind::Instruction {
+                    mask: 0xff,
+                    match_value: 0x0b,
+                }
+            }),
+            ("match", |m| {
+                m.graphs[0].kind = GraphKind::Instruction {
+                    mask: 0x7f,
+                    match_value: 0x0f,
+                }
+            }),
+        ];
+        let context_edits: [(&str, Edit); 5] = [
+            ("rom name", |m| m.roms[0].name = "U".into()),
+            ("rom width", |m| m.roms[0].width = 9),
+            ("rom element", |m| {
+                m.roms[0].contents[3] = ApInt::from_u64(7, 8)
+            }),
+            ("custom register", |m| m.custom_regs[0].elems = 2),
+            ("module name", |m| m.name = "n".into()),
+        ];
+        let base = sample_lil();
+        let (graphs, module) = lil_digests(&base);
+        assert_eq!(
+            lil_digests(&base),
+            (graphs.clone(), module),
+            "deterministic"
+        );
+        assert_ne!(graphs[0], graphs[1]);
+        for (what, edit) in graph_edits {
+            let mut m = sample_lil();
+            edit(&mut m);
+            let (g, md) = lil_digests(&m);
+            assert_ne!(g[0], graphs[0], "{what}: graph digest");
+            assert_eq!(g[1], graphs[1], "{what}: other graph untouched");
+            assert_ne!(md, module, "{what}: module digest");
+        }
+        for (what, edit) in context_edits {
+            let mut m = sample_lil();
+            edit(&mut m);
+            let (g, md) = lil_digests(&m);
+            assert!(
+                g.iter().zip(&graphs).all(|(a, b)| a != b),
+                "{what}: graph digests"
+            );
+            assert_ne!(md, module, "{what}: module digest");
+        }
     }
 
     #[test]

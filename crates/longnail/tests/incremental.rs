@@ -1,18 +1,18 @@
 //! Incremental-pipeline integration tests: the whole-pipeline stage
-//! cache must make warm recompiles pure replay, invalidate exactly the
-//! edited source's cone, and reproduce the cold artifacts byte for byte
-//! — and the persistent layer must detect (and silently recompute past)
-//! corrupted or truncated entries instead of trusting them.
+//! cache must make warm recompiles pure replay, recompute after an edit
+//! only the units whose LIL graphs changed, and reproduce the cold
+//! artifacts byte for byte — and the persistent layer must detect (and
+//! silently recompute past) corrupted or truncated entries instead of
+//! trusting them.
 
 use longnail::driver::builtin_datasheet;
 use longnail::serve::{probe_cell, store_cell};
 use longnail::{isax_lib, matrix_cells, Longnail, MatrixCell, PipelineCache};
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// Same representative slice as `tests/matrix.rs` — small enough to
-/// recompile repeatedly under proptest.
+/// recompile once per edit.
 fn small_isaxes() -> Vec<(String, String, String)> {
     isax_lib::all_isaxes()
         .into_iter()
@@ -78,49 +78,160 @@ fn warm_no_change_recompile_is_pure_replay() {
     assert_byte_identical(&cold, &warm);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    /// Editing exactly one ISAX source (appending a comment — key
-    /// changes, semantics don't) must recompute exactly that ISAX's
-    /// cells: one frontend miss, per-unit backend misses scoped to the
-    /// edited source, every other lookup a hit — and the artifacts stay
-    /// byte-identical to the cold run for *all* cells.
-    #[test]
-    fn one_edit_invalidates_exactly_one_source(edit_idx in 0usize..3, seed: u64) {
-        let ln = Longnail::new();
-        let (isaxes, cores) = (small_isaxes(), small_cores());
+/// Asserts the per-stage `(misses, hits)` of a warm run after one source
+/// edit: one frontend (and lower) miss among `cells` lookups, `recomputed`
+/// misses among the `units` lookups of every backend stage (`opt` only
+/// when it ran), and `configs` config misses.
+fn assert_mix(
+    m: &longnail::MatrixResult,
+    cells: u64,
+    units: u64,
+    recomputed: u64,
+    configs: u64,
+    opt: bool,
+) {
+    let got = mix(m);
+    let at = |stage: &str| got.get(stage).copied().unwrap_or((0, 0));
+    assert_eq!(at("frontend"), (1, cells - 1), "frontend");
+    assert_eq!(at("lower"), (1, cells - 1), "lower");
+    for stage in ["problem", "solve", "modes", "rtl", "verilog"] {
+        assert_eq!(at(stage), (recomputed, units - recomputed), "stage {stage}");
+    }
+    let opt_mix = if opt {
+        (recomputed, units - recomputed)
+    } else {
+        (0, 0)
+    };
+    assert_eq!(at("opt"), opt_mix, "stage opt");
+    assert_eq!(at("config"), (configs, cells - configs), "config");
+}
+
+/// Unit lookups of a run: one per compiled unit of every cell.
+fn unit_count(m: &longnail::MatrixResult) -> u64 {
+    m.compiled().map(|(_, c)| c.graphs.len() as u64).sum()
+}
+
+/// Warm-compiles `edited` on `pipe` (which holds a cold compile of the
+/// unedited sources) and checks the result byte for byte against a cold
+/// compile of the same edited sources on a fresh cache.
+fn warm_edit(
+    ln: &Longnail,
+    edited: &[(String, String, String)],
+    cores: &[scaiev::datasheet::VirtualDatasheet],
+    pipe: &PipelineCache,
+) -> longnail::MatrixResult {
+    let cells = matrix_cells(edited, cores);
+    let warm = ln.compile_cells(&cells, 2, pipe);
+    let fresh = ln.compile_cells(&cells, 2, &PipelineCache::new());
+    assert_byte_identical(&fresh, &warm);
+    warm
+}
+
+/// A comment changes the source, so the frontend reruns, but no LIL graph:
+/// every backend stage and `config` replays. At the top of the file the
+/// comment also shifts every line the frontend saw.
+#[test]
+fn comment_edit_recomputes_only_the_frontend() {
+    let ln = Longnail::new();
+    let (isaxes, cores) = (small_isaxes(), small_cores());
+    let pipe = PipelineCache::new();
+    let cold = ln.compile_cells(&matrix_cells(&isaxes, &cores), 2, &pipe);
+    let (cells, units) = (cold.entries.len() as u64, unit_count(&cold));
+    for edit_idx in 0..isaxes.len() {
+        for at_top in [false, true] {
+            let mut edited = isaxes.clone();
+            let comment = format!("// edit {edit_idx} {at_top}\n");
+            let src = &mut edited[edit_idx].2;
+            if at_top {
+                src.insert_str(0, &comment);
+            } else {
+                src.push_str(&comment);
+            }
+            let warm = warm_edit(&ln, &edited, &cores, &pipe);
+            assert_mix(&warm, cells, units, 0, 0, false);
+        }
+    }
+}
+
+/// Swaps the operands of one of SPARKLE's eight instructions (the bench
+/// gate makes the same edit), which changes that unit's LIL graph only.
+fn swap_alzette_x0_operands(isaxes: &mut [(String, String, String)]) {
+    let sparkle = isaxes
+        .iter_mut()
+        .find(|(name, _, _)| name == "sparkle")
+        .expect("sparkle is a builtin ISAX");
+    let edited = sparkle.2.replacen(
+        "alzette0_x(X[rs1], X[rs2])",
+        "alzette0_x(X[rs2], X[rs1])",
+        1,
+    );
+    assert_ne!(edited, sparkle.2, "the edit applies");
+    sparkle.2 = edited;
+}
+
+/// Editing one instruction recomputes that unit on every core, plus the
+/// ISAX's `config`; the other seven SPARKLE units and every other ISAX
+/// replay. At -O0 on the 8×4 matrix that is 4m/68h on every backend stage
+/// and 4m/28h on `config`; SPARKLE's row alone at -O2 covers `opt`.
+#[test]
+fn semantic_edit_recomputes_one_unit_per_core() {
+    let cores = longnail::driver::eval_datasheets();
+    let n = cores.len() as u64;
+    let sparkle: Vec<_> = isax_lib::all_isaxes()
+        .into_iter()
+        .filter(|(name, _, _)| name == "sparkle")
+        .collect();
+    let o2 = Longnail::new().with_opt_level(longnail::OptLevel::O2);
+    for (ln, isaxes) in [(Longnail::new(), isax_lib::all_isaxes()), (o2, sparkle)] {
         let pipe = PipelineCache::new();
         let cold = ln.compile_cells(&matrix_cells(&isaxes, &cores), 2, &pipe);
         let mut edited = isaxes.clone();
-        edited[edit_idx].2.push_str(&format!("\n// edit {seed:016x}\n"));
-        let warm = ln.compile_cells(&matrix_cells(&edited, &cores), 2, &pipe);
-        let cells = isaxes.len() * cores.len();
-        let units = cold
-            .entry(&isaxes[edit_idx].0, "ORCA")
-            .and_then(|e| e.outcome.as_ref().ok())
-            .map(|c| c.graphs.len())
-            .unwrap() as u64;
-        let warm_mix = mix(&warm);
-        // Frontend: one miss (the edited source), a hit per other lookup.
-        prop_assert_eq!(warm_mix["frontend"], (1, cells as u64 - 1));
-        prop_assert_eq!(warm_mix["lower"], (1, cells as u64 - 1));
-        // Backend: only the edited ISAX's units, on every core.
-        let unit_lookups: u64 = cold
-            .entries
-            .iter()
-            .filter_map(|e| e.outcome.as_ref().ok())
-            .map(|c| c.graphs.len() as u64)
-            .sum();
-        for stage in ["problem", "solve", "modes", "rtl", "verilog"] {
-            let expect = (units * cores.len() as u64, unit_lookups - units * cores.len() as u64);
-            prop_assert_eq!(warm_mix[stage], expect, "stage {}", stage);
-        }
-        prop_assert_eq!(
-            warm_mix["config"],
-            (cores.len() as u64, (cells - cores.len()) as u64)
-        );
-        assert_byte_identical(&cold, &warm);
+        swap_alzette_x0_operands(&mut edited);
+        let warm = warm_edit(&ln, &edited, &cores, &pipe);
+        let opt = ln.opt_level != longnail::OptLevel::O0;
+        let (cells, units) = (cold.entries.len() as u64, unit_count(&cold));
+        assert_mix(&warm, cells, units, n, n, opt);
     }
+}
+
+/// A cached failure replays with the live source positions: its key is the
+/// graph, not the text, so shifting every line still hits `problem`, and
+/// the diagnostic points at the shifted line exactly as a cold compile of
+/// the shifted source does.
+#[test]
+fn cached_failure_replays_with_live_spans() {
+    let ln = Longnail::new();
+    let (_, unit, src) = isax_lib::all_isaxes()
+        .into_iter()
+        .find(|(name, _, _)| name == "dotprod")
+        .unwrap();
+    let mut ds = builtin_datasheet("ORCA").unwrap();
+    ds.entries.remove("RdRS1").expect("ORCA has RdRS1");
+    let pipe = PipelineCache::new();
+    let cold = ln.compile_cell(&src, &unit, &ds, &pipe).unwrap();
+    assert!(cold.graphs.is_empty(), "dotp cannot read rs1");
+    let shifted = format!("\n{src}");
+    let before = pipe.store().stage_stats("problem");
+    let warm = ln.compile_cell(&shifted, &unit, &ds, &pipe).unwrap();
+    let after = pipe.store().stage_stats("problem");
+    assert_eq!(
+        (after.misses - before.misses, after.hits - before.hits),
+        (0, 1),
+        "the cached failure replays"
+    );
+    let fresh = ln
+        .compile_cell(&shifted, &unit, &ds, &PipelineCache::new())
+        .unwrap();
+    let line = |c: &longnail::CompiledIsax| {
+        let e = c.diagnostics.events.first().expect("one error");
+        e.span.expect("the unit's span").line
+    };
+    assert_eq!(line(&warm), line(&cold) + 1, "one line lower");
+    assert_eq!(warm.diagnostics.render(), fresh.diagnostics.render());
+    assert_eq!(
+        warm.trace.stripped().to_jsonl(),
+        fresh.trace.stripped().to_jsonl()
+    );
 }
 
 fn tmp_root(tag: &str) -> PathBuf {

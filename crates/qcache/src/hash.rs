@@ -170,6 +170,56 @@ impl Sha256 {
     }
 }
 
+/// Lets a `#[derive(Hash)]` value stream itself into the digest
+/// (`value.hash(&mut sha)`), so a content key covers every field of the
+/// value by construction. What a std type writes into a `Hash` stream is
+/// only specified within one build: digests made this way are in-memory
+/// keys and must never be written to disk.
+///
+/// Integers stream as LEB128 varints rather than as fixed-width bytes. A
+/// derived stream is mostly small lengths, indices and discriminants, so
+/// this hashes several times fewer bytes; the encoding is canonical and
+/// prefix-free, so distinct values still stream distinct bytes.
+impl std::hash::Hasher for Sha256 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn write_u64(&mut self, mut n: u64) {
+        let mut buf = [0u8; 10];
+        let mut len = 0;
+        loop {
+            buf[len] = n as u8 & 0x7f;
+            n >>= 7;
+            len += 1;
+            if n == 0 {
+                break;
+            }
+            buf[len - 1] |= 0x80;
+        }
+        self.update(&buf[..len]);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The first 8 bytes of the digest of everything written so far; the
+    /// hasher itself stays open.
+    fn finish(&self) -> u64 {
+        let d = self.clone().finalize();
+        u64::from_le_bytes(d.0[..8].try_into().expect("a SHA-256 digest has 32 bytes"))
+    }
+}
+
 /// One-shot digest of `data`.
 pub fn digest(data: &[u8]) -> Digest {
     Sha256::new().chain(data).finalize()
@@ -229,6 +279,53 @@ mod tests {
                 .chain(&data[split..])
                 .finalize();
             assert_eq!(d, whole, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn hasher_streams_into_the_digest() {
+        use std::hash::{Hash, Hasher};
+        let mut h = Sha256::new();
+        h.write(b"ab");
+        h.write(b"c");
+        let expect = digest(b"abc");
+        assert_eq!(h.finish().to_le_bytes(), expect.0[..8]);
+        assert_eq!(h.finish(), h.finish(), "finish leaves the hasher open");
+        assert_eq!(h.finalize(), expect);
+        let of = |v: &(u32, &str)| {
+            let mut h = Sha256::new();
+            v.hash(&mut h);
+            h.finalize()
+        };
+        assert_eq!(of(&(1, "x")), of(&(1, "x")));
+        assert_ne!(of(&(1, "x")), of(&(2, "x")));
+        assert_ne!(of(&(1, "x")), of(&(1, "y")));
+        // Varint integers: 0x80 is two bytes, and no sequence of
+        // integers streams the same bytes as another.
+        let ints = |ns: &[u64]| {
+            let mut h = Sha256::new();
+            ns.iter().for_each(|&n| h.write_u64(n));
+            h.finalize()
+        };
+        assert_eq!(ints(&[0x80]), digest(&[0x80, 0x01]));
+        assert_eq!(ints(&[u64::MAX]), {
+            let mut max = [0xff; 10];
+            max[9] = 0x01;
+            digest(&max)
+        });
+        let seqs: [&[u64]; 7] = [
+            &[0],
+            &[127],
+            &[128],
+            &[1, 0],
+            &[0x80, 1],
+            &[0, 0],
+            &[u64::MAX],
+        ];
+        for (i, a) in seqs.iter().enumerate() {
+            for b in &seqs[i + 1..] {
+                assert_ne!(ints(a), ints(b), "{a:?} vs {b:?}");
+            }
         }
     }
 

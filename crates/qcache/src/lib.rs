@@ -8,7 +8,9 @@
 //!   cache key. Stage keys chain Merkle-style: the key of a downstream
 //!   stage hashes the key of its upstream artifact plus its own
 //!   configuration, so editing any input invalidates exactly the
-//!   downstream cone.
+//!   downstream cone. [`Sha256`] is also a [`std::hash::Hasher`], so a
+//!   `#[derive(Hash)]` value can be digested whole — for in-memory keys
+//!   only, since std `Hash` streams are stable only within one build.
 //! * [`store`] — [`Store`], an in-memory, exactly-once map from
 //!   `(stage, key)` to a cached value. The first accessor computes while
 //!   concurrent peers block on a condvar; hit/miss/wait accounting is
