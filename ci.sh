@@ -141,9 +141,9 @@ grep -q "LN0101" "$smoke_dir/parse.stderr"
 
 echo "== determinism + xcheck: lnc --matrix --jobs 4 is byte-identical to --jobs 1"
 # --xcheck doubles as the four-state oracle gate: any interp/xsim
-# mismatch, X bit escaping to an output, or static X-hazard finding makes
-# lnc exit 2 and fails this step. Its telemetry is stripped (timing-free),
-# so the byte-identity diff covers the xcheck.jsonl files too.
+# mismatch or X bit escaping to an output makes lnc exit 2 and fails this
+# step. Its telemetry is stripped (timing-free), so the byte-identity diff
+# covers the xcheck.jsonl files too.
 cargo run -q --release -p longnail --bin lnc -- \
     --matrix --jobs 1 --xcheck --out "$smoke_dir/m1" > "$smoke_dir/m1.stdout"
 cargo run -q --release -p longnail --bin lnc -- \
@@ -154,7 +154,7 @@ diff "$smoke_dir/m1.stdout" "$smoke_dir/m4.stdout"
 # and the 32-cell oracle summary must be fully clean.
 [ "$(find "$smoke_dir/m1" -name trace.jsonl | wc -l)" -eq 32 ]
 [ "$(find "$smoke_dir/m1" -name xcheck.jsonl | wc -l)" -eq 32 ]
-grep -qx "xcheck: 32 cell(s), 0 mismatch(es), 0 X output bit(s), 0 hazard(s)" \
+grep -qx "xcheck: 32 cell(s), 0 mismatch(es), 0 X output bit(s)" \
     "$smoke_dir/m1.stdout"
 
 # The root matrix_summary.json rides inside the diff -r above: the
@@ -219,9 +219,9 @@ grep -q "cell cache: 32 served, 0 compiled" "$smoke_dir/inc_warm.stderr"
 echo "== opt: -O2 matrix is oracle-clean and byte-identical across worker counts"
 # Full 8x4 matrix through the netlist optimizer with the four-state
 # oracle on: every optimized cell must diff clean against the
-# two-valued interpreter (zero mismatches, zero escaped X bits, zero
-# lint hazards), and the optimized artifact tree must be byte-identical
-# for any --jobs value (the fixpoint pass order is deterministic).
+# two-valued interpreter (zero mismatches, zero escaped X bits), and the
+# optimized artifact tree must be byte-identical for any --jobs value
+# (the fixpoint pass order is deterministic).
 cargo run -q --release -p longnail --bin lnc -- \
     --matrix --jobs 1 --opt-level 2 --xcheck --out "$smoke_dir/o2_j1" \
     > "$smoke_dir/o2_j1.stdout"
@@ -230,7 +230,7 @@ cargo run -q --release -p longnail --bin lnc -- \
     > "$smoke_dir/o2_j4.stdout"
 diff -r "$smoke_dir/o2_j1" "$smoke_dir/o2_j4"
 diff "$smoke_dir/o2_j1.stdout" "$smoke_dir/o2_j4.stdout"
-grep -qx "xcheck: 32 cell(s), 0 mismatch(es), 0 X output bit(s), 0 hazard(s)" \
+grep -qx "xcheck: 32 cell(s), 0 mismatch(es), 0 X output bit(s)" \
     "$smoke_dir/o2_j1.stdout"
 
 echo "== opt: a shared cache dir never serves -O0 artifacts to a -O2 run"
@@ -309,9 +309,9 @@ echo "== gate: solver.pivots stays under the 2761 ceiling"
 # the matrix); the ceiling keeps the bound set for the earlier simplex
 # solver (40% of its 6904 cold pivots). A total past it means the solves
 # stopped starting from ASAP.
-pivots=$(sed -n 's/^[[:space:]]*"solver\.pivots": \([0-9][0-9]*\).*/\1/p' BENCH_baseline.json | head -1)
+pivots=$(sed -n 's/^[[:space:]]*"solver\.pivots": \([0-9][0-9]*\).*/\1/p' BENCH_compile.json | head -1)
 if [ -z "$pivots" ]; then
-    echo "error: solver.pivots counter missing from BENCH_baseline.json" >&2
+    echo "error: solver.pivots counter missing from BENCH_compile.json" >&2
     exit 1
 fi
 if [ "$pivots" -gt 2761 ]; then

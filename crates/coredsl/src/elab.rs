@@ -5,7 +5,7 @@
 //! — base-ISA state first, then each extension in inheritance order — and
 //! hands it to [`crate::sema`] for type checking.
 
-use crate::ast::{CoreDef, IsaDef, Stmt};
+use crate::ast::{CoreDef, IsaDef};
 use crate::error::{codes, Diagnostic, Result, Span};
 use crate::parser::parse_all;
 use crate::prelude_src;
@@ -163,21 +163,6 @@ impl Frontend {
         })?;
         self.compile_str(src, unit)
     }
-
-    /// Like [`Frontend::compile_import`], but with full error recovery.
-    pub fn compile_import_all(&self, import_name: &str, unit: &str) -> CompileOutput {
-        match self.sources.get(import_name) {
-            Some(src) => self.compile_str_all(src, unit),
-            None => CompileOutput {
-                module: None,
-                errors: vec![Diagnostic::coded(
-                    codes::ELAB_UNKNOWN_IMPORT,
-                    Span::default(),
-                    format!("no source registered for import {import_name:?}"),
-                )],
-            },
-        }
-    }
 }
 
 /// The set of all parsed definitions reachable from the root file.
@@ -326,9 +311,6 @@ impl World {
                 .always_blocks
                 .extend(core.body.always_blocks.iter().cloned());
             input.functions.extend(core.body.functions.iter().cloned());
-            // Core-body `param = value;` assignments (parsed as bare
-            // assignments) are also accepted as overrides:
-            self.collect_core_param_assignments(core, &mut input);
         } else {
             for def in self.chain(name)? {
                 if seen.insert(def.name.clone()) {
@@ -353,14 +335,6 @@ impl World {
                 .extend(def.body.always_blocks.iter().cloned());
             input.functions.extend(def.body.functions.iter().cloned());
         }
-    }
-
-    fn collect_core_param_assignments(&self, _core: &CoreDef, _input: &mut SemaInput) {
-        // Parameter re-assignment inside core bodies is expressed as state
-        // declarations without storage class, handled in `flatten`. Bare
-        // assignment statements cannot appear at section level in our
-        // grammar, so nothing further to collect.
-        let _ = Stmt::Block(crate::ast::Block::default());
     }
 }
 

@@ -57,66 +57,39 @@ pub enum UpdateKind {
 pub fn eval_graph(graph: &Graph, module: &LilModule, env: &mut dyn LilEnv) -> Vec<StateUpdate> {
     let mut values: Vec<Option<ApInt>> = vec![None; graph.ops.len()];
     let mut updates = Vec::new();
-    let val = |values: &Vec<Option<ApInt>>, v: ValueId| -> ApInt {
-        values[v.0].clone().expect("operand evaluated")
-    };
     for (id, op) in graph.iter() {
-        let pred_ok = match op.pred {
-            None => true,
-            Some(p) => !val(&values, p).is_zero(),
+        let val = |v: ValueId| values[v.0].as_ref().expect("operand evaluated");
+        let pred_ok = op.pred.is_none_or(|p| !val(p).is_zero());
+        let operands: Vec<&ApInt> = op.operands.iter().map(|&v| val(v)).collect();
+        let mut update = |kind: UpdateKind, addr: Option<&ApInt>, value: &ApInt| {
+            if pred_ok {
+                updates.push(StateUpdate {
+                    kind,
+                    addr: addr.cloned(),
+                    value: value.clone(),
+                });
+            }
+            None
         };
-        let operands: Vec<ApInt> = op.operands.iter().map(|&v| val(&values, v)).collect();
         let result = match &op.kind {
             OpKind::InstrWord => Some(env.instr_word()),
             OpKind::ReadRs1 => Some(env.read_rs1()),
             OpKind::ReadRs2 => Some(env.read_rs2()),
             OpKind::ReadPc => Some(env.read_pc()),
             OpKind::ReadMem => Some(if pred_ok {
-                env.read_mem(&operands[0])
+                env.read_mem(operands[0])
             } else {
                 ApInt::zero(32)
             }),
-            OpKind::ReadCustReg(name) => Some(env.read_cust_reg(name, &operands[0])),
-            OpKind::WriteRd => {
-                if pred_ok {
-                    updates.push(StateUpdate {
-                        kind: UpdateKind::Rd,
-                        addr: None,
-                        value: operands[0].clone(),
-                    });
-                }
-                None
-            }
-            OpKind::WritePc => {
-                if pred_ok {
-                    updates.push(StateUpdate {
-                        kind: UpdateKind::Pc,
-                        addr: None,
-                        value: operands[0].clone(),
-                    });
-                }
-                None
-            }
-            OpKind::WriteMem => {
-                if pred_ok {
-                    updates.push(StateUpdate {
-                        kind: UpdateKind::Mem,
-                        addr: Some(operands[0].clone()),
-                        value: operands[1].clone(),
-                    });
-                }
-                None
-            }
-            OpKind::WriteCustReg(name) => {
-                if pred_ok {
-                    updates.push(StateUpdate {
-                        kind: UpdateKind::Cust(name.clone()),
-                        addr: Some(operands[0].clone()),
-                        value: operands[1].clone(),
-                    });
-                }
-                None
-            }
+            OpKind::ReadCustReg(name) => Some(env.read_cust_reg(name, operands[0])),
+            OpKind::WriteRd => update(UpdateKind::Rd, None, operands[0]),
+            OpKind::WritePc => update(UpdateKind::Pc, None, operands[0]),
+            OpKind::WriteMem => update(UpdateKind::Mem, Some(operands[0]), operands[1]),
+            OpKind::WriteCustReg(name) => update(
+                UpdateKind::Cust(name.clone()),
+                Some(operands[0]),
+                operands[1],
+            ),
             OpKind::RomRead(name) => {
                 let rom = module.rom(name).expect("ROM exists");
                 let idx = operands[0].try_to_u64().unwrap_or(u64::MAX) as usize;
@@ -128,54 +101,70 @@ pub fn eval_graph(graph: &Graph, module: &LilModule, env: &mut dyn LilEnv) -> Ve
                 )
             }
             OpKind::Const(c) => Some(c.clone()),
-            OpKind::Add => Some(operands[0].add(&operands[1])),
-            OpKind::Sub => Some(operands[0].sub(&operands[1])),
-            OpKind::Mul => Some(operands[0].mul(&operands[1])),
-            OpKind::DivU => Some(operands[0].udiv(&operands[1])),
-            OpKind::DivS => Some(operands[0].sdiv(&operands[1])),
-            OpKind::RemU => Some(operands[0].urem(&operands[1])),
-            OpKind::RemS => Some(operands[0].srem(&operands[1])),
-            OpKind::And => Some(operands[0].and(&operands[1])),
-            OpKind::Or => Some(operands[0].or(&operands[1])),
-            OpKind::Xor => Some(operands[0].xor(&operands[1])),
-            OpKind::Not => Some(operands[0].not()),
-            OpKind::Shl => Some(operands[0].shl(&operands[1])),
-            OpKind::ShrU => Some(operands[0].lshr(&operands[1])),
-            OpKind::ShrS => Some(operands[0].ashr(&operands[1])),
-            OpKind::Eq => Some(ApInt::from_bool(operands[0] == operands[1])),
-            OpKind::Ne => Some(ApInt::from_bool(operands[0] != operands[1])),
-            OpKind::Ult => Some(ApInt::from_bool(operands[0].ult(&operands[1]))),
-            OpKind::Ule => Some(ApInt::from_bool(operands[0].ule(&operands[1]))),
-            OpKind::Slt => Some(ApInt::from_bool(operands[0].slt(&operands[1]))),
-            OpKind::Sle => Some(ApInt::from_bool(operands[0].sle(&operands[1]))),
-            OpKind::Mux => Some(if operands[0].is_zero() {
-                operands[2].clone()
-            } else {
-                operands[1].clone()
-            }),
-            OpKind::Concat => Some(operands[0].concat(&operands[1])),
-            OpKind::Replicate(n) => Some(operands[0].replicate(*n)),
-            OpKind::ExtractConst { lo } => {
-                let base = &operands[0];
-                let need = lo + op.width;
-                let padded = if base.width() < need {
-                    base.zext(need)
-                } else {
-                    base.clone()
-                };
-                Some(padded.extract(*lo, op.width))
-            }
-            OpKind::ExtractDyn => {
-                Some(operands[0].lshr(&operands[1]).zext_or_trunc(op.width))
-            }
-            OpKind::ZExt => Some(operands[0].zext(op.width)),
-            OpKind::SExt => Some(operands[0].sext(op.width)),
-            OpKind::Trunc => Some(operands[0].trunc(op.width)),
             OpKind::Sink => None,
+            kind => Some(eval_op(kind, &operands, op.width).expect("pure operator")),
         };
         values[id.0] = result;
     }
     updates
+}
+
+/// Evaluates a pure LIL operator on its operand values at result width
+/// `width`. `None` for every operator whose value does not follow from
+/// its operands alone: interface reads and writes, ROM reads, constants
+/// and sinks. The lowering's constant folder and [`eval_graph`] share
+/// it, so a folded constant is exactly what the graph would compute.
+pub fn eval_op(kind: &OpKind, c: &[&ApInt], width: u32) -> Option<ApInt> {
+    Some(match kind {
+        OpKind::Add => c[0].add(c[1]),
+        OpKind::Sub => c[0].sub(c[1]),
+        OpKind::Mul => c[0].mul(c[1]),
+        OpKind::DivU => c[0].udiv(c[1]),
+        OpKind::DivS => c[0].sdiv(c[1]),
+        OpKind::RemU => c[0].urem(c[1]),
+        OpKind::RemS => c[0].srem(c[1]),
+        OpKind::And => c[0].and(c[1]),
+        OpKind::Or => c[0].or(c[1]),
+        OpKind::Xor => c[0].xor(c[1]),
+        OpKind::Not => c[0].not(),
+        OpKind::Shl => c[0].shl(c[1]),
+        OpKind::ShrU => c[0].lshr(c[1]),
+        OpKind::ShrS => c[0].ashr(c[1]),
+        OpKind::Eq => ApInt::from_bool(c[0] == c[1]),
+        OpKind::Ne => ApInt::from_bool(c[0] != c[1]),
+        OpKind::Ult => ApInt::from_bool(c[0].ult(c[1])),
+        OpKind::Ule => ApInt::from_bool(c[0].ule(c[1])),
+        OpKind::Slt => ApInt::from_bool(c[0].slt(c[1])),
+        OpKind::Sle => ApInt::from_bool(c[0].sle(c[1])),
+        OpKind::Mux => {
+            if c[0].is_zero() {
+                c[2].clone()
+            } else {
+                c[1].clone()
+            }
+        }
+        OpKind::Concat => c[0].concat(c[1]),
+        OpKind::Replicate(n) => c[0].replicate(*n),
+        // Bits past the top of the base read zero.
+        OpKind::ExtractConst { lo } => c[0].zext(c[0].width().max(lo + width)).extract(*lo, width),
+        OpKind::ExtractDyn => c[0].lshr(c[1]).zext_or_trunc(width),
+        OpKind::ZExt => c[0].zext(width),
+        OpKind::SExt => c[0].sext(width),
+        OpKind::Trunc => c[0].trunc(width),
+        OpKind::InstrWord
+        | OpKind::ReadRs1
+        | OpKind::ReadRs2
+        | OpKind::ReadPc
+        | OpKind::ReadMem
+        | OpKind::WriteRd
+        | OpKind::WritePc
+        | OpKind::WriteMem
+        | OpKind::ReadCustReg(_)
+        | OpKind::WriteCustReg(_)
+        | OpKind::RomRead(_)
+        | OpKind::Const(_)
+        | OpKind::Sink => return None,
+    })
 }
 
 /// A map-backed [`LilEnv`] for tests.

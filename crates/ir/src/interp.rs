@@ -143,24 +143,6 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Executes one evaluation of the named `always`-block (i.e. the work it
-    /// performs in a single clock cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the block is unknown or its behavior errs.
-    pub fn exec_always(&self, name: &str, state: &mut dyn ArchState) -> Result<()> {
-        let always = self
-            .module
-            .always_blocks
-            .iter()
-            .find(|a| a.name == name)
-            .ok_or_else(|| InterpError {
-                message: format!("unknown always-block `{name}`"),
-            })?;
-        self.exec_always_def(always, state)
-    }
-
     /// Executes one evaluation of a resolved `always`-block.
     ///
     /// # Errors

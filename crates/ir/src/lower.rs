@@ -292,50 +292,7 @@ impl<'a> Ctx<'a> {
             });
         }
         let consts: Option<Vec<&ApInt>> = operands.iter().map(|&v| self.const_of(v)).collect();
-        let c = consts?;
-        Some(match kind {
-            OpKind::Add => c[0].add(c[1]),
-            OpKind::Sub => c[0].sub(c[1]),
-            OpKind::Mul => c[0].mul(c[1]),
-            OpKind::DivU => c[0].udiv(c[1]),
-            OpKind::DivS => c[0].sdiv(c[1]),
-            OpKind::RemU => c[0].urem(c[1]),
-            OpKind::RemS => c[0].srem(c[1]),
-            OpKind::And => c[0].and(c[1]),
-            OpKind::Or => c[0].or(c[1]),
-            OpKind::Xor => c[0].xor(c[1]),
-            OpKind::Not => c[0].not(),
-            OpKind::Shl => c[0].shl(c[1]),
-            OpKind::ShrU => c[0].lshr(c[1]),
-            OpKind::ShrS => c[0].ashr(c[1]),
-            OpKind::Eq => ApInt::from_bool(c[0] == c[1]),
-            OpKind::Ne => ApInt::from_bool(c[0] != c[1]),
-            OpKind::Ult => ApInt::from_bool(c[0].ult(c[1])),
-            OpKind::Ule => ApInt::from_bool(c[0].ule(c[1])),
-            OpKind::Slt => ApInt::from_bool(c[0].slt(c[1])),
-            OpKind::Sle => ApInt::from_bool(c[0].sle(c[1])),
-            OpKind::Mux => {
-                if c[0].is_zero() {
-                    c[2].clone()
-                } else {
-                    c[1].clone()
-                }
-            }
-            OpKind::Concat => c[0].concat(c[1]),
-            OpKind::Replicate(n) => c[0].replicate(*n),
-            OpKind::ExtractConst { lo } => {
-                let padded = c[0].zext(c[0].width().max(lo + width));
-                padded.extract(*lo, width)
-            }
-            OpKind::ExtractDyn => {
-                let shifted = c[0].lshr(c[1]);
-                shifted.zext_or_trunc(width)
-            }
-            OpKind::ZExt => c[0].zext(width),
-            OpKind::SExt => c[0].sext(width),
-            OpKind::Trunc => c[0].trunc(width),
-            _ => return None,
-        })
+        crate::eval::eval_op(kind, &consts?, width)
     }
 
     fn try_simplify(&mut self, kind: &OpKind, operands: &[ValueId], width: u32) -> Option<ValueId> {

@@ -29,11 +29,11 @@
 //! is byte-identical for every --jobs value.
 //!
 //! --xcheck runs the differential X-propagation oracle after compiling:
-//! every generated netlist is re-executed under four-state IEEE-1800
-//! semantics (`rtl::xsim`) against the two-valued interpreter, and the
-//! static X-hazard lint is applied. Any mismatch, X bit escaping to an
-//! output from fully-known stimulus, or hazard finding is an internal
-//! fault (exit 2). In --matrix mode the per-cell checks are fanned across
+//! every generated netlist is re-executed under the four-state IEEE-1800
+//! semantics of the one SystemVerilog dialect the emitter writes
+//! (`rtl::xsim`) against the two-valued interpreter. Any mismatch or X bit
+//! escaping to an output from fully-known stimulus is an internal fault
+//! (exit 2). In --matrix mode the per-cell checks are fanned across
 //! --jobs workers and each cell's xcheck telemetry lands in
 //! --out/<isax>_<core>/xcheck.jsonl.
 //!
@@ -546,13 +546,12 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
                     .map(longnail::xcheck_compiled)
             });
         let mut cells = 0u64;
-        let (mut mism, mut xbits, mut hazards) = (0u64, 0u64, 0u64);
+        let (mut mism, mut xbits) = (0u64, 0u64);
         for (entry, report) in matrix.entries.iter().zip(&reports) {
             let Some(report) = report else { continue };
             cells += 1;
             mism += report.mismatches();
             xbits += report.x_output_bits();
-            hazards += report.lint_findings();
             for p in report.problems() {
                 eprintln!("{}×{}: xcheck: {p}", entry.isax, entry.core);
             }
@@ -566,10 +565,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
                 worst = worst.max(2);
             }
         }
-        println!(
-            "xcheck: {cells} cell(s), {mism} mismatch(es), {xbits} X output bit(s), \
-             {hazards} hazard(s)"
-        );
+        println!("xcheck: {cells} cell(s), {mism} mismatch(es), {xbits} X output bit(s)");
     }
     // --- Matrix observability: aggregation, summary, merged trace ---
     // Disk-served cells contribute their stored stripped trace; compiled

@@ -252,19 +252,13 @@ impl Longnail {
 
     /// The canonical fingerprint of every configuration knob that shapes
     /// emitted artifacts but is *not* part of the datasheet, chaining
-    /// budget, or work limit: the optimization level and the SystemVerilog
-    /// emission options. Folded into [`pipeline::core_config_key`] (so the
-    /// whole backend key cone tracks it) and into the on-disk
-    /// [`pipeline::schema_fingerprint`] — a `-O0` artifact can never be
-    /// served to a `-O2` run from a shared cache directory.
+    /// budget, or work limit: the optimization level. Folded into
+    /// [`pipeline::core_config_key`] (so every backend key tracks it) and
+    /// into the on-disk [`pipeline::schema_fingerprint`] — a `-O0`
+    /// artifact can never be served to a `-O2` run from a shared cache
+    /// directory.
     pub fn config_fingerprint(&self) -> String {
-        let opts = EmitOptions::default();
-        format!(
-            "opt={};guard_division={};bounded_extract_dyn={}",
-            self.opt_level.level(),
-            opts.guard_division,
-            opts.bounded_extract_dyn
-        )
+        format!("opt={}", self.opt_level.level())
     }
 
     /// A sibling compiler configured like `self` but at `level` — used by
@@ -678,19 +672,19 @@ impl Longnail {
         cx: &PipeCtx<'_>,
     ) -> Result<CompiledGraph, FlowError> {
         let is_always = graph.kind == GraphKind::Always;
-        // Stage keys chain Merkle-style from this graph's content digest:
-        // an edit that changes the graph flips every key downstream of it,
-        // and an edit that leaves it unchanged flips none.
-        let problem_key = pipeline::derive("problem", &[graph_digest, &cx.cfg_key]);
-        let solve_key = pipeline::derive("solve", &[&problem_key]);
-        let rtl_key = pipeline::derive("rtl", &[&solve_key]);
+        // Every per-unit stage is a function of this graph and the core
+        // configuration alone, so one key serves all six; the store keeps
+        // each stage's value in its own `(stage, key)` slot. An edit that
+        // changes the graph flips the key, one that leaves it unchanged
+        // flips nothing.
+        let unit_key = pipeline::derive("unit", &[graph_digest, &cx.cfg_key]);
 
         // --- LongnailProblem construction ---
         self.stage_boundary(&lil.name, &datasheet.core, "problem");
         let problem_span = tel.start_span("problem");
         let pval = cx.run(
             "problem",
-            problem_key,
+            unit_key,
             || self.problem_stage(graph, is_always, datasheet),
             |p| (p.op_ids.len() as u64 + 1) * 192,
         );
@@ -718,7 +712,7 @@ impl Longnail {
         let solve_span = tel.start_span("solve");
         let sval = cx.run(
             "solve",
-            solve_key,
+            unit_key,
             || self.solve_stage(&pout, graph),
             |s| (s.schedule.start_time.len() as u64 + 1) * 16,
         );
@@ -732,7 +726,7 @@ impl Longnail {
         let modes_span = tel.start_span("modes");
         let mval = cx.run(
             "modes",
-            pipeline::derive("modes", &[&solve_key]),
+            unit_key,
             || modes_stage(graph, is_always, datasheet, &sout),
             |_| 64,
         );
@@ -746,7 +740,7 @@ impl Longnail {
         let rtl_span = tel.start_span("rtl");
         let rval = cx.run(
             "rtl",
-            rtl_key,
+            unit_key,
             || rtl_stage(graph, lil, datasheet, &sout),
             |b| module_bytes(b),
         );
@@ -761,16 +755,13 @@ impl Longnail {
         // panic-attribution stage and fires planned faults, so chaos plans
         // targeting `opt` behave identically at every level. ---
         self.stage_boundary(&lil.name, &datasheet.core, "opt");
-        // The Verilog chains from whichever module actually feeds it: the
-        // optimized one above -O0, the raw build otherwise.
-        let (built, verilog_key) = if self.opt_level == OptLevel::O0 {
-            (built, pipeline::derive("verilog", &[&rtl_key]))
+        let built = if self.opt_level == OptLevel::O0 {
+            built
         } else {
-            let opt_key = pipeline::derive("opt", &[&rtl_key]);
             let opt_span = tel.start_span("opt");
             let oval = cx.run(
                 "opt",
-                opt_key,
+                unit_key,
                 || opt_stage(&built, self.opt_level),
                 |b| module_bytes(b),
             );
@@ -778,7 +769,7 @@ impl Longnail {
                 .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
             let optimized = oval.outcome?;
             tel.end_span(opt_span);
-            (optimized, pipeline::derive("verilog", &[&opt_key]))
+            optimized
         };
 
         // --- SystemVerilog emission ---
@@ -786,7 +777,7 @@ impl Longnail {
         let verilog_span = tel.start_span("verilog");
         let vval = cx.run(
             "verilog",
-            verilog_key,
+            unit_key,
             || verilog_stage(&built),
             |v| v.len() as u64,
         );
@@ -973,7 +964,6 @@ impl Longnail {
             | OpKind::SExt
             | OpKind::Trunc => 0.0,
             OpKind::Mux | OpKind::Not => 0.2,
-            OpKind::RomRead(_) => UNIFORM_DELAY,
             _ => UNIFORM_DELAY,
         };
         Ok(OperatorType::combinational(&name, delay))
@@ -982,7 +972,7 @@ impl Longnail {
 
 /// Stage-cache context of one cell compilation: the store its backend
 /// stages run through plus the core/options root every backend key
-/// chains from (the other root is the digest of the LIL it compiles).
+/// derives from (the other root is the digest of the LIL it compiles).
 struct PipeCtx<'a> {
     pipe: &'a PipelineCache,
     /// Content-address of the core/options configuration.
@@ -1205,7 +1195,6 @@ const OPT_VERIFY_CYCLES: u32 = 32;
 /// matrix — runs downstream on whatever module this stage emits.)
 fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
-    let opts = EmitOptions::default();
     let fall_back = |mut tape: Tape, why: String| {
         tape.warn(
             "opt",
@@ -1217,7 +1206,7 @@ fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel) -> StageVal<Arc<BuiltMod
             tape,
         }
     };
-    let (module, report) = match optimize(&built.module, level, &opts) {
+    let (module, report) = match optimize(&built.module, level) {
         Ok(out) => out,
         // A structurally invalid rewrite never leaves the pass manager;
         // emit the known-good module instead.
@@ -1235,7 +1224,7 @@ fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel) -> StageVal<Arc<BuiltMod
             )
         })
         .and_then(|()| {
-            verify_equivalent(&built.module, &module, &opts, OPT_VERIFY_CYCLES)
+            verify_equivalent(&built.module, &module, &EmitOptions, OPT_VERIFY_CYCLES)
                 .map_err(|e| format!("optimized netlist failed the lockstep oracle: {e}"))
         });
     if let Err(why) = gate {
@@ -1298,7 +1287,7 @@ fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfi
 
 /// The core-independent half of a compilation: the elaborated typed
 /// module plus its verified LIL lowering, the content digests the backend
-/// keys chain from, and any per-unit diagnostics the lowering raised.
+/// keys derive from, and any per-unit diagnostics the lowering raised.
 /// Produced once per `(source, unit)` pair — the value of the store's
 /// `frontend` slot — and shared across every core the ISAX is compiled
 /// for.
@@ -1672,12 +1661,7 @@ pub fn builtin_datasheet(core: &str) -> Option<VirtualDatasheet> {
     };
     // Target clock period from the base core's achievable frequency
     // (Table 4 base row) — the scheduler's chaining budget derives from it.
-    ds.clock_ns = match core {
-        "ORCA" => 1000.0 / 996.0,
-        "Piccolo" => 1000.0 / 420.0,
-        "PicoRV32" => 1000.0 / 1278.0,
-        _ => 1000.0 / 701.0,
-    };
+    ds.clock_ns = eda::CoreAsicProfile::for_core(core)?.base_period_ns();
     // Custom registers are accessed like the GPR file (§3.2): same window
     // as RdRS1/WrRD, write window unbounded for late commits.
     let rs = ds.entries["RdRS1"];

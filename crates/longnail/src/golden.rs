@@ -58,14 +58,6 @@ impl GoldenMachine {
             .unwrap_or_else(|| ApInt::zero(self.widths.get(name).copied().unwrap_or(32)))
     }
 
-    /// Sets a custom register (test setup).
-    pub fn set_cust_reg(&mut self, name: &str, index: u64, value: ApInt) {
-        self.cust
-            .entry(name.to_string())
-            .or_default()
-            .insert(index, value);
-    }
-
     /// Executes one instruction (plus one evaluation of every
     /// `always`-block).
     ///

@@ -39,4 +39,4 @@ pub use driver::{
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use rtl::opt::OptLevel;
 pub use pipeline::{cell_key, schema_fingerprint, CellBundle, PipelineCache, StageCacheStats};
-pub use xcheck::{xcheck_compiled, xcheck_compiled_with, XCheckOptions, XCheckReport, XCheckUnit};
+pub use xcheck::{xcheck_compiled, XCheckReport, XCheckUnit};

@@ -11,12 +11,8 @@
 //! lil_ctx      = H(module name ‖ ROMs ‖ custom registers)
 //! graph_digest = H(lil_ctx ‖ graph)                  (one per LIL graph)
 //! module_digest = H(lil_ctx ‖ graph_digest…)
-//! problem_key  = H("problem" ‖ graph_digest ‖ cfg_key)
-//! solve_key    = H("solve" ‖ problem_key)
-//! modes_key    = H("modes" ‖ solve_key)
-//! rtl_key      = H("rtl" ‖ solve_key)
-//! opt_key      = H("opt" ‖ rtl_key)                   (above -O0 only)
-//! verilog_key  = H("verilog" ‖ opt_key)               (rtl_key at -O0)
+//! unit_key     = H("unit" ‖ graph_digest ‖ cfg_key)
+//!                keys problem, solve, modes, rtl, opt and verilog alike
 //! config_key   = H("config" ‖ module_digest ‖ cfg_key)
 //! cell_key     = H("cell" ‖ frontend_key ‖ cfg_key)
 //! ```
@@ -145,8 +141,8 @@ pub fn frontend_key(unit: &str, src: &str) -> Digest {
 /// backend: the virtual datasheet (its YAML rendering plus the exact
 /// clock bits, which the YAML omits when unset), the chaining budget,
 /// the solver work limit, and the canonical config fingerprint (opt
-/// level + emission options — [`crate::Longnail::config_fingerprint`]).
-/// Every downstream stage key chains from this one, so flipping
+/// level — [`crate::Longnail::config_fingerprint`]).
+/// Every backend stage key derives from this one, so flipping
 /// `--opt-level` flips the whole backend cone — the historic bug this
 /// guards against served `-O0` artifacts to a `-O2` run from a shared
 /// cache dir.
@@ -202,8 +198,7 @@ pub(crate) fn lil_digests(lil: &LilModule) -> (Vec<Digest>, Digest) {
     (graphs, module)
 }
 
-/// Chains a stage key from its upstream keys, domain-separated by stage
-/// name.
+/// Derives a key from its parts, domain-separated by `stage`.
 pub(crate) fn derive(stage: &str, parts: &[&Digest]) -> Digest {
     let mut h = Sha256::new()
         .chain(b"longnail.stage\0")
@@ -403,18 +398,17 @@ mod tests {
     }
 
     #[test]
-    fn stage_keys_chain() {
+    fn unit_key_covers_the_graph_and_the_config() {
         let ds = crate::driver::builtin_datasheet("ORCA").unwrap();
         let cfg = core_config_key(&ds, 6.0, 1000, "opt=0");
         let graph = digest(b"graph");
-        let p = derive("problem", &[&graph, &cfg]);
-        let s = derive("solve", &[&p]);
-        assert_ne!(p, s, "stage tag separates domains");
-        let p2 = derive("problem", &[&digest(b"edited graph"), &cfg]);
-        assert_ne!(p, p2, "a changed graph invalidates its downstream cone");
+        let unit = derive("unit", &[&graph, &cfg]);
+        assert_eq!(unit, derive("unit", &[&graph, &cfg]));
+        assert_ne!(unit, derive("config", &[&graph, &cfg]), "tag separates domains");
+        let edited = derive("unit", &[&digest(b"edited graph"), &cfg]);
+        assert_ne!(unit, edited, "a changed graph invalidates its unit");
         let cfg2 = core_config_key(&ds, 6.0, 1000, "opt=2");
-        let p3 = derive("problem", &[&graph, &cfg2]);
-        assert_ne!(p, p3, "opt level flips the whole backend cone");
+        assert_ne!(unit, derive("unit", &[&graph, &cfg2]), "opt level flips every unit");
     }
 
     /// A module with one instance of every field the digests must cover.

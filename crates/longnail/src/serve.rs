@@ -328,23 +328,6 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<Stri
     }
 }
 
-/// Escapes a string for embedding in a JSON result line.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One job's outcome, in the lnc exit-code convention.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobResult {
@@ -404,13 +387,18 @@ impl JobResult {
 
     /// The serialized result line (no trailing newline).
     pub fn to_json(&self) -> String {
+        let quoted = |s: &str| {
+            let mut out = String::with_capacity(s.len() + 2);
+            telemetry::json::write_str(&mut out, s);
+            out
+        };
         format!(
-            "{{\"id\": \"{}\", \"status\": \"{}\", \"exit\": {}, \"units\": {}, \"message\": \"{}\"}}",
-            json_escape(&self.id),
+            "{{\"id\": {}, \"status\": \"{}\", \"exit\": {}, \"units\": {}, \"message\": {}}}",
+            quoted(&self.id),
             self.status,
             self.exit,
             self.units,
-            json_escape(&self.message)
+            quoted(&self.message)
         )
     }
 }

@@ -9,46 +9,26 @@
 //!   offending net, cycle, and driver operator),
 //! * **X output bits** — X reaching an output port although every input
 //!   was known (the emitted SystemVerilog would behave unpredictably in
-//!   exactly the situations the interpreter claims are fine),
-//! * **static X hazards** — [`rtl::lint_x_hazards`] findings, the same
-//!   bug class caught without simulation.
+//!   exactly the situations the interpreter claims are fine).
 //!
 //! Oracle protocol: the interpreter ignores the `rst` port (reset happens
 //! through [`rtl::Simulator::reset`]) and starts registers at their init
 //! values; [`rtl::Xsim`] powers up all-X, so [`DiffSim`] applies
 //! [`rtl::Xsim::reset`] before the first cycle — modelling a completed
-//! synchronous reset pulse — and the stimulus then holds `rst` low. With
-//! the default [`EmitOptions`] a clean report is the machine-checked
-//! statement that the emitted SystemVerilog, IEEE-1800 X rules included,
-//! implements exactly the semantics the compiler verified against the
-//! golden model (paper §5.3).
+//! synchronous reset pulse — and the stimulus then holds `rst` low. A
+//! clean report is the machine-checked statement that the emitted
+//! SystemVerilog, IEEE-1800 X rules included, implements exactly the
+//! semantics the compiler verified against the golden model (paper §5.3).
 
 use crate::driver::CompiledIsax;
 use bits::ApInt;
 use rtl::xsim::DiffSim;
-use rtl::{lint_x_hazards, EmitOptions, IfaceSignal, PortDir};
+use rtl::{IfaceSignal, PortDir};
 use std::collections::HashMap;
 use telemetry::{metrics, Telemetry, Trace};
 
-/// Tunables for one differential check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XCheckOptions {
-    /// Cycles of stimulus per unit.
-    pub cycles: u64,
-    /// Emission semantics the four-state side models (and the static
-    /// hazard lint checks). Use the default unless reproducing a
-    /// deliberately broken emitter.
-    pub emit: EmitOptions,
-}
-
-impl Default for XCheckOptions {
-    fn default() -> Self {
-        XCheckOptions {
-            cycles: 32,
-            emit: EmitOptions::default(),
-        }
-    }
-}
+/// Cycles of stimulus per unit.
+const CYCLES: u64 = 32;
 
 /// Differential result for one compiled unit.
 #[derive(Debug, Clone)]
@@ -63,14 +43,12 @@ pub struct XCheckUnit {
     /// X bits that reached output ports under fully-known inputs, summed
     /// over all checked cycles.
     pub x_output_bits: u64,
-    /// Static X-hazard findings for this unit's netlist.
-    pub lint_findings: Vec<String>,
 }
 
 impl XCheckUnit {
     /// True when the unit survived with no signal of any kind.
     pub fn is_clean(&self) -> bool {
-        self.mismatches.is_empty() && self.x_output_bits == 0 && self.lint_findings.is_empty()
+        self.mismatches.is_empty() && self.x_output_bits == 0
     }
 }
 
@@ -103,21 +81,15 @@ impl XCheckReport {
         self.units.iter().map(|u| u.x_output_bits).sum()
     }
 
-    /// Total static hazard findings.
-    pub fn lint_findings(&self) -> u64 {
-        self.units.iter().map(|u| u.lint_findings.len() as u64).sum()
-    }
-
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "xcheck {}@{}: {} unit(s), {} mismatch(es), {} X output bit(s), {} hazard(s)",
+            "xcheck {}@{}: {} unit(s), {} mismatch(es), {} X output bit(s)",
             self.isax,
             self.core,
             self.units.len(),
             self.mismatches(),
-            self.x_output_bits(),
-            self.lint_findings()
+            self.x_output_bits()
         )
     }
 
@@ -133,9 +105,6 @@ impl XCheckReport {
                     "{}: {} X bit(s) reached outputs from known inputs",
                     u.unit, u.x_output_bits
                 ));
-            }
-            for l in &u.lint_findings {
-                out.push(format!("{}: X hazard: {l}", u.unit));
             }
         }
         out
@@ -165,13 +134,8 @@ fn apint(v: u64, width: u32) -> ApInt {
     ApInt::from_u64(v, 64).zext_or_trunc(width)
 }
 
-/// Runs the differential check over every unit of `isax` with defaults.
+/// Runs the differential check over every unit of `isax`.
 pub fn xcheck_compiled(isax: &CompiledIsax) -> XCheckReport {
-    xcheck_compiled_with(isax, &XCheckOptions::default())
-}
-
-/// Runs the differential check over every unit of `isax` under `opts`.
-pub fn xcheck_compiled_with(isax: &CompiledIsax, opts: &XCheckOptions) -> XCheckReport {
     let mut tel = Telemetry::new();
     let root = tel.start_span("xcheck");
     tel.attr(root, "isax", &isax.name);
@@ -179,16 +143,11 @@ pub fn xcheck_compiled_with(isax: &CompiledIsax, opts: &XCheckOptions) -> XCheck
     let mut units = Vec::new();
     for g in &isax.graphs {
         let span = tel.start_unit_span("xcheck_unit", Some(&g.name));
-        let lint_findings: Vec<String> = lint_x_hazards(&g.built.module, &opts.emit)
-            .into_iter()
-            .map(|i| i.to_string())
-            .collect();
-
-        let mut diff = DiffSim::with_options(g.built.module.clone(), opts.emit);
+        let mut diff = DiffSim::new(g.built.module.clone());
         let mut mismatches = Vec::new();
         let mut x_output_bits = 0u64;
         let mut cycles = 0u64;
-        for t in 0..opts.cycles {
+        for t in 0..CYCLES {
             let inputs = stimulus(g, t);
             match diff.step(&inputs) {
                 Ok(stats) => x_output_bits += stats.output_x_bits,
@@ -204,19 +163,16 @@ pub fn xcheck_compiled_with(isax: &CompiledIsax, opts: &XCheckOptions) -> XCheck
         tel.counter(span, metrics::XCHECK_CYCLES, cycles);
         tel.counter(span, metrics::XCHECK_MISMATCHES, mismatches.len() as u64);
         tel.counter(span, metrics::XCHECK_X_OUTPUT_BITS, x_output_bits);
-        tel.counter(span, metrics::XCHECK_LINT_FINDINGS, lint_findings.len() as u64);
         tel.end_span(span);
         units.push(XCheckUnit {
             unit: g.name.clone(),
             cycles,
             mismatches,
             x_output_bits,
-            lint_findings,
         });
     }
     tel.counter(root, metrics::XCHECK_MISMATCHES, units.iter().map(|u| u.mismatches.len() as u64).sum());
     tel.counter(root, metrics::XCHECK_X_OUTPUT_BITS, units.iter().map(|u| u.x_output_bits).sum());
-    tel.counter(root, metrics::XCHECK_LINT_FINDINGS, units.iter().map(|u| u.lint_findings.len() as u64).sum());
     tel.end_span(root);
     XCheckReport {
         isax: isax.name.clone(),

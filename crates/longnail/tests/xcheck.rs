@@ -1,13 +1,9 @@
 //! Differential X-propagation oracle tests: the full evaluation matrix is
-//! clean, and a deliberately reintroduced unguarded division is caught by
-//! both the static lint and the dynamic oracle.
+//! clean, and the SystemVerilog emitted for division and dynamic
+//! part-selects carries its X-safe forms on every core at -O0 and -O2.
 
-use longnail::driver::{builtin_datasheet, eval_datasheets};
-use longnail::{
-    isax_lib, matrix_cells, xcheck_compiled, xcheck_compiled_with, Longnail, PipelineCache,
-    XCheckOptions,
-};
-use rtl::EmitOptions;
+use longnail::driver::{builtin_datasheet, eval_datasheets, EVAL_CORES};
+use longnail::{isax_lib, matrix_cells, xcheck_compiled, Longnail, OptLevel, PipelineCache};
 
 #[test]
 fn full_evaluation_matrix_is_xcheck_clean() {
@@ -34,10 +30,13 @@ fn full_evaluation_matrix_is_xcheck_clean() {
     assert_eq!(cells, 32, "all 8 ISAXes x 4 cores must compile");
 }
 
-/// An ISAX exercising every division flavor, for the regression below.
-const DIVIDER: &str = r#"
+/// An ISAX exercising both division flavors and a dynamic single-bit
+/// select (which lowers to `ExtractDyn`): the constructs whose bare
+/// SystemVerilog forms (`a / b`, `a % b`, `a[b +: w]`) read X from known
+/// inputs.
+const XSAFE: &str = r#"
 import "RV32I.core_desc";
-InstructionSet X_DIV extends RV32I {
+InstructionSet X_XSAFE extends RV32I {
   instructions {
     xdivu {
       encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd0 :: rd[4:0] :: 7'b1011011;
@@ -47,51 +46,67 @@ InstructionSet X_DIV extends RV32I {
         X[rd] = q ^ r;
       }
     }
+    xbitsel {
+      encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd1 :: rd[4:0] :: 7'b1011011;
+      behavior: {
+        unsigned<1> b = X[rs1][X[rs2]];
+        X[rd] = b;
+      }
+    }
   }
 }
 "#;
 
+/// Whether `line` carries the zero-divisor guard `(<divisor> == N'd0) ?`.
+fn guarded(line: &str) -> bool {
+    line.split(" == ").skip(1).any(|rest| {
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        digits > 0 && rest[digits..].starts_with("'d0) ?")
+    })
+}
+
 #[test]
-fn reintroduced_unguarded_division_is_caught_by_lint_and_oracle() {
-    let ln = Longnail::new();
-    let ds = builtin_datasheet("ORCA").unwrap();
-    let compiled = ln.compile(DIVIDER, "X_DIV", &ds).unwrap();
-    assert!(
-        compiled
-            .graphs
-            .iter()
-            .any(|g| g.verilog.contains("== 32'd0) ?")),
-        "emitted SystemVerilog must carry the zero-divisor guard"
-    );
-
-    // With the (default) guarded emission the unit is clean: the guard
-    // makes `/`/`%` total with exactly the interpreter's convention.
-    let report = xcheck_compiled(&compiled);
-    assert!(report.is_clean(), "{}", report.problems().join("\n"));
-
-    // Simulate an emitter regression that drops the guard: the static
-    // lint flags every unguarded DivU/RemU, and the dynamic oracle sees X
-    // manufactured from fully-known inputs escape to the outputs on the
-    // zero-divisor stimulus cycles.
-    let raw = XCheckOptions {
-        emit: EmitOptions {
-            guard_division: false,
-            ..EmitOptions::default()
-        },
-        ..XCheckOptions::default()
-    };
-    let report = xcheck_compiled_with(&compiled, &raw);
-    assert!(!report.is_clean());
-    assert!(
-        report.lint_findings() >= 2,
-        "expected DivU and RemU hazards, got {}",
-        report.problems().join("\n")
-    );
-    assert!(
-        report.x_output_bits() > 0,
-        "oracle must observe X escaping to outputs: {}",
-        report.summary()
-    );
-    // X-pessimism never fabricates a value disagreement.
-    assert_eq!(report.mismatches(), 0, "{}", report.problems().join("\n"));
+fn division_and_dynamic_select_emit_only_x_safe_forms_on_every_core() {
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let mut ln = Longnail::new();
+        ln.opt_level = level;
+        for core in EVAL_CORES {
+            let cell = format!("{core} at -O{}", level.level());
+            let ds = builtin_datasheet(core).unwrap();
+            let compiled = ln.compile(XSAFE, "X_XSAFE", &ds).unwrap();
+            let lines: Vec<&str> = compiled
+                .graphs
+                .iter()
+                .flat_map(|g| g.verilog.lines())
+                .collect();
+            let divisions: Vec<&str> = lines
+                .iter()
+                .copied()
+                .filter(|l| l.contains(" / ") || l.contains(" % "))
+                .collect();
+            assert!(
+                divisions.len() >= 2,
+                "{cell}: expected `/` and `%`: {lines:#?}"
+            );
+            for l in &divisions {
+                assert!(guarded(l), "{cell}: division without its zero guard: {l}");
+            }
+            assert!(
+                lines.iter().any(|l| l.contains("'(") && l.contains(" >> ")),
+                "{cell}: dynamic select is not the bounded shift: {lines:#?}"
+            );
+            assert!(
+                lines.iter().all(|l| !l.contains("+:")),
+                "{cell}: indexed part-select emitted: {lines:#?}"
+            );
+            // The guard and the shift make both constructs total with
+            // exactly the interpreter's convention.
+            let report = xcheck_compiled(&compiled);
+            assert!(
+                report.is_clean(),
+                "{cell}: {}",
+                report.problems().join("\n")
+            );
+        }
+    }
 }

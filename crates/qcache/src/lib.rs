@@ -5,10 +5,10 @@
 //! This crate provides the three pieces that make those queries cacheable:
 //!
 //! * [`hash`] — a dependency-free SHA-256 ([`Digest`]) used for every
-//!   cache key. Stage keys chain Merkle-style: the key of a downstream
-//!   stage hashes the key of its upstream artifact plus its own
-//!   configuration, so editing any input invalidates exactly the
-//!   downstream cone. [`Sha256`] is also a [`std::hash::Hasher`], so a
+//!   cache key. A key hashes exactly the inputs its stage consumes (the
+//!   driver keys every per-unit stage on one digest of the unit's graph
+//!   and configuration), so editing an input invalidates exactly the
+//!   values computed from it. [`Sha256`] is also a [`std::hash::Hasher`], so a
 //!   `#[derive(Hash)]` value can be digested whole — for in-memory keys
 //!   only, since std `Hash` streams are stable only within one build.
 //! * [`store`] — [`Store`], an in-memory, exactly-once map from

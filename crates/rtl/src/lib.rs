@@ -31,8 +31,7 @@ pub mod xsim;
 
 pub use build::{build_graph_module, BuiltModule, IfaceSignal, PortBinding};
 pub use interp::Simulator;
-pub use lint::{lint_module, lint_x_hazards, LintIssue};
+pub use lint::{lint_module, LintIssue};
 pub use netlist::{CombOp, Driver, Module, Net, NetId, Port, PortDir};
 pub use opt::{optimize, run_pass, verify_equivalent, OptLevel, OptReport, Pass};
-pub use verilog::{emit_verilog_with, EmitOptions};
 pub use xsim::{DiffCycle, DiffMismatch, DiffSim, XVal, Xsim};

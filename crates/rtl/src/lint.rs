@@ -487,81 +487,6 @@ pub fn comb_depth(module: &Module) -> u32 {
     worst
 }
 
-/// Static X-hazard pass: flags nets whose emitted SystemVerilog can yield
-/// X bits even when every input is fully known. With the default
-/// [`EmitOptions`] the emitter produces none of these forms, so a finding
-/// here means either the options were weakened or a new emission pattern
-/// regressed — the same bug class the dynamic oracle in [`crate::xsim`]
-/// catches, caught before simulation.
-///
-/// Rules:
-/// * `DivU`/`DivS`/`RemU`/`RemS` without the zero-divisor guard — bare
-///   `/`/`%` X-propagates on a zero divisor (IEEE 1800-2017 §11.4.3).
-/// * `ExtractDyn` in the raw `base[off +: w]` form whose offset can push
-///   the select past the top of the base — out-of-range indexed
-///   part-selects read X (§11.5.1). An offset too narrow to ever overrun
-///   is fine even in the raw form.
-///
-/// [`EmitOptions`]: crate::verilog::EmitOptions
-pub fn lint_x_hazards(
-    module: &Module,
-    opts: &crate::verilog::EmitOptions,
-) -> Vec<LintIssue> {
-    let mut issues = Vec::new();
-    for (i, net) in module.nets.iter().enumerate() {
-        let Driver::Comb { op, args, .. } = &net.driver else {
-            continue;
-        };
-        match op {
-            CombOp::DivU | CombOp::DivS | CombOp::RemU | CombOp::RemS
-                if !opts.guard_division =>
-            {
-                issues.push(LintIssue {
-                    net: Some(i),
-                    message: format!(
-                        "{op:?} emitted without a zero-divisor guard can \
-                         produce X from known inputs"
-                    ),
-                });
-            }
-            CombOp::ExtractDyn => {
-                if opts.bounded_extract_dyn {
-                    continue;
-                }
-                let Some(base) = args.first().and_then(|a| module.nets.get(a.0)) else {
-                    continue; // shape errors are lint_module's job
-                };
-                let Some(off) = args.get(1).and_then(|a| module.nets.get(a.0)) else {
-                    continue;
-                };
-                // Max reach of `off + width` vs the base width: an
-                // `ow`-bit offset can reach 2^ow - 1.
-                let max_off = if off.width >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << off.width) - 1
-                };
-                let can_overrun = max_off
-                    .checked_add(u64::from(net.width))
-                    .map(|reach| reach > u64::from(base.width))
-                    .unwrap_or(true);
-                if can_overrun {
-                    issues.push(LintIssue {
-                        net: Some(i),
-                        message: format!(
-                            "ExtractDyn emitted as `[off +: {}]` can select past \
-                             its {}-bit base and read X",
-                            net.width, base.width
-                        ),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    issues
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -784,88 +709,6 @@ mod tests {
                 "{op:?}: {issues:?}"
             );
         }
-    }
-
-    #[test]
-    fn x_hazard_pass_flags_unguarded_division_and_raw_dynamic_extract() {
-        use crate::verilog::EmitOptions;
-        let (mut m, na, nb, o) = two_input_module();
-        let q = m.add_net(
-            Driver::Comb {
-                op: CombOp::DivU,
-                args: vec![na, nb],
-                lo: 0,
-            },
-            8,
-            "q",
-        );
-        let off = m.add_net(Driver::Const(ApInt::from_u64(5, 3)), 3, "off");
-        let ex = m.add_net(
-            Driver::Comb {
-                op: CombOp::ExtractDyn,
-                args: vec![q, off],
-                lo: 0,
-            },
-            4,
-            "ex",
-        );
-        let pad = m.add_net(
-            Driver::Comb {
-                op: CombOp::ZExt,
-                args: vec![ex],
-                lo: 0,
-            },
-            8,
-            "pad",
-        );
-        m.connect_output(o, pad);
-        lint_module(&m).unwrap();
-
-        // Default emission guards both patterns: clean.
-        assert!(lint_x_hazards(&m, &EmitOptions::default()).is_empty());
-
-        // Raw emission of both: one finding each.
-        let raw = EmitOptions {
-            guard_division: false,
-            bounded_extract_dyn: false,
-        };
-        let issues = lint_x_hazards(&m, &raw);
-        assert_eq!(issues.len(), 2, "{issues:?}");
-        assert!(issues
-            .iter()
-            .any(|i| i.net == Some(q.0) && i.message.contains("zero-divisor guard")));
-        assert!(issues
-            .iter()
-            .any(|i| i.net == Some(ex.0) && i.message.contains("select past")));
-
-        // A raw dynamic extract whose 1-bit offset cannot overrun an
-        // 8-bit base is not a hazard: max reach 1 + 4 <= 8.
-        let (mut m2, na2, _nb2, o2) = two_input_module();
-        let bit = m2.add_net(Driver::Const(ApInt::from_u64(1, 1)), 1, "bit");
-        let ex2 = m2.add_net(
-            Driver::Comb {
-                op: CombOp::ExtractDyn,
-                args: vec![na2, bit],
-                lo: 0,
-            },
-            4,
-            "ex2",
-        );
-        let pad2 = m2.add_net(
-            Driver::Comb {
-                op: CombOp::ZExt,
-                args: vec![ex2],
-                lo: 0,
-            },
-            8,
-            "pad2",
-        );
-        m2.connect_output(o2, pad2);
-        let raw_extract_only = EmitOptions {
-            bounded_extract_dyn: false,
-            ..EmitOptions::default()
-        };
-        assert!(lint_x_hazards(&m2, &raw_extract_only).is_empty());
     }
 
     #[test]

@@ -149,15 +149,17 @@ impl Pass {
 /// # Errors
 ///
 /// If the pass produces a structurally invalid netlist (an optimizer bug).
-pub fn run_pass(module: &Module, pass: Pass, opts: &EmitOptions) -> Result<(Module, u64), String> {
+///
+/// The [`EmitOptions`] marker is accepted and ignored.
+pub fn run_pass(module: &Module, pass: Pass, _: &EmitOptions) -> Result<(Module, u64), String> {
     let mut m = module.clone();
-    let count = apply(&mut m, pass, opts)?;
+    let count = apply(&mut m, pass)?;
     Ok((m, count))
 }
 
 /// Runs `pass` once over `m` in place, re-validates the result, and
 /// returns the pass's rewrite count.
-fn apply(m: &mut Module, pass: Pass, opts: &EmitOptions) -> Result<u64, String> {
+fn apply(m: &mut Module, pass: Pass) -> Result<u64, String> {
     let rebuilt = |m: &mut Module, out: Option<(Module, u64)>| match out {
         Some((rewritten, count)) => {
             *m = rewritten;
@@ -170,7 +172,7 @@ fn apply(m: &mut Module, pass: Pass, opts: &EmitOptions) -> Result<u64, String> 
         Pass::Cse => cse::run(m),
         Pass::Mux => mux::run(m),
         Pass::Strength => rebuilt(m, strength::run(m)),
-        Pass::Narrow => rebuilt(m, narrow::run(m, opts)),
+        Pass::Narrow => rebuilt(m, narrow::run(m)),
         Pass::Dce => dce(m),
     };
     check(m, pass.name())?;
@@ -182,19 +184,13 @@ fn apply(m: &mut Module, pass: Pass, opts: &EmitOptions) -> Result<u64, String> 
 /// ever bites.
 const MAX_ITERATIONS: u32 = 8;
 
-/// Optimizes `module` at `level`. `opts` selects the emission semantics
-/// the four-state analyses model (the same options the module will be
-/// emitted with).
+/// Optimizes `module` at `level`.
 ///
 /// # Errors
 ///
 /// If a pass produces a structurally invalid netlist — an optimizer bug,
 /// reported so the caller can fall back to the unoptimized module.
-pub fn optimize(
-    module: &Module,
-    level: OptLevel,
-    opts: &EmitOptions,
-) -> Result<(Module, OptReport), String> {
+pub fn optimize(module: &Module, level: OptLevel) -> Result<(Module, OptReport), String> {
     let mut report = OptReport {
         nets_before: module.nets.len(),
         nets_after: module.nets.len(),
@@ -210,7 +206,7 @@ pub fn optimize(
             if pass == Pass::Narrow && level < OptLevel::O2 {
                 continue;
             }
-            let count = apply(&mut m, pass, opts)?;
+            let count = apply(&mut m, pass)?;
             report.record(pass.name(), count);
             // DCE only sweeps what the other passes orphaned, so its
             // removals do not keep the fixpoint going.
@@ -424,16 +420,18 @@ fn rand_apint(state: &mut u64, width: u32) -> ApInt {
 /// # Errors
 ///
 /// A description of the first divergence.
+///
+/// The [`EmitOptions`] marker is accepted and ignored.
 pub fn verify_equivalent(
     original: &Module,
     optimized: &Module,
-    opts: &EmitOptions,
+    _: &EmitOptions,
     cycles: u32,
 ) -> Result<(), String> {
     let mut interp_a = Simulator::new(original.clone());
     let mut interp_b = Simulator::new(optimized.clone());
-    let mut xsim_a = Xsim::with_options(original.clone(), *opts);
-    let mut xsim_b = Xsim::with_options(optimized.clone(), *opts);
+    let mut xsim_a = Xsim::new(original.clone());
+    let mut xsim_b = Xsim::new(optimized.clone());
     xsim_a.reset();
     xsim_b.reset();
     let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
@@ -589,7 +587,7 @@ mod tests {
     #[test]
     fn o0_is_identity() {
         let m = sample_module();
-        let (out, report) = optimize(&m, OptLevel::O0, &EmitOptions::default()).unwrap();
+        let (out, report) = optimize(&m, OptLevel::O0).unwrap();
         assert_eq!(out.nets.len(), m.nets.len());
         assert_eq!(report.total(), 0);
         assert_eq!(report.iterations, 0);
@@ -599,7 +597,7 @@ mod tests {
     fn fixpoint_collapses_the_sample_and_stays_equivalent() {
         let m = sample_module();
         for level in [OptLevel::O1, OptLevel::O2] {
-            let (out, report) = optimize(&m, level, &EmitOptions::default()).unwrap();
+            let (out, report) = optimize(&m, level).unwrap();
             out.validate().unwrap();
             lint_module(&out).unwrap();
             assert!(report.total() > 0, "{level:?}: {report:?}");
@@ -620,15 +618,15 @@ mod tests {
                 )),
                 "{level:?} kept the multiply"
             );
-            verify_equivalent(&m, &out, &EmitOptions::default(), 32).unwrap();
+            verify_equivalent(&m, &out, &EmitOptions, 32).unwrap();
         }
     }
 
     #[test]
     fn counters_are_deterministic() {
         let m = sample_module();
-        let (_, r1) = optimize(&m, OptLevel::O2, &EmitOptions::default()).unwrap();
-        let (_, r2) = optimize(&m, OptLevel::O2, &EmitOptions::default()).unwrap();
+        let (_, r1) = optimize(&m, OptLevel::O2).unwrap();
+        let (_, r2) = optimize(&m, OptLevel::O2).unwrap();
         assert_eq!(r1, r2);
     }
 
@@ -644,7 +642,7 @@ mod tests {
                 }
             }
         }
-        let err = verify_equivalent(&m, &broken, &EmitOptions::default(), 32).unwrap_err();
+        let err = verify_equivalent(&m, &broken, &EmitOptions, 32).unwrap_err();
         assert!(err.contains("diverged") || err.contains("lost known bits"), "{err}");
     }
 
@@ -677,9 +675,7 @@ mod tests {
         let original = three_output_module(CombOp::Add);
         let broken = three_output_module(CombOp::Sub);
         let messages: std::collections::BTreeSet<String> = (0..32)
-            .map(|_| {
-                verify_equivalent(&original, &broken, &EmitOptions::default(), 32).unwrap_err()
-            })
+            .map(|_| verify_equivalent(&original, &broken, &EmitOptions, 32).unwrap_err())
             .collect();
         assert_eq!(messages.len(), 1, "{messages:?}");
         let message = messages.first().unwrap();

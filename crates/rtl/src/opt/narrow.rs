@@ -24,12 +24,11 @@
 
 use super::as_const;
 use crate::netlist::{CombOp, Driver, Module, Net, NetId};
-use crate::verilog::EmitOptions;
 use crate::xsim::{eval_comb, XVal};
 use bits::ApInt;
 
 /// Abstract per-net values: all-X at the boundary, exact everywhere else.
-fn abstract_eval(m: &Module, opts: &EmitOptions) -> Vec<XVal> {
+fn abstract_eval(m: &Module) -> Vec<XVal> {
     let mut vals: Vec<XVal> = Vec::with_capacity(m.nets.len());
     for net in &m.nets {
         let v = match &net.driver {
@@ -50,9 +49,7 @@ fn abstract_eval(m: &Module, opts: &EmitOptions) -> Vec<XVal> {
                     None => XVal::all_x(net.width),
                 }
             }
-            Driver::Comb { op, args, lo } => {
-                eval_comb(*op, |k| &vals[args[k].0], *lo, net.width, opts)
-            }
+            Driver::Comb { op, args, lo } => eval_comb(*op, |k| &vals[args[k].0], *lo, net.width),
         };
         vals.push(v);
     }
@@ -119,13 +116,13 @@ fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
     }
 }
 
-pub(super) fn run(m: &Module, opts: &EmitOptions) -> Option<(Module, u64)> {
+pub(super) fn run(m: &Module) -> Option<(Module, u64)> {
     // The abstract evaluation (and the rewrites) assume lint-clean width
     // discipline; bail out rather than evaluate a malformed module.
     if crate::lint::lint_module(m).is_err() {
         return None;
     }
-    let vals = abstract_eval(m, opts);
+    let vals = abstract_eval(m);
     let rewrites: Vec<Option<Rewrite>> = (0..m.nets.len())
         .map(|i| {
             analyze(m, &vals, i).filter(|r| {
@@ -229,7 +226,7 @@ mod tests {
     fn wide_ops_on_narrow_data_shrink() {
         for (op, expect) in [(CombOp::Add, 9), (CombOp::Mul, 16), (CombOp::Xor, 8)] {
             let m = wide_module(op);
-            let (narrowed, count) = run(&m, &EmitOptions::default()).unwrap();
+            let (narrowed, count) = run(&m).unwrap();
             assert_eq!(count, 1, "{op:?}");
             narrowed.validate().unwrap();
             crate::lint::lint_module(&narrowed).unwrap();
@@ -239,7 +236,7 @@ mod tests {
                 .find(|n| matches!(&n.driver, Driver::Comb { op: x, .. } if *x == op))
                 .unwrap_or_else(|| panic!("{op:?} missing"));
             assert_eq!(found.width, expect, "{op:?}");
-            super::super::verify_equivalent(&m, &narrowed, &EmitOptions::default(), 24).unwrap();
+            super::super::verify_equivalent(&m, &narrowed, &Default::default(), 24).unwrap();
         }
     }
 
@@ -253,7 +250,7 @@ mod tests {
         let zero = m.add_net(Driver::Const(ApInt::zero(8)), 8, "z");
         let and = m.add_net(comb(CombOp::And, vec![na, zero], 0), 8, "and");
         m.connect_output(o, and);
-        let (narrowed, count) = run(&m, &EmitOptions::default()).unwrap();
+        let (narrowed, count) = run(&m).unwrap();
         assert_eq!(count, 1);
         assert_eq!(
             narrowed.nets[and.0].driver,
@@ -271,7 +268,7 @@ mod tests {
         let pad = m.add_net(comb(CombOp::ZExt, vec![na], 0), 12, "pad");
         let sx = m.add_net(comb(CombOp::SExt, vec![pad], 0), 16, "sx");
         m.connect_output(o, sx);
-        let (narrowed, _) = run(&m, &EmitOptions::default()).unwrap();
+        let (narrowed, _) = run(&m).unwrap();
         assert!(
             matches!(
                 &narrowed.nets[sx.0].driver,
@@ -280,7 +277,7 @@ mod tests {
             "{:?}",
             narrowed.nets[sx.0].driver
         );
-        super::super::verify_equivalent(&m, &narrowed, &EmitOptions::default(), 24).unwrap();
+        super::super::verify_equivalent(&m, &narrowed, &Default::default(), 24).unwrap();
     }
 
     #[test]
@@ -293,6 +290,6 @@ mod tests {
         let nb = m.add_net(Driver::Input { port: b }, 8, "b");
         let x = m.add_net(comb(CombOp::Xor, vec![na, nb], 0), 8, "x");
         m.connect_output(o, x);
-        assert!(run(&m, &EmitOptions::default()).is_none());
+        assert!(run(&m).is_none());
     }
 }

@@ -9,8 +9,7 @@
 //! part-selects, ambiguous mux selects, and un-reset registers all produce
 //! X. [`Xsim`] models that second world: every net carries a value/known
 //! bit-pair over [`ApInt`], and every [`CombOp`] is evaluated with the
-//! semantics of the expression [`crate::verilog`] emits for it (as selected
-//! by [`EmitOptions`]).
+//! semantics of the expression [`crate::verilog`] emits for it.
 //!
 //! [`DiffSim`] drives both simulators in lockstep over the same stimulus
 //! and fails on the first cycle where a *fully-known* four-state net
@@ -22,7 +21,6 @@
 
 use crate::interp::Simulator;
 use crate::netlist::{CombOp, Driver, Module};
-use crate::verilog::EmitOptions;
 use bits::ApInt;
 use std::collections::HashMap;
 use std::fmt;
@@ -98,13 +96,14 @@ impl XVal {
     /// Bits `[lo + width - 1 : lo]` as a `width`-bit value, with every bit
     /// past the top X: both planes shift down and the vacated known bits
     /// read zero.
-    fn window(&self, lo: u64, width: u32) -> XVal {
-        match u32::try_from(lo) {
-            Ok(lo) if lo < self.width() => XVal {
+    fn window(&self, lo: u32, width: u32) -> XVal {
+        if lo < self.width() {
+            XVal {
                 value: self.value.lshr_bits(lo).zext_or_trunc(width),
                 known: self.known.lshr_bits(lo).zext_or_trunc(width),
-            },
-            _ => XVal::all_x(width),
+            }
+        } else {
+            XVal::all_x(width)
         }
     }
 
@@ -148,7 +147,6 @@ impl fmt::Display for XVal {
 #[derive(Debug, Clone)]
 pub struct Xsim {
     module: Module,
-    opts: EmitOptions,
     /// Register state (indexed by net id; `None` for non-regs).
     regs: Vec<Option<XVal>>,
     /// Net values from the most recent evaluation.
@@ -156,15 +154,9 @@ pub struct Xsim {
 }
 
 impl Xsim {
-    /// Creates a simulator with the default (X-safe) emission semantics
-    /// and all registers at X.
-    pub fn new(module: Module) -> Self {
-        Self::with_options(module, EmitOptions::default())
-    }
-
     /// Creates a simulator modelling the SystemVerilog that
-    /// [`crate::verilog::emit_verilog_with`] produces under `opts`.
-    pub fn with_options(module: Module, opts: EmitOptions) -> Self {
+    /// [`crate::verilog::emit_verilog`] produces, with all registers at X.
+    pub fn new(module: Module) -> Self {
         let regs = module
             .nets
             .iter()
@@ -176,7 +168,6 @@ impl Xsim {
         let values = module.nets.iter().map(|n| XVal::all_x(n.width)).collect();
         Xsim {
             module,
-            opts,
             regs,
             values,
         }
@@ -260,7 +251,7 @@ impl Xsim {
                 }
                 Driver::Comb { op, args, lo } => {
                     let a = |k: usize| &self.values[args[k].0];
-                    eval_comb(*op, a, *lo, width, &self.opts)
+                    eval_comb(*op, a, *lo, width)
                 }
             };
             debug_assert_eq!(value.width(), width, "net {i} width mismatch");
@@ -321,31 +312,17 @@ pub(crate) fn eval_comb<'a>(
     a: impl Fn(usize) -> &'a XVal,
     lo: u32,
     width: u32,
-    opts: &EmitOptions,
 ) -> XVal {
     // Arithmetic (and other whole-word) operators: any X in any operand
-    // X-poisons the entire result, per the LRM.
+    // X-poisons the entire result, per the LRM. This covers `/` and `%`,
+    // whose zero-divisor guard makes them total under the ApInt (RISC-V)
+    // convention, and the dynamic part-select, emitted as a zero-filled
+    // shift.
     let lift2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> ApInt| match (
         x.as_known(),
         y.as_known(),
     ) {
         (Some(p), Some(q)) => XVal::known(f(p, q)),
-        _ => XVal::all_x(width),
-    };
-    // `/` and `%`: with the emitter's zero-divisor guard the expression is
-    // total and matches the ApInt (RISC-V) convention; unguarded, a known
-    // zero divisor X-poisons the result even though every input is known.
-    let div2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> ApInt| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => {
-            if q.is_zero() && !opts.guard_division {
-                XVal::all_x(width)
-            } else {
-                XVal::known(f(p, q))
-            }
-        }
         _ => XVal::all_x(width),
     };
     let cmp2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> bool| match (
@@ -359,10 +336,10 @@ pub(crate) fn eval_comb<'a>(
         CombOp::Add => lift2(a(0), a(1), &|p, q| p.add(q)),
         CombOp::Sub => lift2(a(0), a(1), &|p, q| p.sub(q)),
         CombOp::Mul => lift2(a(0), a(1), &|p, q| p.mul(q)),
-        CombOp::DivU => div2(a(0), a(1), &|p, q| p.udiv(q)),
-        CombOp::DivS => div2(a(0), a(1), &|p, q| p.sdiv(q)),
-        CombOp::RemU => div2(a(0), a(1), &|p, q| p.urem(q)),
-        CombOp::RemS => div2(a(0), a(1), &|p, q| p.srem(q)),
+        CombOp::DivU => lift2(a(0), a(1), &|p, q| p.udiv(q)),
+        CombOp::DivS => lift2(a(0), a(1), &|p, q| p.sdiv(q)),
+        CombOp::RemU => lift2(a(0), a(1), &|p, q| p.urem(q)),
+        CombOp::RemS => lift2(a(0), a(1), &|p, q| p.srem(q)),
         CombOp::Shl => lift2(a(0), a(1), &|p, q| p.shl(q)),
         CombOp::ShrU => lift2(a(0), a(1), &|p, q| p.lshr(q)),
         CombOp::ShrS => lift2(a(0), a(1), &|p, q| p.ashr(q)),
@@ -430,25 +407,9 @@ pub(crate) fn eval_comb<'a>(
         CombOp::Extract => {
             // `base[lo+width-1:lo]` — bits past the base are X in SV (the
             // lint rejects such netlists; the interpreter zero-pads).
-            a(0).window(u64::from(lo), width)
+            a(0).window(lo, width)
         }
-        CombOp::ExtractDyn => {
-            let (x, off) = (a(0), a(1));
-            if opts.bounded_extract_dyn {
-                // Emitted as a zero-filled shift: total, zeros past the top.
-                match (x.as_known(), off.as_known()) {
-                    (Some(p), Some(q)) => XVal::known(p.lshr(q).zext_or_trunc(width)),
-                    _ => XVal::all_x(width),
-                }
-            } else {
-                // Emitted as `base[off +: width]`: out-of-range bits are X,
-                // an unknown index poisons everything.
-                match off.as_known().and_then(ApInt::try_to_u64) {
-                    Some(o) => x.window(o, width),
-                    None => XVal::all_x(width),
-                }
-            }
-        }
+        CombOp::ExtractDyn => lift2(a(0), a(1), &|p, q| p.lshr(q).zext_or_trunc(width)),
         CombOp::ZExt => {
             let x = a(0);
             let sw = x.width();
@@ -545,17 +506,11 @@ pub struct DiffSim {
 }
 
 impl DiffSim {
-    /// Builds the pair with the default (X-safe) emission semantics. The
-    /// four-state side starts from a completed reset so both simulators
-    /// agree on register state.
+    /// Builds the pair. The four-state side starts from a completed reset
+    /// so both simulators agree on register state.
     pub fn new(module: Module) -> Self {
-        Self::with_options(module, EmitOptions::default())
-    }
-
-    /// Builds the pair modelling `opts`-style emission.
-    pub fn with_options(module: Module, opts: EmitOptions) -> Self {
         let interp = Simulator::new(module.clone());
-        let mut xsim = Xsim::with_options(module, opts);
+        let mut xsim = Xsim::new(module);
         xsim.reset();
         Self::from_parts(interp, xsim)
     }
@@ -706,22 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn guarded_division_is_total_unguarded_division_x_propagates() {
+    fn guarded_division_is_total() {
         for op in [CombOp::DivU, CombOp::DivS, CombOp::RemU, CombOp::RemS] {
-            let mut safe = Xsim::new(binop_module(op, 8, 8));
-            let out = safe.eval(&inputs(&[("a", 100, 8), ("b", 0, 8)]));
-            assert!(out["o"].is_fully_known(), "{op:?} guarded");
-
-            let raw = EmitOptions {
-                guard_division: false,
-                ..EmitOptions::default()
-            };
-            let mut unsafe_sim = Xsim::with_options(binop_module(op, 8, 8), raw);
-            let out = unsafe_sim.eval(&inputs(&[("a", 100, 8), ("b", 0, 8)]));
-            assert_eq!(out["o"].x_bits(), 8, "{op:?} unguarded by zero");
-            // Non-zero divisors are exact either way.
-            let out = unsafe_sim.eval(&inputs(&[("a", 100, 8), ("b", 7, 8)]));
-            assert!(out["o"].is_fully_known(), "{op:?} unguarded nonzero");
+            let mut sim = Xsim::new(binop_module(op, 8, 8));
+            let out = sim.eval(&inputs(&[("a", 100, 8), ("b", 0, 8)]));
+            assert!(out["o"].is_fully_known(), "{op:?} by zero");
+            let out = sim.eval(&inputs(&[("a", 100, 8), ("b", 7, 8)]));
+            assert!(out["o"].is_fully_known(), "{op:?} by nonzero");
         }
     }
 
@@ -818,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_dynamic_extract_is_total_raw_form_is_x_past_the_top() {
+    fn bounded_dynamic_extract_is_total() {
         // base is 8 bits, extract 4 from a dynamic offset.
         let mut m = Module::new("t");
         let a = m.add_port("a", PortDir::Input, 8);
@@ -837,26 +783,12 @@ mod tests {
         );
         m.connect_output(o, ex);
 
-        let mut bounded = Xsim::new(m.clone());
-        let raw = EmitOptions {
-            bounded_extract_dyn: false,
-            ..EmitOptions::default()
-        };
-        let mut unbounded = Xsim::with_options(m, raw);
-        // Offset 6: bits [9:6] — two bits past the 8-bit base.
-        let stim = inputs(&[("a", 0xff, 8), ("off", 6, 4)]);
-        let out = bounded.eval(&stim);
+        let mut sim = Xsim::new(m);
+        // Offset 6: bits [9:6] — two bits past the 8-bit base read zero.
+        let out = sim.eval(&inputs(&[("a", 0xff, 8), ("off", 6, 4)]));
         assert_eq!(out["o"].as_known().unwrap().to_u64(), 0b0011);
-        let out = unbounded.eval(&stim);
-        assert_eq!(out["o"].x_bits(), 2, "raw +: is X past the top");
-        assert_eq!(out["o"].value_plane().to_u64(), 0b0011);
-        // In-range offsets agree between both forms.
-        let stim = inputs(&[("a", 0xa5, 8), ("off", 4, 4)]);
-        assert_eq!(
-            bounded.eval(&stim)["o"],
-            unbounded.eval(&stim)["o"],
-            "in-range dynamic extract"
-        );
+        let out = sim.eval(&inputs(&[("a", 0xa5, 8), ("off", 4, 4)]));
+        assert_eq!(out["o"].as_known().unwrap().to_u64(), 0xa);
     }
 
     #[test]
@@ -896,10 +828,7 @@ mod tests {
         if let Driver::Comb { op, .. } = &mut wrong.nets[2].driver {
             *op = CombOp::Sub;
         }
-        let mut diff = DiffSim::from_parts(
-            Simulator::new(m),
-            Xsim::with_options(wrong, EmitOptions::default()),
-        );
+        let mut diff = DiffSim::from_parts(Simulator::new(m), Xsim::new(wrong));
         let err = diff.step(&stim).unwrap_err();
         assert_eq!(err.net, 2);
         assert_eq!(err.driver, "Sub");
@@ -909,17 +838,28 @@ mod tests {
     }
 
     #[test]
-    fn oracle_counts_x_outputs_from_known_inputs_for_unguarded_division() {
-        let m = binop_module(CombOp::DivU, 8, 8);
-        let raw = EmitOptions {
-            guard_division: false,
-            ..EmitOptions::default()
-        };
-        let mut diff = DiffSim::with_options(m, raw);
-        let report = diff.step(&inputs(&[("a", 9, 8), ("b", 0, 8)])).unwrap();
-        assert_eq!(report.output_x_bits, 8, "X escapes to an output");
-        let report = diff.step(&inputs(&[("a", 9, 8), ("b", 3, 8)])).unwrap();
-        assert_eq!(report.output_x_bits, 0);
+    fn oracle_counts_x_outputs_from_known_inputs_for_out_of_range_extract() {
+        // `a[9:6]` of an 8-bit base: the interpreter zero-pads, the emitted
+        // part-select is X in its top two bits (the lint rejects such
+        // netlists; the oracle must still count the bits).
+        let mut m = Module::new("t");
+        let a = m.add_port("a", PortDir::Input, 8);
+        let o = m.add_port("o", PortDir::Output, 4);
+        let na = m.add_net(Driver::Input { port: a }, 8, "a");
+        let ex = m.add_net(
+            Driver::Comb {
+                op: CombOp::Extract,
+                args: vec![na],
+                lo: 6,
+            },
+            4,
+            "ex",
+        );
+        m.connect_output(o, ex);
+        let mut diff = DiffSim::new(m);
+        let report = diff.step(&inputs(&[("a", 0xff, 8)])).unwrap();
+        assert_eq!(report.output_x_bits, 2, "X escapes to an output");
+        assert_eq!(diff.xsim().net(ex.0).value_plane().to_u64(), 0b0011);
     }
 
     #[test]
@@ -1004,7 +944,7 @@ mod tests {
             // Windows from inside the base to wholly past its top.
             let lo = lo_seed % (bw + 70);
             let x = planes(bw, &words[..4], &words[4..], all_known);
-            let got = eval_comb(CombOp::Extract, |_| &x, lo, w, &EmitOptions::default());
+            let got = eval_comb(CombOp::Extract, |_| &x, lo, w);
             proptest::prop_assert_eq!(got, extract_by_bit(&x, u64::from(lo), w));
         }
 
@@ -1022,31 +962,17 @@ mod tests {
             let x = planes(bw, &words[..4], &words[4..], base_known);
             let off = planes(ow, &off_words, &words[6..], off_known);
             let args = [&x, &off];
-            for bounded in [false, true] {
-                let opts = EmitOptions {
-                    bounded_extract_dyn: bounded,
-                    ..EmitOptions::default()
-                };
-                let got = eval_comb(CombOp::ExtractDyn, |k| args[k], 0, w, &opts);
-                let want = match (off.as_known(), bounded) {
-                    // An unknown index poisons the whole part-select.
-                    (None, _) => XVal::all_x(w),
-                    // The bounded form is a zero-filled shift of a known
-                    // base, and all X otherwise.
-                    (Some(q), true) => match x.as_known() {
-                        Some(_) => {
-                            let o = q.try_to_u64().unwrap_or(u64::MAX);
-                            XVal::known(extract_by_bit(&x, o, w).value)
-                        }
-                        None => XVal::all_x(w),
-                    },
-                    (Some(q), false) => match q.try_to_u64() {
-                        Some(o) => extract_by_bit(&x, o, w),
-                        None => XVal::all_x(w),
-                    },
-                };
-                proptest::prop_assert_eq!(got, want, "bounded_extract_dyn = {}", bounded);
-            }
+            let got = eval_comb(CombOp::ExtractDyn, |k| args[k], 0, w);
+            // A zero-filled shift of a known base by a known offset, and
+            // all X otherwise.
+            let want = match (x.as_known(), off.as_known()) {
+                (Some(_), Some(q)) => {
+                    let o = q.try_to_u64().unwrap_or(u64::MAX);
+                    XVal::known(extract_by_bit(&x, o, w).value)
+                }
+                _ => XVal::all_x(w),
+            };
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

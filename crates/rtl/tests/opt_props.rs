@@ -14,9 +14,10 @@
 use bits::ApInt;
 use proptest::prelude::*;
 use rtl::netlist::RomData;
+use rtl::verilog::EmitOptions;
 use rtl::{
-    lint_module, optimize, run_pass, verify_equivalent, CombOp, Driver, EmitOptions, Module,
-    NetId, OptLevel, Pass, PortDir,
+    lint_module, optimize, run_pass, verify_equivalent, CombOp, Driver, Module, NetId, OptLevel,
+    Pass, PortDir,
 };
 
 /// SplitMix64 — the same generator family the optimizer's own
@@ -366,9 +367,8 @@ proptest! {
     #[test]
     fn each_pass_is_lint_clean_and_lockstep_equal(seed: u64) {
         let m = random_module(seed);
-        let opts = EmitOptions::default();
         for pass in Pass::ALL {
-            let (out, rewrites) = match run_pass(&m, pass, &opts) {
+            let (out, rewrites) = match run_pass(&m, pass, &EmitOptions) {
                 Ok(r) => r,
                 Err(e) => return Err(TestCaseError::fail(
                     format!("seed {seed}: pass {} broke validate(): {e}", pass.name()))),
@@ -380,7 +380,7 @@ proptest! {
                 pass.name(),
                 lint.err()
             );
-            if let Err(e) = verify_equivalent(&m, &out, &opts, 32) {
+            if let Err(e) = verify_equivalent(&m, &out, &EmitOptions, 32) {
                 return Err(TestCaseError::fail(
                     format!("seed {seed}: pass {} diverged: {e}", pass.name())));
             }
@@ -392,15 +392,14 @@ proptest! {
     #[test]
     fn full_o2_is_lint_clean_and_lockstep_equal(seed: u64) {
         let m = random_module(seed);
-        let opts = EmitOptions::default();
-        let (out, report) = match optimize(&m, OptLevel::O2, &opts) {
+        let (out, report) = match optimize(&m, OptLevel::O2) {
             Ok(r) => r,
             Err(e) => return Err(TestCaseError::fail(format!("seed {seed}: -O2 failed: {e}"))),
         };
         let lint = lint_module(&out);
         prop_assert!(lint.is_ok(), "seed {seed}: -O2 output has lint issues: {:?}", lint.err());
         prop_assert_eq!(report.nets_after, out.nets.len());
-        if let Err(e) = verify_equivalent(&m, &out, &opts, 32) {
+        if let Err(e) = verify_equivalent(&m, &out, &EmitOptions, 32) {
             return Err(TestCaseError::fail(format!("seed {seed}: -O2 diverged: {e}")));
         }
     }

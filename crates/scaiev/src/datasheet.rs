@@ -65,12 +65,6 @@ impl VirtualDatasheet {
         }
     }
 
-    /// Sets the target clock period.
-    pub fn with_clock_ns(mut self, clock_ns: f64) -> Self {
-        self.clock_ns = clock_ns;
-        self
-    }
-
     /// Sets the timing for a sub-interface.
     pub fn set(&mut self, op: SubInterfaceOp, timing: Timing) -> &mut Self {
         self.entries.insert(op.key(), timing);

@@ -108,7 +108,9 @@ fn fmt_f64(v: f64) -> String {
     format!("{v}")
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -124,8 +124,6 @@ pub mod metrics {
     /// X-check: X bits observed on outputs under fully-known stimulus,
     /// summed over all checked cycles (counter).
     pub const XCHECK_X_OUTPUT_BITS: &str = "xcheck.x_output_bits";
-    /// X-check: static X-hazard lint findings (counter).
-    pub const XCHECK_LINT_FINDINGS: &str = "xcheck.lint_findings";
     /// Matrix cells degraded to a fault diagnostic by a contained panic
     /// or poisoned shared state (counter, batch summary).
     pub const DEGRADE_CELL_FAULTS: &str = "degrade.cell_faults";
@@ -301,11 +299,6 @@ impl Telemetry {
                 return;
             }
         }
-    }
-
-    /// The innermost open span.
-    pub fn current_span(&self) -> Option<SpanId> {
-        self.stack.last().map(|&(id, _)| id)
     }
 
     /// Records a counter on `span`.
