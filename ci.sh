@@ -76,6 +76,13 @@ echo "== cargo test --release -p bits -p rtl"
 # ships.
 cargo test --release -p bits -p rtl
 
+echo "== cargo test --release: xcheck and rtl_cosim on the Table 3 netlists"
+# The inlined release ApInt, run through both simulators on real
+# netlists. Two invocations of their own: a `--test` filter on the step
+# above would drop the bits/rtl unit tests.
+cargo test --release -p longnail --test xcheck
+cargo test --release --test rtl_cosim
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt -p telemetry -p bits -- --check"
     cargo fmt -p telemetry -p bits -- --check

@@ -39,11 +39,16 @@ pub(crate) const INLINE_LIMBS: usize = 2;
 
 pub(crate) const LIMB_BITS: u32 = 64;
 
+/// The widest value whose limbs are inline, and so an [`ApInt::as_u128`].
+pub(crate) const INLINE_BITS: u32 = INLINE_LIMBS as u32 * LIMB_BITS;
+
+#[inline]
 pub(crate) fn limbs_for(width: u32) -> usize {
     (width as usize).div_ceil(64)
 }
 
 /// The valid bits of the last limb of a `width`-bit value.
+#[inline]
 fn top_mask(width: u32) -> u64 {
     u64::MAX >> ((LIMB_BITS - width % LIMB_BITS) % LIMB_BITS)
 }
@@ -57,25 +62,48 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `width == 0` or `width > MAX_WIDTH`.
+    #[inline]
     pub(crate) fn from_limb_fn(width: u32, mut limb: impl FnMut(usize) -> u64) -> ApInt {
         assert!(width >= 1, "ApInt width must be at least 1");
         assert!(
             width <= crate::MAX_WIDTH,
             "ApInt width {width} exceeds MAX_WIDTH"
         );
-        let n = limbs_for(width);
-        let storage = if n <= INLINE_LIMBS {
-            let mut limbs = [0; INLINE_LIMBS];
-            for (i, l) in limbs[..n].iter_mut().enumerate() {
-                *l = limb(i);
-            }
-            Storage::Inline(limbs)
+        let mask = top_mask(width);
+        // One and two limbs are spelled out (array elements evaluate left
+        // to right, so `limb` still runs low to high): a fill loop over
+        // the inline array compiles to a `memset` call.
+        let storage = if width <= LIMB_BITS {
+            Storage::Inline([limb(0) & mask, 0])
+        } else if width <= 2 * LIMB_BITS {
+            Storage::Inline([limb(0), limb(1) & mask])
         } else {
-            Storage::Heap((0..n).map(limb).collect())
+            let mut limbs: Box<[u64]> = (0..limbs_for(width)).map(limb).collect();
+            *limbs.last_mut().expect("at least three limbs") &= mask;
+            Storage::Heap(limbs)
         };
-        let mut v = ApInt { width, storage };
-        v.canonicalize();
-        v
+        ApInt { width, storage }
+    }
+
+    /// The value as one `u128` when its limbs are inline (at most 128 bits;
+    /// an unused inline limb is zero), else `None`. The structural
+    /// operations work on such a value with single shifts instead of limb
+    /// windows.
+    #[inline]
+    pub(crate) fn as_u128(&self) -> Option<u128> {
+        match self.storage {
+            Storage::Inline([lo, hi]) => Some(u128::from(hi) << LIMB_BITS | u128::from(lo)),
+            Storage::Heap(_) => None,
+        }
+    }
+
+    /// The low `width` bits of `v`, for `1 <= width <= 128`.
+    #[inline]
+    pub(crate) fn from_u128(v: u128, width: u32) -> ApInt {
+        debug_assert!((1..=INLINE_BITS).contains(&width));
+        let v = v & u128::MAX >> (u128::BITS - width);
+        let storage = Storage::Inline([v as u64, (v >> LIMB_BITS) as u64]);
+        ApInt { width, storage }
     }
 
     /// Creates the all-zero value of the given width.
@@ -83,44 +111,52 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `width == 0` or `width > MAX_WIDTH`.
+    #[inline]
     pub fn zero(width: u32) -> Self {
         Self::from_limb_fn(width, |_| 0)
     }
 
     /// Creates the all-ones value of the given width (i.e. `-1` when read as
     /// signed, `2^width - 1` when read as unsigned).
+    #[inline]
     pub fn ones(width: u32) -> Self {
         Self::from_limb_fn(width, |_| u64::MAX)
     }
 
     /// Creates the value `1` of the given width.
+    #[inline]
     pub fn one(width: u32) -> Self {
         Self::from_u64(1, width)
     }
 
     /// Creates an `ApInt` from the low `width` bits of `value`.
+    #[inline]
     pub fn from_u64(value: u64, width: u32) -> Self {
         Self::from_limb_fn(width, |i| if i == 0 { value } else { 0 })
     }
 
     /// Creates an `ApInt` from `value`, sign-extended or truncated to `width`.
+    #[inline]
     pub fn from_i64(value: i64, width: u32) -> Self {
         let fill = if value < 0 { u64::MAX } else { 0 };
         Self::from_limb_fn(width, |i| if i == 0 { value as u64 } else { fill })
     }
 
     /// Creates an `ApInt` from a bool (width 1).
+    #[inline]
     pub fn from_bool(value: bool) -> Self {
         Self::from_u64(value as u64, 1)
     }
 
     /// The bitwidth of this value.
+    #[inline]
     pub fn width(&self) -> u32 {
         self.width
     }
 
     /// Masks off bits beyond `width` in the last limb, restoring the
     /// canonical representation.
+    #[inline]
     pub(crate) fn canonicalize(&mut self) {
         let mask = top_mask(self.width);
         if let Some(last) = self.limbs_mut().last_mut() {
@@ -130,6 +166,7 @@ impl ApInt {
 
     /// The limbs, mutably. A caller that can set bits past `width` must
     /// [`ApInt::canonicalize`] afterwards.
+    #[inline]
     pub(crate) fn limbs_mut(&mut self) -> &mut [u64] {
         let n = limbs_for(self.width);
         match &mut self.storage {
@@ -141,8 +178,8 @@ impl ApInt {
     /// The 64 bits of `self` starting at bit `pos`, which lands in bit 0.
     /// Positions below zero read 0; positions at or above the width read
     /// the bits of `fill` (0 or all-ones), so a window past the top sees a
-    /// zero or a sign extension. Shifts, extension, extraction and
-    /// concatenation are all limb-by-limb windows.
+    /// zero or a sign extension. Past 128 bits, shifts, extension,
+    /// extraction and concatenation are all limb-by-limb windows.
     pub(crate) fn window(&self, pos: i64, fill: u64) -> u64 {
         let limbs = self.limbs();
         let top = limbs.len() - 1;
@@ -165,6 +202,7 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `pos >= self.width()`.
+    #[inline]
     pub fn bit(&self, pos: u32) -> bool {
         assert!(pos < self.width, "bit index {pos} out of range");
         (self.limbs()[(pos / LIMB_BITS) as usize] >> (pos % LIMB_BITS)) & 1 == 1
@@ -175,6 +213,7 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `pos >= self.width()`.
+    #[inline]
     pub fn set_bit(&mut self, pos: u32, value: bool) {
         assert!(pos < self.width, "bit index {pos} out of range");
         let limb = &mut self.limbs_mut()[(pos / LIMB_BITS) as usize];
@@ -187,16 +226,19 @@ impl ApInt {
     }
 
     /// The most significant bit — the sign bit under signed interpretation.
+    #[inline]
     pub fn sign_bit(&self) -> bool {
         self.bit(self.width - 1)
     }
 
     /// True if the value is zero.
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.limbs().iter().all(|&l| l == 0)
     }
 
     /// True if every bit is one.
+    #[inline]
     pub fn is_all_ones(&self) -> bool {
         let (last, rest) = self.limbs().split_last().expect("at least one limb");
         *last == top_mask(self.width) && rest.iter().all(|&l| l == u64::MAX)
@@ -218,6 +260,7 @@ impl ApInt {
     }
 
     /// Iterates over the raw little-endian limbs.
+    #[inline]
     pub fn limbs(&self) -> &[u64] {
         match &self.storage {
             Storage::Inline(limbs) => &limbs[..limbs_for(self.width)],

@@ -14,9 +14,13 @@
 //! its cost is their cost. A value of up to 128 bits keeps its limbs inline
 //! (as LLVM's `APInt` keeps single-word values inline) and only a wider one
 //! allocates; every operation builds its result in one pass, a whole limb at
-//! a time, without temporary values. `tests/model` holds a bit-serial
-//! reference model that the limb-level operations are property-tested
-//! against on both sides of the 64- and 128-bit boundaries.
+//! a time, without temporary values. The small operations are `#[inline]`
+//! because their callers live in other crates, where a call and a generic
+//! limb loop would cost more than the operation itself, and the structural
+//! ones (`extract`, `concat`, constant shifts, `sext`) work on an inline
+//! value as one `u128`. `tests/model` holds a bit-serial reference model
+//! that the limb-level operations are property-tested against on both
+//! sides of the 64- and 128-bit boundaries.
 //!
 //! # Examples
 //!

@@ -6,15 +6,24 @@
 //! [`ApInt::sext`], and [`ApInt::trunc`] — mirroring how the CoreDSL type
 //! checker inserts explicit extension/truncation casts.
 
-use crate::apint::{ApInt, LIMB_BITS};
+use crate::apint::{ApInt, INLINE_BITS, LIMB_BITS};
 use std::cmp::Ordering;
 
+/// `v`, the bits of a `width`-bit value, sign-extended to all 128 bits.
+#[inline]
+fn sext_i128(v: u128, width: u32) -> i128 {
+    let pad = INLINE_BITS - width;
+    (v << pad) as i128 >> pad
+}
+
 /// Bit position of limb `i`'s least significant bit.
+#[inline]
 fn limb_pos(i: usize) -> i64 {
     i as i64 * i64::from(LIMB_BITS)
 }
 
 impl ApInt {
+    #[inline]
     fn assert_same_width(&self, rhs: &ApInt, op: &str) {
         assert_eq!(
             self.width, rhs.width,
@@ -25,6 +34,7 @@ impl ApInt {
 
     /// The equal-width, limb-wise combination `f(self, rhs)`, applied from
     /// the low limb up so `f` can carry state between limbs.
+    #[inline]
     fn zip_limbs(&self, rhs: &ApInt, op: &str, mut f: impl FnMut(u64, u64) -> u64) -> ApInt {
         self.assert_same_width(rhs, op);
         let (a, b) = (self.limbs(), rhs.limbs());
@@ -33,6 +43,7 @@ impl ApInt {
 
     /// All-ones if the sign bit is set, else zero: the bits a sign
     /// extension shifts in.
+    #[inline]
     fn sign_fill(&self) -> u64 {
         if self.sign_bit() {
             u64::MAX
@@ -41,11 +52,21 @@ impl ApInt {
         }
     }
 
+    /// The `width`-bit value whose bit `i` is bit `pos + i` of `self`, with
+    /// zeros below bit 0 and the bits of `fill` past the top: the limb
+    /// window path of the shifts, extension and extraction, which a value
+    /// past 128 bits takes (an inline one is shifted as a `u128` instead).
+    #[inline(never)]
+    fn windowed(&self, width: u32, pos: i64, fill: u64) -> ApInt {
+        ApInt::from_limb_fn(width, |i| self.window(limb_pos(i) + pos, fill))
+    }
+
     /// Zero-extends (or keeps) the value to `width`.
     ///
     /// # Panics
     ///
     /// Panics if `width < self.width()`.
+    #[inline]
     pub fn zext(&self, width: u32) -> ApInt {
         assert!(width >= self.width, "zext cannot narrow");
         let src = self.limbs();
@@ -57,10 +78,15 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `width < self.width()`.
+    #[inline]
     pub fn sext(&self, width: u32) -> ApInt {
         assert!(width >= self.width, "sext cannot narrow");
-        let fill = self.sign_fill();
-        ApInt::from_limb_fn(width, |i| self.window(limb_pos(i), fill))
+        match self.as_u128() {
+            Some(v) if width <= INLINE_BITS => {
+                ApInt::from_u128(sext_i128(v, self.width) as u128, width)
+            }
+            _ => self.windowed(width, 0, self.sign_fill()),
+        }
     }
 
     /// Truncates to the low `width` bits.
@@ -68,6 +94,7 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if `width > self.width()` or `width == 0`.
+    #[inline]
     pub fn trunc(&self, width: u32) -> ApInt {
         assert!(width <= self.width, "trunc cannot widen");
         let src = self.limbs();
@@ -75,6 +102,7 @@ impl ApInt {
     }
 
     /// Resizes with zero-extension or truncation as needed.
+    #[inline]
     pub fn zext_or_trunc(&self, width: u32) -> ApInt {
         if width >= self.width {
             self.zext(width)
@@ -84,6 +112,7 @@ impl ApInt {
     }
 
     /// Resizes with sign-extension or truncation as needed.
+    #[inline]
     pub fn sext_or_trunc(&self, width: u32) -> ApInt {
         if width >= self.width {
             self.sext(width)
@@ -93,6 +122,7 @@ impl ApInt {
     }
 
     /// Wrapping addition of equal-width values.
+    #[inline]
     pub fn add(&self, rhs: &ApInt) -> ApInt {
         let mut carry = false;
         self.zip_limbs(rhs, "add", |a, b| {
@@ -104,6 +134,7 @@ impl ApInt {
     }
 
     /// Wrapping subtraction of equal-width values.
+    #[inline]
     pub fn sub(&self, rhs: &ApInt) -> ApInt {
         let mut borrow = false;
         self.zip_limbs(rhs, "sub", |a, b| {
@@ -115,6 +146,7 @@ impl ApInt {
     }
 
     /// Two's-complement negation (wrapping): `!self + 1`.
+    #[inline]
     pub fn neg(&self) -> ApInt {
         let src = self.limbs();
         let mut carry = true;
@@ -126,22 +158,26 @@ impl ApInt {
     }
 
     /// Bitwise NOT.
+    #[inline]
     pub fn not(&self) -> ApInt {
         let src = self.limbs();
         ApInt::from_limb_fn(self.width, |i| !src[i])
     }
 
     /// Bitwise AND of equal-width values.
+    #[inline]
     pub fn and(&self, rhs: &ApInt) -> ApInt {
         self.zip_limbs(rhs, "and", |a, b| a & b)
     }
 
     /// Bitwise OR of equal-width values.
+    #[inline]
     pub fn or(&self, rhs: &ApInt) -> ApInt {
         self.zip_limbs(rhs, "or", |a, b| a | b)
     }
 
     /// Bitwise XOR of equal-width values.
+    #[inline]
     pub fn xor(&self, rhs: &ApInt) -> ApInt {
         self.zip_limbs(rhs, "xor", |a, b| a ^ b)
     }
@@ -244,36 +280,46 @@ impl ApInt {
 
     /// Logical left shift by a compile-time amount; bits shifted past the
     /// width are discarded. Shift amounts `>= width` yield zero.
+    #[inline]
     pub fn shl_bits(&self, amount: u32) -> ApInt {
         if amount >= self.width {
             return ApInt::zero(self.width);
         }
-        let amount = i64::from(amount);
-        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) - amount, 0))
+        match self.as_u128() {
+            Some(v) => ApInt::from_u128(v << amount, self.width),
+            None => self.windowed(self.width, -i64::from(amount), 0),
+        }
     }
 
     /// Logical right shift by a compile-time amount. Shift amounts `>= width`
     /// yield zero.
+    #[inline]
     pub fn lshr_bits(&self, amount: u32) -> ApInt {
         if amount >= self.width {
             return ApInt::zero(self.width);
         }
-        let amount = i64::from(amount);
-        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) + amount, 0))
+        match self.as_u128() {
+            Some(v) => ApInt::from_u128(v >> amount, self.width),
+            None => self.windowed(self.width, i64::from(amount), 0),
+        }
     }
 
     /// Arithmetic right shift by a compile-time amount. Shift amounts
     /// `>= width` yield all-sign-bits.
+    #[inline]
     pub fn ashr_bits(&self, amount: u32) -> ApInt {
         let fill = self.sign_fill();
         if amount >= self.width {
             return ApInt::from_limb_fn(self.width, |_| fill);
         }
-        let amount = i64::from(amount);
-        ApInt::from_limb_fn(self.width, |i| self.window(limb_pos(i) + amount, fill))
+        match self.as_u128() {
+            Some(v) => ApInt::from_u128((sext_i128(v, self.width) >> amount) as u128, self.width),
+            None => self.windowed(self.width, i64::from(amount), fill),
+        }
     }
 
     /// Left shift by a runtime amount (`rhs` read as unsigned).
+    #[inline]
     pub fn shl(&self, rhs: &ApInt) -> ApInt {
         match rhs.try_to_u64() {
             Some(amt) if amt < self.width as u64 => self.shl_bits(amt as u32),
@@ -282,6 +328,7 @@ impl ApInt {
     }
 
     /// Logical right shift by a runtime amount (`rhs` read as unsigned).
+    #[inline]
     pub fn lshr(&self, rhs: &ApInt) -> ApInt {
         match rhs.try_to_u64() {
             Some(amt) if amt < self.width as u64 => self.lshr_bits(amt as u32),
@@ -290,6 +337,7 @@ impl ApInt {
     }
 
     /// Arithmetic right shift by a runtime amount (`rhs` read as unsigned).
+    #[inline]
     pub fn ashr(&self, rhs: &ApInt) -> ApInt {
         match rhs.try_to_u64() {
             Some(amt) if amt < self.width as u64 => self.ashr_bits(amt as u32),
@@ -299,6 +347,7 @@ impl ApInt {
     }
 
     /// Unsigned comparison.
+    #[inline]
     pub fn ucmp(&self, rhs: &ApInt) -> Ordering {
         self.assert_same_width(rhs, "ucmp");
         let (a, b) = (self.limbs(), rhs.limbs());
@@ -306,6 +355,7 @@ impl ApInt {
     }
 
     /// Signed comparison.
+    #[inline]
     pub fn scmp(&self, rhs: &ApInt) -> Ordering {
         self.assert_same_width(rhs, "scmp");
         match (self.sign_bit(), rhs.sign_bit()) {
@@ -316,26 +366,31 @@ impl ApInt {
     }
 
     /// `self < rhs`, unsigned.
+    #[inline]
     pub fn ult(&self, rhs: &ApInt) -> bool {
         self.ucmp(rhs) == Ordering::Less
     }
 
     /// `self <= rhs`, unsigned.
+    #[inline]
     pub fn ule(&self, rhs: &ApInt) -> bool {
         self.ucmp(rhs) != Ordering::Greater
     }
 
     /// `self >= rhs`, unsigned.
+    #[inline]
     pub fn uge(&self, rhs: &ApInt) -> bool {
         self.ucmp(rhs) != Ordering::Less
     }
 
     /// `self < rhs`, signed.
+    #[inline]
     pub fn slt(&self, rhs: &ApInt) -> bool {
         self.scmp(rhs) == Ordering::Less
     }
 
     /// `self <= rhs`, signed.
+    #[inline]
     pub fn sle(&self, rhs: &ApInt) -> bool {
         self.scmp(rhs) != Ordering::Greater
     }
@@ -345,6 +400,7 @@ impl ApInt {
     /// # Panics
     ///
     /// Panics if the range exceeds `self.width()` or `width == 0`.
+    #[inline]
     pub fn extract(&self, lo: u32, width: u32) -> ApInt {
         assert!(width >= 1, "extract width must be at least 1");
         assert!(
@@ -354,13 +410,28 @@ impl ApInt {
             lo,
             self.width
         );
-        let lo = i64::from(lo);
-        ApInt::from_limb_fn(width, |i| self.window(limb_pos(i) + lo, 0))
+        match self.as_u128() {
+            Some(v) => ApInt::from_u128(v >> lo, width),
+            None => self.windowed(width, i64::from(lo), 0),
+        }
     }
 
     /// Concatenation `self :: rhs` — `self` becomes the *most* significant
     /// part, matching CoreDSL's and Verilog's `{a, b}` semantics.
+    #[inline]
     pub fn concat(&self, rhs: &ApInt) -> ApInt {
+        let width = self.width + rhs.width;
+        match (self.as_u128(), rhs.as_u128()) {
+            (Some(hi), Some(lo)) if width <= INLINE_BITS => {
+                ApInt::from_u128(hi << rhs.width | lo, width)
+            }
+            _ => self.concat_limbs(rhs),
+        }
+    }
+
+    /// [`ApInt::concat`] a limb at a time, for results past 128 bits.
+    #[inline(never)]
+    fn concat_limbs(&self, rhs: &ApInt) -> ApInt {
         let shift = i64::from(rhs.width);
         ApInt::from_limb_fn(self.width + rhs.width, |i| {
             rhs.window(limb_pos(i), 0) | self.window(limb_pos(i) - shift, 0)
@@ -382,6 +453,7 @@ impl ApInt {
     }
 
     /// Fallible conversion to `u64` (unsigned interpretation).
+    #[inline]
     pub fn try_to_u64(&self) -> Option<u64> {
         match self.limbs() {
             [low, rest @ ..] if rest.iter().all(|&l| l == 0) => Some(*low),
@@ -390,12 +462,14 @@ impl ApInt {
     }
 
     /// Low 64 bits (unsigned interpretation, silently truncating).
+    #[inline]
     pub fn to_u64(&self) -> u64 {
         self.limbs()[0]
     }
 
     /// Signed interpretation as `i64`; sign-extends values narrower than 64
     /// bits and truncates wider ones.
+    #[inline]
     pub fn to_i64(&self) -> i64 {
         let raw = self.to_u64();
         if self.width >= 64 {

@@ -24,7 +24,6 @@ use crate::driver::CompiledIsax;
 use bits::ApInt;
 use rtl::xsim::DiffSim;
 use rtl::{IfaceSignal, PortDir};
-use std::collections::HashMap;
 use telemetry::{metrics, Telemetry, Trace};
 
 /// Cycles of stimulus per unit.
@@ -143,13 +142,18 @@ pub fn xcheck_compiled(isax: &CompiledIsax) -> XCheckReport {
     let mut units = Vec::new();
     for g in &isax.graphs {
         let span = tel.start_unit_span("xcheck_unit", Some(&g.name));
-        let mut diff = DiffSim::new(g.built.module.clone());
+        let module = &g.built.module;
+        let feeds = input_signals(g);
+        let mut inputs: Vec<ApInt> = module.ports.iter().map(|p| ApInt::zero(p.width)).collect();
+        let mut diff = DiffSim::new(module.clone());
         let mut mismatches = Vec::new();
         let mut x_output_bits = 0u64;
         let mut cycles = 0u64;
         for t in 0..CYCLES {
-            let inputs = stimulus(g, t);
-            match diff.step(&inputs) {
+            for &(port, signal) in &feeds {
+                inputs[port] = apint(stimulus(g, signal, t), module.ports[port].width);
+            }
+            match diff.step_ports(&inputs) {
                 Ok(stats) => x_output_bits += stats.output_x_bits,
                 Err(mm) => {
                     mismatches.push(mm.to_string());
@@ -182,37 +186,37 @@ pub fn xcheck_compiled(isax: &CompiledIsax) -> XCheckReport {
     }
 }
 
-/// Builds cycle `t`'s fully-known input map for a unit: every input port
-/// of the built module is driven, so no X can enter from outside and any
-/// X observed is manufactured by the netlist itself.
-fn stimulus(g: &crate::driver::CompiledGraph, t: u64) -> HashMap<String, ApInt> {
-    let mut inputs = HashMap::new();
-    // clk/rst are structural (registers are modelled directly); hold rst
-    // low so the oracle's one-time reset stays in effect.
-    inputs.insert("clk".to_string(), ApInt::zero(1));
-    inputs.insert("rst".to_string(), ApInt::zero(1));
-    for b in &g.built.bindings {
-        if b.dir != PortDir::Input {
-            continue;
-        }
-        let v = match &b.signal {
-            // A word that actually decodes as this instruction, with the
-            // don't-care bits cycling through the patterns.
-            IfaceSignal::InstrWord => {
-                u64::from(g.match_value) | (pat(t) & !u64::from(g.mask))
-            }
-            IfaceSignal::Rs1Data => pat(t),
-            // Offset so zero/one divisors meet interesting dividends.
-            IfaceSignal::Rs2Data => pat(t + 3),
-            IfaceSignal::PcData => 0x100 + 4 * t,
-            IfaceSignal::MemRdData => pat(t + 1),
-            IfaceSignal::CustRdData(_) => pat(t + 5),
-            // An occasional stall exercises the register-enable paths.
-            IfaceSignal::StallIn => u64::from(t % 7 == 5),
-            // Remaining inputs (if any) held low.
-            _ => 0,
-        };
-        inputs.insert(b.name.clone(), apint(v, b.width));
+/// The interface signal of each input port of a unit's module, by port
+/// index. Every input port of the built module has a binding except `clk`
+/// and `rst`, which are structural (registers are modelled directly) and
+/// stay low, so the oracle's one-time reset stays in effect. All inputs are
+/// driven, so no X can enter from outside and any X observed is
+/// manufactured by the netlist itself.
+fn input_signals(g: &crate::driver::CompiledGraph) -> Vec<(usize, &IfaceSignal)> {
+    let module = &g.built.module;
+    g.built
+        .bindings
+        .iter()
+        .filter(|b| b.dir == PortDir::Input)
+        .filter_map(|b| Some((module.port(&b.name)?, &b.signal)))
+        .collect()
+}
+
+/// The word an input carrying `signal` sees in cycle `t`.
+fn stimulus(g: &crate::driver::CompiledGraph, signal: &IfaceSignal, t: u64) -> u64 {
+    match signal {
+        // A word that actually decodes as this instruction, with the
+        // don't-care bits cycling through the patterns.
+        IfaceSignal::InstrWord => u64::from(g.match_value) | (pat(t) & !u64::from(g.mask)),
+        IfaceSignal::Rs1Data => pat(t),
+        // Offset so zero/one divisors meet interesting dividends.
+        IfaceSignal::Rs2Data => pat(t + 3),
+        IfaceSignal::PcData => 0x100 + 4 * t,
+        IfaceSignal::MemRdData => pat(t + 1),
+        IfaceSignal::CustRdData(_) => pat(t + 5),
+        // An occasional stall exercises the register-enable paths.
+        IfaceSignal::StallIn => u64::from(t % 7 == 5),
+        // Remaining inputs (if any) held low.
+        _ => 0,
     }
-    inputs
 }

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 
 /// Evaluates one combinational operator on the operands `a(0)`, `a(1)`,
 /// … to a `width`-bit result: the compiler's two-valued reference
-/// semantics, shared by [`Simulator::eval`] and the optimizer's constant
-/// folding. Operands are read through `a` so the simulator evaluates its
-/// nets in place.
+/// semantics, shared by [`Simulator::eval_ports`], the whole-word operators
+/// of [`crate::xsim`] and the optimizer's constant folding. Operands are
+/// read through `a` so the simulator evaluates its nets in place.
 pub(crate) fn eval_comb<'a>(
     op: CombOp,
     a: impl Fn(usize) -> &'a ApInt,
@@ -51,14 +51,14 @@ pub(crate) fn eval_comb<'a>(
         CombOp::Concat => a(0).concat(a(1)),
         CombOp::Replicate => a(0).replicate(lo),
         CombOp::Extract => {
+            // Bits past the top of the base read zero.
             let base = a(0);
             let need = lo + width;
-            let padded = if base.width() < need {
-                base.zext(need)
+            if base.width() < need {
+                base.zext(need).extract(lo, width)
             } else {
-                base.clone()
-            };
-            padded.extract(lo, width)
+                base.extract(lo, width)
+            }
         }
         CombOp::ExtractDyn => a(0).lshr(a(1)).zext_or_trunc(width),
         CombOp::ZExt => a(0).zext(width),
@@ -68,12 +68,20 @@ pub(crate) fn eval_comb<'a>(
 }
 
 /// A netlist simulator instance.
+///
+/// The evaluation loop is port-indexed: [`Simulator::eval_ports`] reads
+/// one value per port and leaves every net's value in
+/// [`Simulator::net_values`], where a caller reads its outputs by net id.
+/// Constant nets are written once, at construction, and [`Simulator::clock`]
+/// latches into the register state in place, so a cycle allocates nothing
+/// for values up to 128 bits.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     module: Module,
     /// Current register values (indexed by net id; `None` for non-regs).
     regs: Vec<Option<ApInt>>,
-    /// Net values from the most recent evaluation.
+    /// Net values from the most recent evaluation; constant nets hold their
+    /// constant from construction on.
     values: Vec<ApInt>,
 }
 
@@ -88,7 +96,14 @@ impl Simulator {
                 _ => None,
             })
             .collect();
-        let values = module.nets.iter().map(|n| ApInt::zero(n.width)).collect();
+        let values = module
+            .nets
+            .iter()
+            .map(|n| match &n.driver {
+                Driver::Const(c) => c.clone(),
+                _ => ApInt::zero(n.width),
+            })
+            .collect();
         Simulator {
             module,
             regs,
@@ -101,8 +116,7 @@ impl Simulator {
         &self.module
     }
 
-    /// All net values from the most recent [`Simulator::eval`], indexed by
-    /// net id. Used by the differential oracle in [`crate::xsim`].
+    /// All net values from the most recent evaluation, indexed by net id.
     pub fn net_values(&self) -> &[ApInt] {
         &self.values
     }
@@ -116,28 +130,17 @@ impl Simulator {
         }
     }
 
-    /// Evaluates the combinational fabric for the given input values and
-    /// returns the output-port values. Does **not** clock the registers.
-    ///
-    /// Missing inputs default to zero.
-    pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, ApInt> {
-        let port_values: Vec<ApInt> = self
-            .module
-            .ports
-            .iter()
-            .map(|p| {
-                inputs
-                    .get(&p.name)
-                    .map(|v| v.zext_or_trunc(p.width))
-                    .unwrap_or_else(|| ApInt::zero(p.width))
-            })
-            .collect();
+    /// Evaluates the combinational fabric with `inputs[p]` on port `p`
+    /// (one entry per port, each of its port's width; the entries of
+    /// output ports are not read). Does **not** clock the registers.
+    pub fn eval_ports(&mut self, inputs: &[ApInt]) {
+        debug_assert_eq!(inputs.len(), self.module.ports.len());
         for i in 0..self.module.nets.len() {
             let net = &self.module.nets[i];
             let width = net.width;
             let value = match &net.driver {
-                Driver::Input { port } => port_values[*port].clone(),
-                Driver::Const(c) => c.clone(),
+                Driver::Const(_) => continue,
+                Driver::Input { port } => inputs[*port].clone(),
                 Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
                 Driver::Rom { rom, index } => {
                     let table = &self.module.roms[*rom];
@@ -157,33 +160,30 @@ impl Simulator {
             debug_assert_eq!(value.width(), width, "net {i} width mismatch");
             self.values[i] = value;
         }
-        self.module
-            .outputs
-            .iter()
-            .map(|&(port, net)| {
-                (
-                    self.module.ports[port].name.clone(),
-                    self.values[net.0].clone(),
-                )
-            })
-            .collect()
     }
 
-    /// Latches all registers based on the most recent [`Simulator::eval`].
+    /// Evaluates the combinational fabric for the named input values and
+    /// returns the output-port values by name: an adapter over
+    /// [`Simulator::eval_ports`]. Does **not** clock the registers.
+    ///
+    /// Missing inputs default to zero; others are zero-extended or
+    /// truncated to their port's width.
+    pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, ApInt> {
+        let ports = two_state_ports(&self.module, inputs);
+        self.eval_ports(&ports);
+        outputs_by_name(&self.module, &self.values)
+    }
+
+    /// Latches all registers based on the most recent evaluation. Every
+    /// register reads the net values of that evaluation, which latching
+    /// leaves untouched, so registers that feed each other swap cleanly.
     pub fn clock(&mut self) {
-        let mut next_values: Vec<(usize, ApInt)> = Vec::new();
         for (i, net) in self.module.nets.iter().enumerate() {
             if let Driver::Reg { next, enable, .. } = &net.driver {
-                let en = enable
-                    .map(|e| !self.values[e.0].is_zero())
-                    .unwrap_or(true);
-                if en {
-                    next_values.push((i, self.values[next.0].clone()));
+                if enable.is_none_or(|e| !self.values[e.0].is_zero()) {
+                    self.regs[i] = Some(self.values[next.0].clone());
                 }
             }
-        }
-        for (i, v) in next_values {
-            self.regs[i] = Some(v);
         }
     }
 
@@ -193,6 +193,31 @@ impl Simulator {
         self.clock();
         outputs
     }
+}
+
+/// One value per port of `module` from named inputs: a missing input is
+/// zero, and one of another width is zero-extended or truncated.
+pub(crate) fn two_state_ports(module: &Module, inputs: &HashMap<String, ApInt>) -> Vec<ApInt> {
+    module
+        .ports
+        .iter()
+        .map(|p| {
+            inputs
+                .get(&p.name)
+                .map(|v| v.zext_or_trunc(p.width))
+                .unwrap_or_else(|| ApInt::zero(p.width))
+        })
+        .collect()
+}
+
+/// The output-port values of `module` by port name, read from the net
+/// values `values` of an evaluation: the result of the name-keyed adapters.
+pub(crate) fn outputs_by_name<T: Clone>(module: &Module, values: &[T]) -> HashMap<String, T> {
+    module
+        .outputs
+        .iter()
+        .map(|&(port, net)| (module.ports[port].name.clone(), values[net.0].clone()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -27,12 +27,11 @@
 //! the full matrix re-checks under `lnc --xcheck`.
 
 use crate::interp::Simulator;
-use crate::netlist::{Driver, Module, NetId};
+use crate::netlist::{Driver, Module, NetId, Port, PortDir};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 mod cse;
 mod fold;
@@ -428,61 +427,74 @@ pub fn verify_equivalent(
     _: &EmitOptions,
     cycles: u32,
 ) -> Result<(), String> {
-    let mut interp_a = Simulator::new(original.clone());
-    let mut interp_b = Simulator::new(optimized.clone());
-    let mut xsim_a = Xsim::new(original.clone());
-    let mut xsim_b = Xsim::new(optimized.clone());
-    xsim_a.reset();
-    xsim_b.reset();
-    let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
     // Outputs are compared in port-connection order, so the first
-    // divergence reported does not depend on hash-map iteration order.
-    let outputs = || {
-        original
-            .outputs
-            .iter()
-            .map(|&(port, _)| &original.ports[port].name)
-    };
-    let missing = |name: &str| format!("output `{name}` missing from optimized module");
+    // divergence reported is the same on every run.
+    let outputs = original
+        .outputs
+        .iter()
+        .map(|&(port, net_a)| {
+            let name = &original.ports[port].name;
+            let net_b = optimized
+                .outputs
+                .iter()
+                .find(|&&(q, _)| optimized.ports[q].name == *name)
+                .map(|&(_, net)| net)
+                .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
+            Ok((name, net_a.0, net_b.0))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    // Each port of the optimized module reads the original's input port of
+    // the same name; one the original lacks reads as a missing input would
+    // (zero, and all-X).
+    let feed: Vec<Option<usize>> = optimized
+        .ports
+        .iter()
+        .map(|q| {
+            let same_input = |p: &Port| p.dir == PortDir::Input && p.name == q.name;
+            match q.dir {
+                PortDir::Input => original.ports.iter().position(same_input),
+                PortDir::Output => None,
+            }
+        })
+        .collect();
+    let mut a = GateSide::new(original);
+    let mut b = GateSide::new(optimized);
+    let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
     for cycle in 0..cycles {
-        let mut known = HashMap::new();
-        let mut fourstate = HashMap::new();
-        for port in &original.ports {
-            if port.dir != crate::netlist::PortDir::Input {
+        for (p, port) in original.ports.iter().enumerate() {
+            if port.dir != PortDir::Input {
                 continue;
             }
             let value = rand_apint(&mut state, port.width);
-            known.insert(port.name.clone(), value.clone());
             // Every third cycle knocks a pseudo-random subset of bits to X
             // so refinement is exercised, not just the all-known case.
-            let mask = if cycle % 3 == 2 {
-                rand_apint(&mut state, port.width)
+            a.fourstate[p] = if cycle % 3 == 2 {
+                let mask = rand_apint(&mut state, port.width);
+                XVal::from_planes(value.and(&mask), mask)
             } else {
-                ApInt::ones(port.width)
+                XVal::known(value.clone())
             };
-            fourstate.insert(
-                port.name.clone(),
-                XVal::from_planes(value.and(&mask), mask),
-            );
+            a.known[p] = value;
         }
-        let out_a = interp_a.step(&known);
-        let out_b = interp_b.step(&known);
-        for name in outputs() {
-            let (va, vb) = (&out_a[name], out_b.get(name).ok_or_else(|| missing(name))?);
+        for (q, p) in feed.iter().enumerate() {
+            if let Some(p) = *p {
+                b.set_input(q, &a.known[p], &a.fourstate[p]);
+            }
+        }
+        a.eval();
+        b.eval();
+        for &(name, net_a, net_b) in &outputs {
+            let (va, vb) = (&a.interp.net_values()[net_a], &b.interp.net_values()[net_b]);
             if va != vb {
                 return Err(format!(
                     "cycle {cycle}: output `{name}` diverged: original={va:x} optimized={vb:x}"
                 ));
             }
         }
-        let x_a = xsim_a.eval_x(&fourstate);
-        let x_b = xsim_b.eval_x(&fourstate);
-        for name in outputs() {
-            let (va, vb) = (&x_a[name], x_b.get(name).ok_or_else(|| missing(name))?);
+        for &(name, net_a, net_b) in &outputs {
+            let (va, vb) = (a.xsim.net(net_a), b.xsim.net(net_b));
             let disagree = va.value_plane().xor(vb.value_plane());
-            let bad = va
-                .known_plane()
-                .and(&vb.known_plane().not().or(&disagree));
+            let bad = va.known_plane().and(&vb.known_plane().not().or(&disagree));
             if !bad.is_zero() {
                 return Err(format!(
                     "cycle {cycle}: output `{name}` lost known bits under X stimulus: \
@@ -490,10 +502,52 @@ pub fn verify_equivalent(
                 ));
             }
         }
-        xsim_a.clock();
-        xsim_b.clock();
+        a.interp.clock();
+        b.interp.clock();
+        a.xsim.clock();
+        b.xsim.clock();
     }
     Ok(())
+}
+
+/// One module's half of [`verify_equivalent`]: its two-valued and
+/// four-state simulators and the stimulus they read, one value per port,
+/// reused every cycle.
+struct GateSide {
+    interp: Simulator,
+    xsim: Xsim,
+    known: Vec<ApInt>,
+    fourstate: Vec<XVal>,
+}
+
+impl GateSide {
+    fn new(m: &Module) -> Self {
+        let mut xsim = Xsim::new(m.clone());
+        xsim.reset();
+        GateSide {
+            interp: Simulator::new(m.clone()),
+            xsim,
+            known: m.ports.iter().map(|p| ApInt::zero(p.width)).collect(),
+            fourstate: m.ports.iter().map(|p| XVal::all_x(p.width)).collect(),
+        }
+    }
+
+    /// Drives port `q` with the original's stimulus, zero-extended or
+    /// truncated to the port's width (plane by plane on the four-state
+    /// side), as the name-keyed adapters resize a named input.
+    fn set_input(&mut self, q: usize, known: &ApInt, fourstate: &XVal) {
+        let width = self.known[q].width();
+        self.known[q] = known.zext_or_trunc(width);
+        self.fourstate[q] = XVal::from_planes(
+            fourstate.value_plane().zext_or_trunc(width),
+            fourstate.known_plane().zext_or_trunc(width),
+        );
+    }
+
+    fn eval(&mut self) {
+        self.interp.eval_ports(&self.known);
+        self.xsim.eval_ports(&self.fourstate);
+    }
 }
 
 #[cfg(test)]
@@ -680,6 +734,16 @@ mod tests {
         assert_eq!(messages.len(), 1, "{messages:?}");
         let message = messages.first().unwrap();
         assert!(message.contains("output `o0`"), "{message}");
+    }
+
+    #[test]
+    fn verify_reports_an_output_missing_from_the_optimized_module() {
+        let original = three_output_module(CombOp::Add);
+        let mut optimized = original.clone();
+        // Connections are `(port, net)` pairs; `o1` is port 2.
+        optimized.outputs.retain(|&(port, _)| port != 2);
+        let err = verify_equivalent(&original, &optimized, &EmitOptions, 32).unwrap_err();
+        assert_eq!(err, "output `o1` missing from optimized module");
     }
 
     #[test]

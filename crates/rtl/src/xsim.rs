@@ -19,7 +19,7 @@
 //! SystemVerilog would diverge from what `interp` (and the golden model
 //! upstream of it) promised.
 
-use crate::interp::Simulator;
+use crate::interp::{outputs_by_name, two_state_ports, Simulator};
 use crate::netlist::{CombOp, Driver, Module};
 use bits::ApInt;
 use std::collections::HashMap;
@@ -94,10 +94,16 @@ impl XVal {
     }
 
     /// Bits `[lo + width - 1 : lo]` as a `width`-bit value, with every bit
-    /// past the top X: both planes shift down and the vacated known bits
-    /// read zero.
+    /// past the top X. An in-range window is one `extract` per plane; one
+    /// reaching past the top shifts both planes down, and the vacated known
+    /// bits read zero.
     fn window(&self, lo: u32, width: u32) -> XVal {
-        if lo < self.width() {
+        if lo + width <= self.width() {
+            XVal {
+                value: self.value.extract(lo, width),
+                known: self.known.extract(lo, width),
+            }
+        } else if lo < self.width() {
             XVal {
                 value: self.value.lshr_bits(lo).zext_or_trunc(width),
                 known: self.known.lshr_bits(lo).zext_or_trunc(width),
@@ -144,12 +150,16 @@ impl fmt::Display for XVal {
 /// real simulation; [`Xsim::reset`] models a completed synchronous reset
 /// pulse (every register takes its `init`). Missing inputs are all-X,
 /// where the two-valued interpreter silently assumes zero.
+///
+/// Like [`Simulator`], it steps port-indexed ([`Xsim::eval_ports`]),
+/// writes constant nets once at construction and latches in place.
 #[derive(Debug, Clone)]
 pub struct Xsim {
     module: Module,
     /// Register state (indexed by net id; `None` for non-regs).
     regs: Vec<Option<XVal>>,
-    /// Net values from the most recent evaluation.
+    /// Net values from the most recent evaluation; constant nets hold their
+    /// constant from construction on.
     values: Vec<XVal>,
 }
 
@@ -165,7 +175,14 @@ impl Xsim {
                 _ => None,
             })
             .collect();
-        let values = module.nets.iter().map(|n| XVal::all_x(n.width)).collect();
+        let values = module
+            .nets
+            .iter()
+            .map(|n| match &n.driver {
+                Driver::Const(c) => XVal::known(c.clone()),
+                _ => XVal::all_x(n.width),
+            })
+            .collect();
         Xsim {
             module,
             regs,
@@ -198,38 +215,17 @@ impl Xsim {
         &self.values
     }
 
-    /// Evaluates the combinational fabric with fully-known inputs.
-    /// Missing inputs are all-X.
-    pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
-        let four_state: HashMap<String, XVal> = inputs
-            .iter()
-            .map(|(k, v)| (k.clone(), XVal::known(v.clone())))
-            .collect();
-        self.eval_x(&four_state)
-    }
-
-    /// Evaluates the combinational fabric with four-state inputs and
-    /// returns the output-port values. Does **not** clock the registers.
-    pub fn eval_x(&mut self, inputs: &HashMap<String, XVal>) -> HashMap<String, XVal> {
-        let port_values: Vec<XVal> = self
-            .module
-            .ports
-            .iter()
-            .map(|p| match inputs.get(&p.name) {
-                Some(v) if v.width() == p.width => v.clone(),
-                Some(v) => XVal {
-                    value: v.value.zext_or_trunc(p.width),
-                    known: v.known.zext_or_trunc(p.width),
-                },
-                None => XVal::all_x(p.width),
-            })
-            .collect();
+    /// Evaluates the combinational fabric with `inputs[p]` on port `p`
+    /// (one entry per port, each of its port's width; the entries of
+    /// output ports are not read). Does **not** clock the registers.
+    pub fn eval_ports(&mut self, inputs: &[XVal]) {
+        debug_assert_eq!(inputs.len(), self.module.ports.len());
         for i in 0..self.module.nets.len() {
             let net = &self.module.nets[i];
             let width = net.width;
             let value = match &net.driver {
-                Driver::Input { port } => port_values[*port].clone(),
-                Driver::Const(c) => XVal::known(c.clone()),
+                Driver::Const(_) => continue,
+                Driver::Input { port } => inputs[*port].clone(),
                 Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
                 Driver::Rom { rom, index } => {
                     let table = &self.module.roms[*rom];
@@ -257,39 +253,38 @@ impl Xsim {
             debug_assert_eq!(value.width(), width, "net {i} width mismatch");
             self.values[i] = value;
         }
-        self.module
-            .outputs
-            .iter()
-            .map(|&(port, net)| {
-                (
-                    self.module.ports[port].name.clone(),
-                    self.values[net.0].clone(),
-                )
-            })
-            .collect()
+    }
+
+    /// Evaluates the combinational fabric with fully-known inputs.
+    /// Missing inputs are all-X.
+    pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
+        self.eval_x(&known_inputs(inputs))
+    }
+
+    /// Evaluates the combinational fabric with four-state inputs and
+    /// returns the output-port values by name: an adapter over
+    /// [`Xsim::eval_ports`]. Does **not** clock the registers.
+    pub fn eval_x(&mut self, inputs: &HashMap<String, XVal>) -> HashMap<String, XVal> {
+        let ports = four_state_ports(&self.module, inputs);
+        self.eval_ports(&ports);
+        outputs_by_name(&self.module, &self.values)
     }
 
     /// Latches all registers based on the most recent evaluation. An X
-    /// enable merges hold and load pessimistically.
+    /// enable merges hold and load pessimistically. Every register reads
+    /// the net values of that evaluation, which latching leaves untouched,
+    /// so registers that feed each other swap cleanly.
     pub fn clock(&mut self) {
-        let mut next_values: Vec<(usize, XVal)> = Vec::new();
         for (i, net) in self.module.nets.iter().enumerate() {
             if let Driver::Reg { next, enable, .. } = &net.driver {
-                let hold = self.regs[i].clone().expect("register state");
-                let load = self.values[next.0].clone();
-                let latched = match enable {
-                    None => load,
-                    Some(e) => match self.values[e.0].as_known() {
-                        Some(en) if en.is_zero() => hold,
-                        Some(_) => load,
-                        None => hold.merge(&load),
-                    },
-                };
-                next_values.push((i, latched));
+                let load = &self.values[next.0];
+                let hold = self.regs[i].as_mut().expect("register state");
+                match enable.map(|e| self.values[e.0].as_known()) {
+                    Some(Some(en)) if en.is_zero() => {}
+                    Some(None) => *hold = hold.merge(load),
+                    None | Some(Some(_)) => *hold = load.clone(),
+                }
             }
-        }
-        for (i, v) in next_values {
-            self.regs[i] = Some(v);
         }
     }
 
@@ -299,6 +294,32 @@ impl Xsim {
         self.clock();
         outputs
     }
+}
+
+/// Named fully-known inputs as four-state values.
+fn known_inputs(inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
+    inputs
+        .iter()
+        .map(|(k, v)| (k.clone(), XVal::known(v.clone())))
+        .collect()
+}
+
+/// One four-state value per port of `module` from named inputs: a missing
+/// input is all-X, and one of another width has both planes zero-extended
+/// or truncated (so a widened input's new bits are X).
+fn four_state_ports(module: &Module, inputs: &HashMap<String, XVal>) -> Vec<XVal> {
+    module
+        .ports
+        .iter()
+        .map(|p| match inputs.get(&p.name) {
+            Some(v) if v.width() == p.width => v.clone(),
+            Some(v) => XVal {
+                value: v.value.zext_or_trunc(p.width),
+                known: v.known.zext_or_trunc(p.width),
+            },
+            None => XVal::all_x(p.width),
+        })
+        .collect()
 }
 
 /// Evaluates one combinational operator under IEEE-1800 semantics of the
@@ -313,36 +334,35 @@ pub(crate) fn eval_comb<'a>(
     lo: u32,
     width: u32,
 ) -> XVal {
-    // Arithmetic (and other whole-word) operators: any X in any operand
-    // X-poisons the entire result, per the LRM. This covers `/` and `%`,
-    // whose zero-divisor guard makes them total under the ApInt (RISC-V)
-    // convention, and the dynamic part-select, emitted as a zero-filled
-    // shift.
-    let lift2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> ApInt| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => XVal::known(f(p, q)),
-        _ => XVal::all_x(width),
-    };
-    let cmp2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> bool| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => XVal::known(ApInt::from_bool(f(p, q))),
-        _ => XVal::all_x(1),
-    };
     match op {
-        CombOp::Add => lift2(a(0), a(1), &|p, q| p.add(q)),
-        CombOp::Sub => lift2(a(0), a(1), &|p, q| p.sub(q)),
-        CombOp::Mul => lift2(a(0), a(1), &|p, q| p.mul(q)),
-        CombOp::DivU => lift2(a(0), a(1), &|p, q| p.udiv(q)),
-        CombOp::DivS => lift2(a(0), a(1), &|p, q| p.sdiv(q)),
-        CombOp::RemU => lift2(a(0), a(1), &|p, q| p.urem(q)),
-        CombOp::RemS => lift2(a(0), a(1), &|p, q| p.srem(q)),
-        CombOp::Shl => lift2(a(0), a(1), &|p, q| p.shl(q)),
-        CombOp::ShrU => lift2(a(0), a(1), &|p, q| p.lshr(q)),
-        CombOp::ShrS => lift2(a(0), a(1), &|p, q| p.ashr(q)),
+        // Arithmetic, shifts, comparisons and the dynamic part-select
+        // (emitted as a zero-filled shift): any X in any operand X-poisons
+        // the entire result, per the LRM, and known operands compute the
+        // two-valued result. That covers `/` and `%`, whose zero-divisor
+        // guard makes them total under the ApInt (RISC-V) convention.
+        CombOp::Add
+        | CombOp::Sub
+        | CombOp::Mul
+        | CombOp::DivU
+        | CombOp::DivS
+        | CombOp::RemU
+        | CombOp::RemS
+        | CombOp::Shl
+        | CombOp::ShrU
+        | CombOp::ShrS
+        | CombOp::ExtractDyn
+        | CombOp::Eq
+        | CombOp::Ne
+        | CombOp::Ult
+        | CombOp::Ule
+        | CombOp::Slt
+        | CombOp::Sle => {
+            if a(0).is_fully_known() && a(1).is_fully_known() {
+                XVal::known(crate::interp::eval_comb(op, |k| &a(k).value, lo, width))
+            } else {
+                XVal::all_x(width)
+            }
+        }
         CombOp::And => {
             let (x, y) = (a(0), a(1));
             // A known 0 on either side pins the bit regardless of the other.
@@ -379,12 +399,6 @@ pub(crate) fn eval_comb<'a>(
                 known: x.known.clone(),
             }
         }
-        CombOp::Eq => cmp2(a(0), a(1), &|p, q| p == q),
-        CombOp::Ne => cmp2(a(0), a(1), &|p, q| p != q),
-        CombOp::Ult => cmp2(a(0), a(1), &|p, q| p.ult(q)),
-        CombOp::Ule => cmp2(a(0), a(1), &|p, q| p.ule(q)),
-        CombOp::Slt => cmp2(a(0), a(1), &|p, q| p.slt(q)),
-        CombOp::Sle => cmp2(a(0), a(1), &|p, q| p.sle(q)),
         CombOp::Mux => match a(0).as_known() {
             Some(c) if c.is_zero() => a(2).clone(),
             Some(_) => a(1).clone(),
@@ -409,7 +423,6 @@ pub(crate) fn eval_comb<'a>(
             // lint rejects such netlists; the interpreter zero-pads).
             a(0).window(lo, width)
         }
-        CombOp::ExtractDyn => lift2(a(0), a(1), &|p, q| p.lshr(q).zext_or_trunc(width)),
         CombOp::ZExt => {
             let x = a(0);
             let sw = x.width();
@@ -417,10 +430,9 @@ pub(crate) fn eval_comb<'a>(
                 // Emitted as a plain alias.
                 x.clone()
             } else {
-                let pad = ApInt::ones(width).shl_bits(sw);
                 XVal {
                     value: x.value.zext(width),
-                    known: x.known.zext(width).or(&pad),
+                    known: ApInt::ones(width - sw).concat(&x.known),
                 }
             }
         }
@@ -430,10 +442,9 @@ pub(crate) fn eval_comb<'a>(
             if width == sw {
                 x.clone()
             } else if x.known.bit(sw - 1) {
-                let pad = ApInt::ones(width).shl_bits(sw);
                 XVal {
                     value: x.value.sext(width),
-                    known: x.known.zext(width).or(&pad),
+                    known: ApInt::ones(width - sw).concat(&x.known),
                 }
             } else {
                 // Unknown sign bit: the replicated pad is X.
@@ -502,6 +513,9 @@ pub struct DiffCycle {
 pub struct DiffSim {
     interp: Simulator,
     xsim: Xsim,
+    /// The four-state copy of the stimulus [`DiffSim::step_ports`] hands
+    /// the four-state half, one value per port, reused every cycle.
+    four_state: Vec<XVal>,
     cycle: u64,
 }
 
@@ -525,9 +539,16 @@ impl DiffSim {
             xsim.module().nets.len(),
             "differential halves must have the same net count"
         );
+        let four_state = xsim
+            .module()
+            .ports
+            .iter()
+            .map(|p| XVal::all_x(p.width))
+            .collect();
         DiffSim {
             interp,
             xsim,
+            four_state,
             cycle: 0,
         }
     }
@@ -542,24 +563,54 @@ impl DiffSim {
         &self.xsim
     }
 
-    /// Drives both simulators one cycle with the same fully-known inputs
-    /// and compares every net.
+    /// Drives both simulators one cycle with the same fully-known inputs,
+    /// `inputs[p]` on port `p` as in [`Simulator::eval_ports`], and
+    /// compares every net.
     ///
     /// # Errors
     ///
     /// The first net (in definition order) whose fully-known four-state
     /// value differs from the interpreter's.
+    pub fn step_ports(&mut self, inputs: &[ApInt]) -> Result<DiffCycle, Box<DiffMismatch>> {
+        let mut four_state = std::mem::take(&mut self.four_state);
+        for (x, v) in four_state.iter_mut().zip(inputs) {
+            *x = XVal::known(v.clone());
+        }
+        let stats = self.step_with(inputs, &four_state);
+        self.four_state = four_state;
+        stats
+    }
+
+    /// [`DiffSim::step_ports`] with named inputs: a missing input reads
+    /// zero in the interpreter and X in the four-state half, as in
+    /// [`Simulator::eval`] and [`Xsim::eval`].
+    ///
+    /// # Errors
+    ///
+    /// As [`DiffSim::step_ports`].
     pub fn step(
         &mut self,
         inputs: &HashMap<String, ApInt>,
     ) -> Result<DiffCycle, Box<DiffMismatch>> {
+        let two_state = two_state_ports(self.interp.module(), inputs);
+        let four_state = four_state_ports(self.xsim.module(), &known_inputs(inputs));
+        self.step_with(&two_state, &four_state)
+    }
+
+    fn step_with(
+        &mut self,
+        two_state: &[ApInt],
+        four_state: &[XVal],
+    ) -> Result<DiffCycle, Box<DiffMismatch>> {
         let cycle = self.cycle;
-        self.interp.eval(inputs);
-        let outputs = self.xsim.eval(inputs);
-        for (i, x) in self.xsim.net_values().iter().enumerate() {
-            let Some(known) = x.as_known() else { continue };
-            let expected = &self.interp.net_values()[i];
-            if known != expected {
+        self.interp.eval_ports(two_state);
+        self.xsim.eval_ports(four_state);
+        let mut net_x_bits = 0;
+        let nets = self.xsim.net_values().iter().zip(self.interp.net_values());
+        for (i, (x, expected)) in nets.enumerate() {
+            if !x.is_fully_known() {
+                net_x_bits += u64::from(x.x_bits());
+            } else if x.value != *expected {
                 let net = &self.xsim.module().nets[i];
                 return Err(Box::new(DiffMismatch {
                     cycle,
@@ -567,16 +618,14 @@ impl DiffSim {
                     name: net.name.clone(),
                     driver: driver_desc(&net.driver),
                     interp: expected.clone(),
-                    xsim: known.clone(),
+                    xsim: x.value.clone(),
                 }));
             }
         }
-        let output_x_bits = outputs.values().map(|v| u64::from(v.x_bits())).sum();
-        let net_x_bits = self
-            .xsim
-            .net_values()
+        let outputs = &self.xsim.module().outputs;
+        let output_x_bits = outputs
             .iter()
-            .map(|v| u64::from(v.x_bits()))
+            .map(|&(_, net)| u64::from(self.xsim.net(net.0).x_bits()))
             .sum();
         self.interp.clock();
         self.xsim.clock();
@@ -761,6 +810,62 @@ mod tests {
         let out = sim.eval(&inputs(&[("a", 0, 4), ("en", 0, 1)]));
         assert_eq!(out["o"].x_bits(), 2);
         assert!(out["o"].known_plane().bit(3) && out["o"].known_plane().bit(0));
+    }
+
+    /// Two 4-bit registers wired as a swap (`r0.next = r1`,
+    /// `r1.next = r0`) under one enable, starting at `0011` and `0101`.
+    fn swap_module() -> Module {
+        let mut m = Module::new("swap");
+        let en = m.add_port("en", PortDir::Input, 1);
+        let o0 = m.add_port("o0", PortDir::Output, 4);
+        let o1 = m.add_port("o1", PortDir::Output, 4);
+        let n_en = m.add_net(Driver::Input { port: en }, 1, "en");
+        let reg = |next, init| Driver::Reg {
+            next: NetId(next),
+            enable: Some(n_en),
+            init: ApInt::from_u64(init, 4),
+        };
+        let r0 = m.add_net(reg(2, 0b0011), 4, "r0");
+        let r1 = m.add_net(reg(1, 0b0101), 4, "r1");
+        m.connect_output(o0, r0);
+        m.connect_output(o1, r1);
+        m.validate().unwrap();
+        m
+    }
+
+    #[test]
+    fn swapped_registers_exchange_on_every_edge() {
+        let m = swap_module();
+        let mut sim = Simulator::new(m.clone());
+        let mut xsim = Xsim::new(m);
+        xsim.reset();
+        let mut regs = [ApInt::from_u64(0b0011, 4), ApInt::from_u64(0b0101, 4)];
+        // Enable high: the values exchange on every edge. Enable low: both
+        // hold.
+        for (cycle, en) in [1, 1, 1, 0, 0, 1, 0, 1].into_iter().enumerate() {
+            let ports = [ApInt::from_u64(en, 1), ApInt::zero(4), ApInt::zero(4)];
+            let known = ports.clone().map(XVal::known);
+            sim.eval_ports(&ports);
+            xsim.eval_ports(&known);
+            for (k, reg) in regs.iter().enumerate() {
+                let net = k + 1;
+                assert_eq!(&sim.net_values()[net], reg, "r{k}, cycle {cycle}");
+                assert_eq!(xsim.net(net).as_known(), Some(reg), "r{k}, cycle {cycle}");
+            }
+            sim.clock();
+            xsim.clock();
+            if en == 1 {
+                regs.swap(0, 1);
+            }
+        }
+        // An X enable merges hold and load: both registers keep the bits
+        // on which `0011` and `0101` agree and turn the others X.
+        let x_en = [XVal::all_x(1), XVal::all_x(4), XVal::all_x(4)];
+        xsim.eval_ports(&x_en);
+        xsim.clock();
+        xsim.eval_ports(&x_en);
+        assert_eq!(xsim.net(1).to_string(), "0xx1");
+        assert_eq!(xsim.net(2).to_string(), "0xx1");
     }
 
     #[test]
