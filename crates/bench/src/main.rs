@@ -6,15 +6,16 @@
 //! of the input and the algorithms: solver pivots / propagation batches /
 //! repair rounds, cache hit/miss totals, degradation counters, the
 //! per-stage op counters summed across the matrix, a per-cell solver-work
-//! breakdown with a digest of the cell's schedules, the `incremental`
-//! per-stage hit/miss profile of a cold → warm no-change → warm one-edit
-//! (a comment) → warm semantic-edit (one SPARKLE instruction) recompile
-//! sequence through one shared pipeline cache (the no-change run must be
-//! pure replay, the comment edit must recompute no backend stage, and
-//! every warm run's artifacts must match a cold compile byte for byte), and
-//! the `opt` profile of a full -O2 matrix (per-pass rewrite totals plus
-//! modeled area and critical path against -O0, with the strict area win
-//! asserted). Byte-identical on every run of the same code.
+//! breakdown with digests of the cell's schedules and SystemVerilog, the
+//! `incremental` per-stage hit/miss profile of a cold → warm no-change →
+//! warm one-edit (a comment) → warm semantic-edit (one SPARKLE
+//! instruction) recompile sequence through one shared pipeline cache (the
+//! no-change run must be pure replay, the comment edit must recompute no
+//! backend stage, and every warm run's artifacts must match a cold compile
+//! byte for byte), and the `opt` profile of a full -O2 matrix (per-pass
+//! rewrite totals, a digest of its SystemVerilog, and modeled area and
+//! critical path against -O0, with the strict area win asserted).
+//! Byte-identical on every run of the same code.
 //!
 //! The gate measures no time: wall-clock time, end to end and layer by
 //! layer, is `compilebench`'s job.
@@ -74,6 +75,19 @@ fn assert_artifacts_identical(cold: &MatrixResult, warm: &MatrixResult, what: &s
             "{what}: {cell} stripped trace"
         );
     }
+}
+
+/// One digest per compiled cell over its units' SystemVerilog texts, in
+/// unit order.
+fn verilog_digests(m: &MatrixResult) -> Vec<String> {
+    m.entries
+        .iter()
+        .filter_map(|e| e.outcome.as_ref().ok())
+        .map(|c| {
+            let text: String = c.graphs.iter().map(|g| g.verilog.as_str()).collect();
+            qcache::digest(text.as_bytes()).to_hex()
+        })
+        .collect()
 }
 
 /// Runs the matrix benchmark and renders `BENCH_compile.json`.
@@ -206,6 +220,11 @@ fn bench_json() -> String {
             qcache::digest(text.as_bytes()).to_hex()
         })
         .collect();
+    // And one over every unit's SystemVerilog, so the gate pins the
+    // emitted text, not just its length.
+    let serial_verilog = verilog_digests(&serial);
+    // The -O2 matrix gets one digest, over its cells' digests.
+    let o2_verilog = qcache::digest(verilog_digests(&o2).concat().as_bytes()).to_hex();
 
     let mut json = String::from("{\n  \"schema\": \"longnail-bench/3\",\n");
     json.push_str("  \"deterministic\": {\n");
@@ -220,12 +239,14 @@ fn bench_json() -> String {
         json.push_str(if i + 1 == summary.counters.len() { "\n" } else { ",\n" });
     }
     json.push_str("    },\n    \"per_cell\": [\n");
-    for (i, ((cell, trace), schedule)) in cell_traces.iter().zip(&schedule_digests).enumerate() {
+    let per_cell = cell_traces.iter().zip(&schedule_digests).zip(&serial_verilog);
+    for (i, (((cell, trace), schedule), verilog)) in per_cell.enumerate() {
         use telemetry::metrics as m;
         let _ = write!(
             json,
             "      {{\"cell\": \"{cell}\", \"pivots\": {}, \"nodes\": {}, \"rounds\": {}, \
-             \"fallbacks\": {}, \"ops\": {}, \"verilog_bytes\": {}, \"schedule\": \"{schedule}\"}}",
+             \"fallbacks\": {}, \"ops\": {}, \"verilog_bytes\": {}, \"schedule\": \"{schedule}\", \
+             \"verilog\": \"{verilog}\"}}",
             trace.counter_total(m::SOLVER_PIVOTS),
             trace.counter_total(m::SOLVER_NODES),
             trace.counter_total(m::SOLVER_ROUNDS),
@@ -254,6 +275,7 @@ fn bench_json() -> String {
     );
     let _ = writeln!(json, "      \"critical_path_o0_ns\": {crit_o0:.3},");
     let _ = writeln!(json, "      \"critical_path_o2_ns\": {crit_o2:.3},");
+    let _ = writeln!(json, "      \"verilog\": \"{o2_verilog}\",");
     {
         use telemetry::metrics as m;
         let _ = writeln!(json, "      \"iterations\": {},", opt_total(m::OPT_ITERATIONS));
