@@ -42,6 +42,7 @@
 //! [`WorkKind::Presolve`].
 
 use crate::budget::{Budget, Exhausted, WorkKind};
+use crate::csr::Csr;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -49,7 +50,7 @@ use std::fmt;
 pub const RELAX_BATCH: u64 = 32;
 
 /// A difference arc: `t[to] − t[from] >= gap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Arc {
     from: usize,
     to: usize,
@@ -155,16 +156,14 @@ impl DiffSystem {
         };
 
         // 1. ASAP start: the least feasible point.
-        let mut asap = self.lower.clone();
-        asap.push(0);
+        let mut asap = with_root(&self.lower);
         if !meter.relax(&arcs, &[], root, &mut asap)? {
             return Err(SolveError::Infeasible);
         }
         if arcs.iter().any(|a| a.to == root && -asap[a.from] < a.gap) {
             return Err(SolveError::Infeasible);
         }
-        let mut weight = self.weight.clone();
-        weight.push(0);
+        let weight = with_root(&self.weight);
         let mut tree = Tree::grow(&arcs, &asap, root);
 
         // 2. Pivot until every tree arc's flow is non-negative.
@@ -213,17 +212,18 @@ impl DiffSystem {
         }
 
         // 3. Least optimum: hold the positive-flow arcs tight and relax
-        //    upward from ASAP.
-        let tight: Vec<Arc> = arcs
-            .iter()
-            .zip(&flow)
-            .filter(|&(_, &f)| f > 0)
-            .map(|(a, _)| Arc {
-                from: a.to,
-                to: a.from,
-                gap: -a.gap,
-            })
-            .collect();
+        //    upward from ASAP. Only tree arcs carry flow, so at most `n`.
+        let mut tight = Vec::with_capacity(n);
+        tight.extend(
+            arcs.iter()
+                .zip(&flow)
+                .filter(|&(_, &f)| f > 0)
+                .map(|(a, _)| Arc {
+                    from: a.to,
+                    to: a.from,
+                    gap: -a.gap,
+                }),
+        );
         let mut least = asap;
         if !meter.relax(&arcs, &tight, root, &mut least)? {
             return Err(SolveError::Uncertified(
@@ -257,11 +257,18 @@ impl DiffSystem {
                 gap: -u,
             })
         });
-        lower
-            .chain(upper)
-            .chain(self.arcs.iter().copied())
-            .collect()
+        let mut arcs = Vec::with_capacity(2 * root + self.arcs.len());
+        arcs.extend(lower.chain(upper).chain(self.arcs.iter().copied()));
+        arcs
     }
+}
+
+/// `values` with the root's 0 appended, allocated once.
+fn with_root(values: &[i64]) -> Vec<i64> {
+    let mut v = Vec::with_capacity(values.len() + 1);
+    v.extend_from_slice(values);
+    v.push(0);
+    v
 }
 
 /// Charges arc relaxations against the budget in batches.
@@ -274,7 +281,8 @@ impl Meter<'_> {
     /// Raises `t` to the least point `>= t` that satisfies every arc of
     /// `arcs` and `extra` not entering `root` (longest paths by FIFO label
     /// correcting: a node's out-arcs are relaxed again only after its own
-    /// value rose). Returns `false` if a positive cycle keeps raising `t`:
+    /// value rose; its out-arcs are one flat list in arc order, `arcs`
+    /// then `extra`). Returns `false` if a positive cycle keeps raising `t`:
     /// a value set by a walk of as many arcs as there are nodes repeats a
     /// node, and only a positive cycle can have raised it on the way round.
     fn relax(
@@ -285,16 +293,14 @@ impl Meter<'_> {
         t: &mut [i64],
     ) -> Result<bool, Exhausted> {
         let nodes = t.len();
-        let mut out: Vec<Vec<&Arc>> = vec![Vec::new(); nodes];
-        for a in arcs.iter().chain(extra).filter(|a| a.to != root) {
-            out[a.from].push(a);
-        }
+        let live = arcs.iter().chain(extra).filter(|a| a.to != root);
+        let out = Csr::new(nodes, live.map(|a| (a.from, *a)));
         let mut hops = vec![0usize; nodes];
         let mut queued = vec![true; nodes];
         let mut queue: VecDeque<usize> = std::iter::once(root).chain(0..root).collect();
         while let Some(u) = queue.pop_front() {
             queued[u] = false;
-            for a in &out[u] {
+            for a in out.of(u) {
                 if self.relaxations.is_multiple_of(RELAX_BATCH) {
                     self.budget.charge(WorkKind::Presolve)?;
                 }
@@ -330,7 +336,10 @@ struct Tree {
     size: Vec<usize>,
     /// Total weight of each node's subtree.
     demand: Vec<i64>,
-    adjacent: Vec<Vec<usize>>,
+    /// Each node's tree arcs; rebuilt in place by every index.
+    adjacent: Csr<usize>,
+    /// The preorder walk's stack, kept so that indexing allocates nothing.
+    stack: Vec<usize>,
 }
 
 impl Tree {
@@ -361,27 +370,26 @@ impl Tree {
             pos: vec![0; nodes],
             size: vec![0; nodes],
             demand: vec![0; nodes],
-            adjacent: vec![Vec::new(); nodes],
+            adjacent: Csr::default(),
+            stack: Vec::with_capacity(nodes),
         }
     }
 
     /// Recomputes parents, preorder, subtree sizes and subtree weights,
     /// in O(nodes + arcs).
     fn index(&mut self, arcs: &[Arc], weight: &[i64], root: usize) {
-        for adj in &mut self.adjacent {
-            adj.clear();
-        }
-        for &k in &self.arcs {
-            self.adjacent[arcs[k].from].push(k);
-            self.adjacent[arcs[k].to].push(k);
-        }
+        let ends = self
+            .arcs
+            .iter()
+            .flat_map(|&k| [(arcs[k].from, k), (arcs[k].to, k)]);
+        self.adjacent.fill(weight.len(), ends);
         self.order.clear();
         self.parent[root] = usize::MAX;
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
+        self.stack.push(root);
+        while let Some(v) = self.stack.pop() {
             self.pos[v] = self.order.len();
             self.order.push(v);
-            for &k in self.adjacent[v].iter().rev() {
+            for &k in self.adjacent.of(v).iter().rev() {
                 if k != self.parent[v] {
                     let child = if arcs[k].from == v {
                         arcs[k].to
@@ -389,7 +397,7 @@ impl Tree {
                         arcs[k].from
                     };
                     self.parent[child] = k;
-                    stack.push(child);
+                    self.stack.push(child);
                 }
             }
         }

@@ -10,7 +10,9 @@
 //! certificate before returning it. It has no general LP/ILP model, no
 //! floating point, and no branch-and-bound.
 //!
-//! All work is charged against a deterministic [`Budget`].
+//! All work is charged against a deterministic [`Budget`]. The solver
+//! reads its graphs through [`Csr`], a flat adjacency list the scheduler's
+//! graph walks share.
 //!
 //! # Examples
 //!
@@ -28,7 +30,9 @@
 //! ```
 
 pub mod budget;
+pub mod csr;
 pub mod difference;
 
 pub use budget::{Budget, Exhausted, WorkKind};
+pub use csr::Csr;
 pub use difference::{DiffSystem, Solution, SolveError, RELAX_BATCH};

@@ -38,10 +38,7 @@ pub fn compute_chain_breakers(problem: &mut LongnailProblem) -> Result<(), Sched
     let budget = problem.cycle_time + 1e-9;
     let order = problem.topological_order()?;
     let n = problem.operations.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for d in &problem.dependences {
-        preds[d.to.0].push(d.from.0);
-    }
+    let preds = problem.predecessors();
     for (i, op) in problem.operations.iter().enumerate() {
         let ot = &problem.operator_types[op.operator_type.0];
         let delay = ot.incoming_delay.max(ot.outgoing_delay);
@@ -63,7 +60,7 @@ pub fn compute_chain_breakers(problem: &mut LongnailProblem) -> Result<(), Sched
         let ot = problem.lot(opid);
         let mut c = ot.earliest as u64;
         let mut input = 0.0f64;
-        for &p in &preds[i] {
+        for &p in preds.of(i) {
             let pot = &problem.operator_types[problem.operations[p].operator_type.0];
             let (ready_cycle, ready_arrival) = if pot.latency == 0 {
                 (cycle[p], arrival[p])
@@ -91,20 +88,14 @@ pub fn compute_chain_breakers(problem: &mut LongnailProblem) -> Result<(), Sched
     // delay-free sources, are left unconstrained (the scheduler may legally
     // co-schedule the endpoints in a later cycle); any residual chaining
     // violations are repaired lazily by the ILP driver.
-    let mut breakers = Vec::new();
-    for d in &problem.dependences {
-        let from_ot = problem.lot(d.from);
-        let to_ot = problem.lot(d.to);
-        if from_ot.latency == 0
+    let breaks = |d: &&Dependence| {
+        problem.lot(d.from).latency == 0
             && cycle[d.from.0] < cycle[d.to.0]
-            && arrival[d.from.0] + to_ot.outgoing_delay > budget
-        {
-            breakers.push(Dependence {
-                from: d.from,
-                to: d.to,
-            });
-        }
-    }
+            && arrival[d.from.0] + problem.lot(d.to).outgoing_delay > budget
+    };
+    // Counted first, so the list is allocated once at its exact size.
+    let mut breakers = Vec::with_capacity(problem.dependences.iter().filter(breaks).count());
+    breakers.extend(problem.dependences.iter().filter(breaks));
     problem.chain_breakers = breakers;
     Ok(())
 }

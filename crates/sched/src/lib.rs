@@ -18,6 +18,19 @@
 //!   fallback instead of failing,
 //! * [`stic`] — start-time-in-cycle propagation (the `ChainingProblem`
 //!   property computed after scheduling).
+//!
+//! The graph walks (topological order, chain breakers, STIC, ASAP) read
+//! one flat successor or predecessor list per walk, built in dependence
+//! order, so they allocate per problem, not per operation.
+//!
+//! What it does not do: every operator type has unlimited instances, so
+//! there is no resource-constrained or modulo scheduling. Each unit is one
+//! acyclic graph, and its initiation interval is derived from the schedule
+//! afterwards, never optimized. Chaining models one incoming and one
+//! outgoing delay per operator type; it is not a timing analysis of the
+//! netlist built from the schedule. A schedule is verified against the
+//! Table 2 constraint levels only, not against that netlist or the
+//! instruction's CoreDSL behavior.
 
 pub mod chain;
 pub mod ilp_sched;

@@ -20,10 +20,7 @@ pub fn schedule_asap(problem: &mut LongnailProblem) -> Result<Schedule, Schedule
     problem.check()?;
     let order = problem.topological_order()?;
     let n = problem.operations.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for d in &problem.dependences {
-        preds[d.to.0].push(d.from.0);
-    }
+    let preds = problem.predecessors();
     let mut start = vec![0u32; n];
     let mut finish_in_cycle = vec![0.0f64; n]; // output arrival within start cycle
     let budget = if problem.cycle_time > 0.0 {
@@ -33,7 +30,7 @@ pub fn schedule_asap(problem: &mut LongnailProblem) -> Result<Schedule, Schedule
     };
     for &opid in &order {
         let i = opid.0;
-        let ot = problem.lot(opid).clone();
+        let ot = problem.lot(opid);
         if ot.outgoing_delay > budget {
             return Err(ScheduleError::InvalidProblem(format!(
                 "operation `{}` alone exceeds the cycle time",
@@ -42,8 +39,8 @@ pub fn schedule_asap(problem: &mut LongnailProblem) -> Result<Schedule, Schedule
         }
         let mut cycle = ot.earliest;
         let mut arrival = 0.0f64;
-        for &p in &preds[i] {
-            let pot = problem.lot(crate::problem::OperationId(p)).clone();
+        for &p in preds.of(i) {
+            let pot = problem.lot(crate::problem::OperationId(p));
             let ready = start[p] + pot.latency;
             if ready > cycle {
                 cycle = ready;

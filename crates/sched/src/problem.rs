@@ -15,6 +15,7 @@
 //! constraint levels are exposed as separate verification methods so that
 //! tests (and the paper's Table 2) can exercise each level independently.
 
+use ilp::Csr;
 use std::fmt;
 
 /// Identifies an operation (a vertex of the dependence graph).
@@ -247,24 +248,28 @@ impl LongnailProblem {
         self.topological_order().map(|_| ())
     }
 
-    /// Returns a topological order of the operations.
+    /// Returns a topological order of the operations: a stack walk from
+    /// the sources, over dependences then chain breakers, each in the order
+    /// they were added.
     ///
     /// # Errors
     ///
     /// Returns [`ScheduleError::InvalidProblem`] if the graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<OperationId>, ScheduleError> {
         let n = self.operations.len();
+        let edges = self.dependences.iter().chain(&self.chain_breakers);
+        let succs = Csr::new(n, edges.clone().map(|d| (d.from.0, d.to.0)));
         let mut indeg = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for d in self.dependences.iter().chain(&self.chain_breakers) {
+        for d in edges {
             indeg[d.to.0] += 1;
-            succs[d.from.0].push(d.to.0);
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // Each operation is queued once, so `n` slots never regrow.
+        let mut queue = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&i| indeg[i] == 0));
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop() {
             order.push(OperationId(i));
-            for &s in &succs[i] {
+            for &s in succs.of(i) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     queue.push(s);
@@ -277,6 +282,13 @@ impl LongnailProblem {
             ));
         }
         Ok(order)
+    }
+
+    /// Each operation's predecessors over the dependences (chain breakers
+    /// excluded), in the order the dependences were added.
+    pub(crate) fn predecessors(&self) -> Csr<usize> {
+        let edges = self.dependences.iter().map(|d| (d.to.0, d.from.0));
+        Csr::new(self.operations.len(), edges)
     }
 
     // ---- solution constraints, one method per hierarchy level (Table 2) ----

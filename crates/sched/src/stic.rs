@@ -18,15 +18,12 @@ pub fn compute_stic(
 ) -> Result<Schedule, ScheduleError> {
     let order = problem.topological_order()?;
     let n = problem.operations.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for d in &problem.dependences {
-        preds[d.to.0].push(d.from.0);
-    }
+    let preds = problem.predecessors();
     let mut stic = vec![0.0f64; n];
     for &opid in &order {
         let i = opid.0;
         let mut earliest = 0.0f64;
-        for &p in &preds[i] {
+        for &p in preds.of(i) {
             let pot = &problem.operator_types[problem.operations[p].operator_type.0];
             let arrives = if pot.latency == 0 && start_time[p] == start_time[i] {
                 stic[p] + pot.outgoing_delay
