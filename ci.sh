@@ -83,6 +83,12 @@ echo "== cargo test --release: xcheck and rtl_cosim on the Table 3 netlists"
 cargo test --release -p longnail --test xcheck
 cargo test --release --test rtl_cosim
 
+echo "== cargo test --release: allocation counts in the build that ships"
+# compilebench and lnc run the release build. The debug build counts a
+# different program: it inlines differently, and `build_graph_module`
+# runs a `debug_assert!` over `Module::validate` there.
+cargo test --release -p longnail --test layer_allocations --test cycle_allocations
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt -p telemetry -p bits -- --check"
     cargo fmt -p telemetry -p bits -- --check

@@ -13,7 +13,7 @@ use coredsl::error::{codes, Diagnostic, Span};
 use coredsl::tast::TypedModule;
 use coredsl::Frontend;
 use eda::TechLibrary;
-use ir::lil::{Graph, GraphKind, LilModule, OpKind};
+use ir::lil::{Graph, GraphKind, LilModule, Op, OpKind};
 use ir::{lower_always, lower_instruction, lower_state, verify_graph};
 use pool::Pool;
 use rtl::build::{build_graph_module, BuiltModule};
@@ -823,24 +823,27 @@ impl Longnail {
             cycle_time: chain_limit,
             ..LongnailProblem::default()
         };
-        let mut type_cache: HashMap<String, OperatorTypeId> = HashMap::new();
+        // A unit has a few dozen operator types, so a short list finds
+        // them faster than hashing would.
+        let mut types: Vec<(TypeKey<'_>, OperatorTypeId)> = Vec::new();
         let mut op_ids = Vec::with_capacity(graph.len());
         for (_, op) in graph.iter() {
-            let key = op.kind.mnemonic();
-            let cache_key = format!("{key}/{}", op.in_spawn);
-            let tid = match type_cache.get(&cache_key) {
-                Some(&t) => t,
+            let key = type_key(op);
+            let tid = match types.iter().find(|(k, _)| *k == key) {
+                Some(&(_, t)) => t,
                 None => {
                     let ot = match self.operator_type(&op.kind, is_always, datasheet) {
                         Ok(ot) => ot,
                         Err(e) => return StageVal { outcome: Err(e), tape },
                     };
                     let t = problem.add_operator_type(ot);
-                    type_cache.insert(cache_key, t);
+                    types.push((key, t));
                     t
                 }
             };
-            op_ids.push(problem.add_operation(&key, tid));
+            // Named like its type, the operation shares the type's name.
+            let name = Arc::clone(&problem.operator_types[tid.0].name);
+            op_ids.push(problem.add_operation(&name, tid));
         }
         for (v, op) in graph.iter() {
             for &operand in op.operands.iter().chain(op.pred.iter()) {
@@ -866,7 +869,8 @@ impl Longnail {
         let mut tape = Tape::default();
         let budget = Budget::new(self.work_limit);
         // The solver adds chain breakers to the problem; the cached
-        // ProblemOut must stay pristine for replay.
+        // ProblemOut must stay pristine for replay. The copy is flat: the
+        // operations share their names with the cached problem.
         let mut problem = (*pout.problem).clone();
         let result = schedule_resilient(&mut problem, &budget);
         // Solver work is counted, not timed — these are deterministic.
@@ -1054,6 +1058,21 @@ fn module_bytes(b: &BuiltModule) -> u64 {
     (b.module.nets.len() as u64 + 1) * 160 + roms as u64
 }
 
+/// What decides an operation's operator type: its kind's variant, the
+/// custom register or ROM it accesses, and whether it sits in a `spawn`
+/// block. Two operations with equal keys have equal mnemonics.
+type TypeKey<'a> = (std::mem::Discriminant<OpKind>, Option<&'a str>, bool);
+
+fn type_key(op: &Op) -> TypeKey<'_> {
+    let accessed = match &op.kind {
+        OpKind::ReadCustReg(name) | OpKind::WriteCustReg(name) | OpKind::RomRead(name) => {
+            Some(name.as_str())
+        }
+        _ => None,
+    };
+    (std::mem::discriminant(&op.kind), accessed, op.in_spawn)
+}
+
 /// Cached output of the `problem` stage. The problem is shared so that a
 /// cache hit costs a reference count, not a copy.
 #[derive(Debug, Clone)]
@@ -1144,12 +1163,10 @@ fn rtl_stage(
     sout: &SolveOut,
 ) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
-    let ds = datasheet.clone();
-    let read_latency = move |kind: &OpKind| -> u32 {
+    let read_latency = |kind: &OpKind| -> u32 {
         lil_iface_op(kind)
-            .and_then(|op| ds.timing(&op))
-            .map(|t| t.latency)
-            .unwrap_or(0)
+            .and_then(|op| datasheet.timing(&op))
+            .map_or(0, |t| t.latency)
     };
     let built = build_graph_module(graph, lil, &sout.schedule.start_time, &read_latency);
     // Netlist lint: last gate before SystemVerilog leaves the compiler.

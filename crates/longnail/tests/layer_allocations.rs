@@ -1,12 +1,15 @@
-//! SystemVerilog emission and the scheduler's graph walks allocate per
-//! module or per problem, never per net or per operation. A counting
-//! allocator checks that `emit_verilog` allocates as often on a module
-//! with twice the nets, and that `topological_order`,
-//! `compute_chain_breakers`, `compute_stic` and `DiffSystem::solve`
-//! allocate as often on a problem with twice the operations.
+//! SystemVerilog emission, the netlist lint, the scheduler's graph walks
+//! and the copy of a scheduling problem allocate per module or per
+//! problem, never per net or per operation. A counting allocator checks
+//! that `emit_verilog`, `lint_module` and `comb_depth` allocate as often on
+//! a module with twice the nets, and that `topological_order`,
+//! `compute_chain_breakers`, `compute_stic`, `DiffSystem::solve` and
+//! `LongnailProblem::clone` allocate as often on a problem with twice the
+//! operations.
 
 use bits::ApInt;
 use ilp::{Budget, DiffSystem, WorkKind};
+use rtl::lint::{comb_depth, lint_module};
 use rtl::netlist::{CombOp, Driver, Module, NetId, PortDir, RomData};
 use rtl::verilog::emit_verilog;
 use sched::problem::{LongnailProblem, OperationId, OperatorType};
@@ -181,6 +184,33 @@ fn emission_allocates_per_module_not_per_net() {
     );
 }
 
+#[test]
+fn lint_and_depth_allocate_per_module_not_per_net() {
+    let (small, large) = (netlist(40), netlist(80));
+    let lint = |m: &Module| lint_module(m).expect("the scaled netlist lints clean");
+    let depth = |m: &Module| assert!(comb_depth(m) > 1);
+    let counts = [
+        (
+            "lint_module",
+            allocations(|| lint(&small)),
+            allocations(|| lint(&large)),
+        ),
+        (
+            "comb_depth",
+            allocations(|| depth(&small)),
+            allocations(|| depth(&large)),
+        ),
+    ];
+    for (layer, once, twice) in counts {
+        assert!(
+            twice <= once,
+            "{layer}: {} nets allocate {once} times, {} nets {twice}",
+            small.nets.len(),
+            large.nets.len()
+        );
+    }
+}
+
 /// `blocks` copies of a scheduling block: an interface read feeding a
 /// chain of adders too long for one cycle (chain breakers) with a
 /// multi-cycle multiplier beside it, and an adder with three consumers
@@ -276,4 +306,19 @@ fn scheduling_walks_allocate_per_problem_not_per_operation() {
             "{walk}: 30 blocks allocate {once} times, 60 blocks {twice}"
         );
     }
+}
+
+#[test]
+fn problem_copies_allocate_per_problem_not_per_operation() {
+    let (small, large) = (problem(30), problem(60));
+    let (once, twice) = (
+        allocations(|| drop(small.clone())),
+        allocations(|| drop(large.clone())),
+    );
+    assert!(
+        twice <= once,
+        "LongnailProblem::clone: {} operations allocate {once} times, {} operations {twice}",
+        small.operations.len(),
+        large.operations.len()
+    );
 }

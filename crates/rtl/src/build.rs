@@ -11,7 +11,6 @@
 use crate::netlist::{CombOp, Driver, Module, NetId, PortDir, RomData};
 use bits::ApInt;
 use ir::lil::{Graph, LilModule, OpKind, ValueId};
-use std::collections::HashMap;
 
 /// Semantic role of a generated port, so that SCAIE-V / core adapters can
 /// wire the module without parsing names.
@@ -149,18 +148,15 @@ pub fn build_graph_module(
         read_latency,
         module: Module::new(&format!("{}_{}", lil.name, graph.name)),
         bindings: Vec::new(),
-        avail: HashMap::new(),
-        nets: HashMap::new(),
-        stall: HashMap::new(),
-        not_stall: HashMap::new(),
-        consts: HashMap::new(),
-        rom_ids: HashMap::new(),
+        defs: vec![None; graph.ops.len()],
+        next_stage: Vec::new(),
+        stall: Vec::new(),
+        not_stall: Vec::new(),
         max_stage: 0,
     };
     b.module.add_port("clk", PortDir::Input, 1);
     b.module.add_port("rst", PortDir::Input, 1);
-    for (i, rom) in lil.roms.iter().enumerate() {
-        b.rom_ids.insert(rom.name.clone(), i);
+    for rom in &lil.roms {
         b.module.roms.push(RomData {
             name: rom.name.clone(),
             width: rom.width,
@@ -185,18 +181,26 @@ struct Builder<'a> {
     read_latency: &'a dyn Fn(&OpKind) -> u32,
     module: Module,
     bindings: Vec<PortBinding>,
-    /// Stage each LIL value first becomes available in.
-    avail: HashMap<usize, u32>,
-    /// (LIL value, stage) → net.
-    nets: HashMap<(usize, u32), NetId>,
+    /// Per LIL value: the stage it first becomes available in and its net
+    /// there. A constant's net is interned on first use and serves every
+    /// stage.
+    defs: Vec<Option<(u32, NetId)>>,
+    /// Per net: the pipeline register carrying it one stage later. A
+    /// value's registers form one unbroken chain from its defining net.
+    next_stage: Vec<Option<NetId>>,
     /// stall_in net per stage.
-    stall: HashMap<u32, NetId>,
+    stall: Vec<Option<NetId>>,
     /// Cached inverted stall per stage (register clock enables).
-    not_stall: HashMap<u32, NetId>,
-    /// Interned constants (stage-independent).
-    consts: HashMap<usize, NetId>,
-    rom_ids: HashMap<String, usize>,
+    not_stall: Vec<Option<NetId>>,
     max_stage: u32,
+}
+
+/// The entry at `i`, growing `v` to hold it.
+fn slot(v: &mut Vec<Option<NetId>>, i: usize) -> &mut Option<NetId> {
+    if v.len() <= i {
+        v.resize(i + 1, None);
+    }
+    &mut v[i]
 }
 
 impl<'a> Builder<'a> {
@@ -245,16 +249,16 @@ impl<'a> Builder<'a> {
     }
 
     fn stall_net(&mut self, stage: u32) -> NetId {
-        if let Some(&n) = self.stall.get(&stage) {
+        if let Some(n) = *slot(&mut self.stall, stage as usize) {
             return n;
         }
         let n = self.input_port(IfaceSignal::StallIn, stage, 1, false);
-        self.stall.insert(stage, n);
+        *slot(&mut self.stall, stage as usize) = Some(n);
         n
     }
 
     fn not_stall_net(&mut self, stage: u32) -> NetId {
-        if let Some(&n) = self.not_stall.get(&stage) {
+        if let Some(n) = *slot(&mut self.not_stall, stage as usize) {
             return n;
         }
         let stall = self.stall_net(stage);
@@ -267,63 +271,57 @@ impl<'a> Builder<'a> {
             1,
             "",
         );
-        self.not_stall.insert(stage, n);
-        n
-    }
-
-    fn const_net(&mut self, v: usize, c: &ApInt) -> NetId {
-        if let Some(&n) = self.consts.get(&v) {
-            return n;
-        }
-        let n = self
-            .module
-            .add_net(Driver::Const(c.clone()), c.width(), &format!("c{v}"));
-        self.consts.insert(v, n);
+        *slot(&mut self.not_stall, stage as usize) = Some(n);
         n
     }
 
     /// Returns the net carrying LIL value `v` in `stage`, inserting
     /// stallable pipeline registers as needed.
     fn value_in_stage(&mut self, v: ValueId, stage: u32) -> NetId {
-        if let OpKind::Const(c) = &self.graph.ops[v.0].kind {
-            let c = c.clone();
-            return self.const_net(v.0, &c);
+        let graph = self.graph;
+        if let OpKind::Const(c) = &graph.ops[v.0].kind {
+            if let Some((_, n)) = self.defs[v.0] {
+                return n;
+            }
+            let name = format!("c{}", v.0);
+            let n = self
+                .module
+                .add_net(Driver::Const(c.clone()), c.width(), &name);
+            self.defs[v.0] = Some((0, n));
+            return n;
         }
-        let base = *self.avail.get(&v.0).expect("value availability known");
+        let (base, mut net) = self.defs[v.0].expect("value availability known");
         assert!(
             stage >= base,
             "value %{} needed in stage {stage} before it exists (stage {base})",
             v.0
         );
-        if let Some(&n) = self.nets.get(&(v.0, stage)) {
-            return n;
-        }
-        // Walk up from the last materialized stage.
-        let mut cur_stage = stage - 1;
-        while !self.nets.contains_key(&(v.0, cur_stage)) {
-            cur_stage -= 1;
-        }
-        let mut net = self.nets[&(v.0, cur_stage)];
-        let width = self.module.nets[net.0].width;
-        for s in cur_stage..stage {
-            let not_stall = self.not_stall_net(s);
-            net = self.module.add_net(
-                Driver::Reg {
-                    next: net,
-                    enable: Some(not_stall),
-                    init: ApInt::zero(width),
-                },
-                width,
-                &format!("pipe_{}_{}", v.0, s),
-            );
-            self.nets.insert((v.0, s + 1), net);
+        // Follow the value's register chain, extending it where it ends.
+        for s in base..stage {
+            net = match self.next_stage.get(net.0).copied().flatten() {
+                Some(reg) => reg,
+                None => {
+                    let width = self.module.nets[net.0].width;
+                    let not_stall = self.not_stall_net(s);
+                    let reg = self.module.add_net(
+                        Driver::Reg {
+                            next: net,
+                            enable: Some(not_stall),
+                            init: ApInt::zero(width),
+                        },
+                        width,
+                        &format!("pipe_{}_{}", v.0, s),
+                    );
+                    *slot(&mut self.next_stage, net.0) = Some(reg);
+                    reg
+                }
+            };
         }
         net
     }
 
     fn define(&mut self, v: ValueId, stage: u32, net: NetId) {
-        self.avail.insert(v.0, stage);
-        self.nets.insert((v.0, stage), net);
+        self.defs[v.0] = Some((stage, net));
         self.max_stage = self.max_stage.max(stage);
     }
 
@@ -428,7 +426,12 @@ impl<'a> Builder<'a> {
                     );
                 }
                 OpKind::RomRead(name) => {
-                    let rom = self.rom_ids[name];
+                    let rom = self
+                        .module
+                        .roms
+                        .iter()
+                        .position(|r| r.name == *name)
+                        .expect("ROM read of a declared ROM");
                     let n = self.module.add_net(
                         Driver::Rom {
                             rom,
@@ -506,5 +509,144 @@ fn comb_op_of(kind: &OpKind) -> (CombOp, u32) {
         OpKind::SExt => (CombOp::SExt, 0),
         OpKind::Trunc => (CombOp::Trunc, 0),
         other => unreachable!("not a combinational op: {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ir::lil::{GraphKind, Op};
+    use std::fmt::Write as _;
+
+    fn op(kind: OpKind, operands: &[usize], width: u32) -> Op {
+        Op {
+            kind,
+            operands: operands.iter().map(|&v| ValueId(v)).collect(),
+            width,
+            pred: None,
+            in_spawn: false,
+        }
+    }
+
+    /// One line per port, net and output connection, in creation order.
+    fn dump(m: &Module) -> String {
+        let mut s = String::new();
+        for (i, p) in m.ports.iter().enumerate() {
+            writeln!(s, "port {i} {} {:?} {}", p.name, p.dir, p.width).unwrap();
+        }
+        for (i, net) in m.nets.iter().enumerate() {
+            let driver = match &net.driver {
+                Driver::Input { port } => format!("input {port}"),
+                Driver::Const(c) => format!("const {c:?}"),
+                Driver::Comb { op, args, lo } => {
+                    let args: Vec<usize> = args.iter().map(|a| a.0).collect();
+                    format!("{op:?} {args:?} lo {lo}")
+                }
+                Driver::Reg { next, enable, init } => {
+                    format!(
+                        "reg next {} enable {:?} init {init:?}",
+                        next.0,
+                        enable.map(|e| e.0)
+                    )
+                }
+                Driver::Rom { rom, index } => format!("rom {rom} index {}", index.0),
+            };
+            writeln!(s, "net {i} `{}` w{} {driver}", net.name, net.width).unwrap();
+        }
+        for (port, net) in &m.outputs {
+            writeln!(s, "out {port} <- {}", net.0).unwrap();
+        }
+        s
+    }
+
+    /// Two values consumed out of stage order: `%3` first in stage 5 and
+    /// then in stage 3, `%4` in stage 3 and then stage 4. Their pipeline
+    /// registers, the stall ports and the inverted stalls that enable them
+    /// are created interleaved, in first-use order; a shared constant is
+    /// interned once.
+    #[test]
+    fn out_of_order_consumers_pin_registers_enables_and_names() {
+        let c5 = OpKind::Const(ApInt::from_u64(5, 32));
+        let graph = Graph {
+            name: "g".into(),
+            kind: GraphKind::Instruction {
+                mask: 0,
+                match_value: 0,
+            },
+            ops: vec![
+                op(OpKind::ReadRs1, &[], 32),     // %0 @1
+                op(OpKind::ReadRs2, &[], 32),     // %1 @0
+                op(c5, &[], 32),                  // %2
+                op(OpKind::Add, &[0, 2], 32),     // %3 @2
+                op(OpKind::Xor, &[1, 2], 32),     // %4 @1
+                op(OpKind::Not, &[3], 32),        // %5 @5
+                op(OpKind::Sub, &[3, 4], 32),     // %6 @3
+                op(OpKind::Or, &[4, 2], 32),      // %7 @4
+                op(OpKind::WriteRd, &[5], 0),     // %8 @5
+                op(OpKind::WriteMem, &[6, 7], 0), // %9 @4
+                op(OpKind::Sink, &[], 0),         // %10 @5
+            ],
+        };
+        let lil = LilModule {
+            name: "x".into(),
+            graphs: vec![graph.clone()],
+            ..LilModule::default()
+        };
+        let start = [1, 0, 0, 2, 1, 5, 3, 4, 5, 4, 5];
+        let built = build_graph_module(&graph, &lil, &start, &|_| 0);
+        built.module.validate().unwrap();
+        assert_eq!(built.max_stage, 5);
+        assert_eq!(built.module.name, "x_g");
+        let expected = [
+            "port 0 clk Input 1",
+            "port 1 rst Input 1",
+            "port 2 rs1_1 Input 32",
+            "port 3 rs2_0 Input 32",
+            "port 4 stall_in_1 Input 1",
+            "port 5 stall_in_0 Input 1",
+            "port 6 stall_in_2 Input 1",
+            "port 7 stall_in_3 Input 1",
+            "port 8 stall_in_4 Input 1",
+            "port 9 wrrd_data_5 Output 32",
+            "port 10 wrrd_valid_5 Output 1",
+            "port 11 wrmem_addr_4 Output 32",
+            "port 12 wrmem_data_4 Output 32",
+            "port 13 wrmem_valid_4 Output 1",
+            "net 0 `rs1_1` w32 input 2",
+            "net 1 `rs2_0` w32 input 3",
+            "net 2 `stall_in_1` w1 input 4",
+            "net 3 `` w1 Not [2] lo 0",
+            "net 4 `pipe_0_1` w32 reg next 0 enable Some(3) init 32'h0",
+            "net 5 `c2` w32 const 32'h5",
+            "net 6 `` w32 Add [4, 5] lo 0",
+            "net 7 `stall_in_0` w1 input 5",
+            "net 8 `` w1 Not [7] lo 0",
+            "net 9 `pipe_1_0` w32 reg next 1 enable Some(8) init 32'h0",
+            "net 10 `` w32 Xor [9, 5] lo 0",
+            "net 11 `stall_in_2` w1 input 6",
+            "net 12 `` w1 Not [11] lo 0",
+            "net 13 `pipe_3_2` w32 reg next 6 enable Some(12) init 32'h0",
+            "net 14 `stall_in_3` w1 input 7",
+            "net 15 `` w1 Not [14] lo 0",
+            "net 16 `pipe_3_3` w32 reg next 13 enable Some(15) init 32'h0",
+            "net 17 `stall_in_4` w1 input 8",
+            "net 18 `` w1 Not [17] lo 0",
+            "net 19 `pipe_3_4` w32 reg next 16 enable Some(18) init 32'h0",
+            "net 20 `` w32 Not [19] lo 0",
+            "net 21 `pipe_4_1` w32 reg next 10 enable Some(3) init 32'h0",
+            "net 22 `pipe_4_2` w32 reg next 21 enable Some(12) init 32'h0",
+            "net 23 `` w32 Sub [13, 22] lo 0",
+            "net 24 `pipe_4_3` w32 reg next 22 enable Some(15) init 32'h0",
+            "net 25 `` w32 Or [24, 5] lo 0",
+            "net 26 `true` w1 const 1'h1",
+            "net 27 `pipe_6_3` w32 reg next 23 enable Some(15) init 32'h0",
+            "net 28 `true` w1 const 1'h1",
+            "out 9 <- 20",
+            "out 10 <- 26",
+            "out 11 <- 27",
+            "out 12 <- 25",
+            "out 13 <- 28",
+        ];
+        assert_eq!(dump(&built.module).lines().collect::<Vec<_>>(), expected);
     }
 }

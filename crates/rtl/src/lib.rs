@@ -10,6 +10,9 @@
 //!   where needed; interface operations become input/output ports whose
 //!   names carry the active-stage suffix (cf. Figure 5d's `instr_word_2`,
 //!   `res_3_data`),
+//! * [`lint`] — the structural gate in front of emission: operator widths,
+//!   register and ROM shapes, port connections and combinational cycles,
+//!   plus the logic-depth statistic [`lint::comb_depth`],
 //! * [`verilog`] — emits the module as SystemVerilog,
 //! * [`interp`] — executes the netlist cycle by cycle, which is how the
 //!   "RTL simulation" verification of paper §5.3 is realized in this

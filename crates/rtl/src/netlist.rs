@@ -210,8 +210,12 @@ impl Module {
         }
         let mut seen = vec![false; self.ports.len()];
         for (port, net) in &self.outputs {
-            if self.ports[*port].dir != PortDir::Output {
-                return Err(format!("output connection to non-output port {port}"));
+            match self.ports.get(*port) {
+                None => return Err(format!("output connection to nonexistent port {port}")),
+                Some(p) if p.dir != PortDir::Output => {
+                    return Err(format!("output connection to non-output port {port}"));
+                }
+                Some(_) => {}
             }
             if seen[*port] {
                 return Err(format!("output port {port} driven twice"));
@@ -261,6 +265,19 @@ mod tests {
         let mut m = Module::new("t");
         m.add_port("o", PortDir::Output, 1);
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn connection_to_nonexistent_port_is_rejected() {
+        let mut m = Module::new("t");
+        let o = m.add_port("o", PortDir::Output, 1);
+        let n = m.add_net(Driver::Const(bits::ApInt::zero(1)), 1, "z");
+        m.connect_output(o, n);
+        m.outputs.push((7, n));
+        assert_eq!(
+            m.validate(),
+            Err("output connection to nonexistent port 7".to_string())
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use ilp::Csr;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies an operation (a vertex of the dependence graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,8 +30,9 @@ pub struct OperatorTypeId(pub usize);
 /// Hardware characteristics of the units executing operations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorType {
-    /// Display name (e.g. `"comb.add"` or `"lil.write_rd"`).
-    pub name: String,
+    /// Display name (e.g. `"comb.add"` or `"lil.write_rd"`), shared with
+    /// the operations that carry the same name.
+    pub name: Arc<str>,
     /// Cycles from operand consumption to result availability; 0 for
     /// combinational operators.
     pub latency: u32,
@@ -52,7 +54,7 @@ impl OperatorType {
     /// A combinational operator type with symmetric delay and no window.
     pub fn combinational(name: &str, delay: f64) -> Self {
         OperatorType {
-            name: name.to_string(),
+            name: name.into(),
             latency: 0,
             incoming_delay: delay,
             outgoing_delay: delay,
@@ -64,7 +66,7 @@ impl OperatorType {
     /// A sequential operator type with the given latency.
     pub fn sequential(name: &str, latency: u32, delay: f64) -> Self {
         OperatorType {
-            name: name.to_string(),
+            name: name.into(),
             latency,
             incoming_delay: delay,
             outgoing_delay: delay,
@@ -87,8 +89,9 @@ impl OperatorType {
 pub struct Operation {
     /// The `linkedOperatorType` property (LOT in Table 2).
     pub operator_type: OperatorTypeId,
-    /// Display name for diagnostics.
-    pub name: String,
+    /// Display name for diagnostics. An operation named like its operator
+    /// type shares that type's name, so copying a problem copies no text.
+    pub name: Arc<str>,
 }
 
 /// A dependence edge: `from`'s result is consumed by `to`.
@@ -187,12 +190,17 @@ impl LongnailProblem {
         id
     }
 
-    /// Adds an operation of the given operator type.
+    /// Adds an operation of the given operator type. A `name` equal to the
+    /// type's name shares it instead of allocating a copy.
     pub fn add_operation(&mut self, name: &str, operator_type: OperatorTypeId) -> OperationId {
         let id = OperationId(self.operations.len());
+        let name = match self.operator_types.get(operator_type.0) {
+            Some(ot) if *ot.name == *name => Arc::clone(&ot.name),
+            _ => name.into(),
+        };
         self.operations.push(Operation {
             operator_type,
-            name: name.to_string(),
+            name,
         });
         id
     }
