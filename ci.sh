@@ -262,11 +262,13 @@ grep -q "cell cache: 0 served, 32 compiled" "$smoke_dir/opt_o2.stderr" || {
     exit 1
 }
 
-echo "== serve: compile daemon answers 3 jobs (one faulted) with per-job status"
+echo "== serve: compile daemon answers 5 jobs (one faulted, one replayed, one inline)"
 # The daemon reads line-delimited JSON jobs from stdin and must answer
 # each in input order; a fault-injected job degrades to status "fault"
 # without taking down the process (exit 0 — per-job status carries the
-# failure, like --keep-going).
+# failure, like --keep-going). j4 repeats j1, so it replays j1's cached
+# stages; j5 carries the smoke's dotp.core_desc inline, its quotes and
+# newlines escaped.
 cat > "$smoke_dir/serve_plan.txt" <<'EOF'
 X_DOTP@VexRiscv panic@rtl
 EOF
@@ -274,14 +276,22 @@ cat > "$smoke_dir/jobs.jsonl" <<'EOF'
 {"id": "j1", "isax": "dotprod", "core": "ORCA"}
 {"id": "j2", "isax": "zol", "core": "Piccolo"}
 {"id": "j3", "isax": "dotprod", "core": "VexRiscv"}
+{"id": "j4", "isax": "dotprod", "core": "ORCA"}
 EOF
+awk 'BEGIN { printf "{\"id\": \"j5\", \"unit\": \"X_DOTP\", \"core\": \"Piccolo\", \"src\": \"" }
+     { gsub(/"/, "\\\""); printf "%s\\n", $0 }
+     END { print "\"}" }' "$smoke_dir/dotp.core_desc" >> "$smoke_dir/jobs.jsonl"
 cargo run -q --release -p longnail --bin lnc -- \
     serve --jobs 2 --fault-plan "$smoke_dir/serve_plan.txt" \
     < "$smoke_dir/jobs.jsonl" > "$smoke_dir/serve.out" 2> "$smoke_dir/serve.err"
-[ "$(wc -l < "$smoke_dir/serve.out")" -eq 3 ]
+[ "$(wc -l < "$smoke_dir/serve.out")" -eq 5 ]
 grep -q '"id": "j1", "status": "ok", "exit": 0' "$smoke_dir/serve.out"
 grep -q '"id": "j2", "status": "ok", "exit": 0' "$smoke_dir/serve.out"
 grep -q '"id": "j3", "status": "fault", "exit": 2' "$smoke_dir/serve.out"
+# j4's line is j1's apart from the id.
+[ "$(sed -n 's/"id": "j1"/"id": ""/p' "$smoke_dir/serve.out")" = \
+    "$(sed -n 's/"id": "j4"/"id": ""/p' "$smoke_dir/serve.out")" ]
+grep -q '"id": "j5", "status": "ok", "exit": 0, "units": 1,' "$smoke_dir/serve.out"
 
 echo "== bench gate: deterministic work counters vs BENCH_baseline.json"
 # cargo run -p bench rewrites BENCH_compile.json (gitignored) and compares

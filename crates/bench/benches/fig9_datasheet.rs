@@ -37,6 +37,6 @@ fn main() {
     println!("----------------------------------------------------------");
     print!("{}", compiled.config.to_yaml());
     let parsed = scaiev::IsaxConfig::from_yaml(&compiled.config.to_yaml()).unwrap();
-    assert_eq!(parsed, compiled.config);
+    assert_eq!(parsed, *compiled.config);
     println!("\n(both files round-trip through the YAML exchange format)");
 }

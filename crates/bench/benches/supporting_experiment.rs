@@ -25,7 +25,7 @@ fn main() {
         let profile = CoreAsicProfile::for_core(core).unwrap();
         let ds = longnail::driver::builtin_datasheet(core).unwrap();
         let iface = size_interface_logic(
-            &[compiled[0].config.clone()],
+            &[(*compiled[0].config).clone()],
             &ds,
             true,
         );

@@ -60,7 +60,7 @@ pub fn table4_cell(core: &str, names: &[&str], hazard_handling: bool) -> AsicRep
     let lib = TechLibrary::new();
     let profile = CoreAsicProfile::for_core(core).expect("known core");
     let ds = builtin_datasheet(core).expect("known core");
-    let configs: Vec<_> = compiled.iter().map(|c| c.config.clone()).collect();
+    let configs: Vec<_> = compiled.iter().map(|c| (*c.config).clone()).collect();
     let iface = size_interface_logic(&configs, &ds, hazard_handling);
     let fwd = matches!(
         descriptor(core).expect("known core").kind,

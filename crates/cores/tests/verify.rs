@@ -25,7 +25,7 @@ fn setup(
         let (unit, src) = isax_lib::isax_source(name).unwrap();
         let isax = ln.compile(&src, &unit, &ds).unwrap();
         isax_lib::register_mnemonics(&mut asm, &isax.module).unwrap();
-        modules.push(isax.module.clone());
+        modules.push((*isax.module).clone());
         compiled.push(isax);
     }
     let words = asm.assemble(program).unwrap();

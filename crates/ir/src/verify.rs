@@ -85,6 +85,15 @@ fn arity(kind: &OpKind) -> Option<usize> {
     })
 }
 
+/// An operation's mnemonic, formatted only when a failure message reads it.
+struct Mnemonic<'a>(&'a OpKind);
+
+impl fmt::Display for Mnemonic<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0.mnemonic())
+    }
+}
+
 /// Verifies one graph in the context of its module.
 ///
 /// # Errors
@@ -120,7 +129,7 @@ pub fn verify_graph(graph: &Graph, module: &LilModule) -> Result<(), Vec<VerifyE
     let width_of = |op: &Op, i: usize| graph.ops[op.operands[i].0].width;
 
     for (idx, op) in graph.ops.iter().enumerate() {
-        let mn = op.kind.mnemonic();
+        let mn = Mnemonic(&op.kind);
         if let Some(expected) = arity(&op.kind) {
             if op.operands.len() != expected {
                 fail(

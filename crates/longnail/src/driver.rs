@@ -30,6 +30,7 @@ use sched::resilient::DegradationReason;
 use sched::{schedule_resilient, Budget, WorkKind};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 use telemetry::{metrics, SpanId, Telemetry, Trace};
 
@@ -135,7 +136,33 @@ fn set_stage(stage: &'static str) {
     CURRENT_STAGE.with(|c| c.set(stage));
 }
 
+/// A compiled unit's LIL graph: one graph of the lowered module the
+/// frontend cache entry holds, shared rather than copied. It dereferences
+/// to the [`Graph`].
+#[derive(Debug, Clone)]
+pub struct UnitGraph {
+    lil: Arc<LilModule>,
+    index: usize,
+}
+
+impl Deref for UnitGraph {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        &self.lil.graphs[self.index]
+    }
+}
+
+impl fmt::Display for UnitGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
+}
+
 /// One compiled instruction or `always`-block.
+///
+/// The graph, schedule and built module are shared with the cache entries
+/// they came from, so a warm replay copies none of them.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     /// Instruction / always-block name.
@@ -147,11 +174,10 @@ pub struct CompiledGraph {
     /// Decode match value (instructions only).
     pub match_value: u32,
     /// The scheduled LIL graph.
-    pub graph: Graph,
+    pub graph: UnitGraph,
     /// Per-LIL-operation start times and in-cycle times.
-    pub schedule: Schedule,
-    /// The constructed hardware module with port bindings, shared with the
-    /// stage cache entry it came from (a warm replay does not copy it).
+    pub schedule: Arc<Schedule>,
+    /// The constructed hardware module with port bindings.
     pub built: Arc<BuiltModule>,
     /// Emitted SystemVerilog.
     pub verilog: String,
@@ -172,8 +198,9 @@ pub struct CompiledIsax {
     pub name: String,
     /// Core this compilation targeted.
     pub core: String,
-    /// The elaborated, type-checked module (golden-model input).
-    pub module: TypedModule,
+    /// The elaborated, type-checked module (golden-model input), shared
+    /// with the frontend cache entry.
+    pub module: Arc<TypedModule>,
     /// The lowered LIL module, shared with the frontend cache entry (and
     /// so with every core compiled from the same source).
     pub lil: Arc<LilModule>,
@@ -183,8 +210,9 @@ pub struct CompiledIsax {
     /// [`CompiledIsax::diagnostics`] instead — one broken instruction does
     /// not abort the ISAX.
     pub graphs: Vec<CompiledGraph>,
-    /// The SCAIE-V configuration file contents (Figure 8).
-    pub config: IsaxConfig,
+    /// The SCAIE-V configuration file contents (Figure 8), shared with the
+    /// `config` stage's cache entry.
+    pub config: Arc<IsaxConfig>,
     /// Warnings, degradation notices, and per-unit errors accumulated
     /// across the flow.
     pub diagnostics: Diagnostics,
@@ -453,12 +481,6 @@ impl Longnail {
         diagnostics.replay(&artifacts.lower_events);
         tel.counter(lower_span, "lower.graphs", lil.graphs.len() as u64);
         tel.end_span(lower_span);
-        let spans: HashMap<String, Span> = module
-            .instructions
-            .iter()
-            .map(|i| (i.name.clone(), i.span))
-            .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
-            .collect();
         let mut graphs = Vec::new();
         for (gi, (graph, digest)) in lil.graphs.iter().zip(&artifacts.graph_digests).enumerate() {
             let unit_span = tel.start_unit_span("unit", Some(&graph.name));
@@ -468,9 +490,11 @@ impl Longnail {
             // diagnostic.
             let inject = gi == 0;
             match self.compile_graph(
-                graph,
+                UnitGraph {
+                    lil: Arc::clone(lil),
+                    index: gi,
+                },
                 digest,
-                lil,
                 datasheet,
                 &mut diagnostics,
                 &mut tel,
@@ -480,7 +504,7 @@ impl Longnail {
             ) {
                 Ok(cg) => graphs.push(cg),
                 Err(e) => {
-                    let span = spans.get(&graph.name).copied();
+                    let span = declared_span(module, &graph.name);
                     // The netlist lint guards compiler-constructed hardware;
                     // its findings are internal faults, not user errors.
                     if e.severity == Severity::Fault || e.stage == "netlist" {
@@ -504,7 +528,7 @@ impl Longnail {
         );
         cval.tape
             .replay(&mut tel, config_span, config_span, &mut diagnostics, &lil.name);
-        let config = cval.outcome.expect("config stage is infallible");
+        let config = Arc::clone(cval.outcome.as_ref().expect("config stage is infallible"));
         tel.end_span(config_span);
         // Errors that were contained to their unit instead of aborting
         // the compilation. Omitted (not zero) on clean runs so a clean
@@ -528,8 +552,8 @@ impl Longnail {
         CompiledIsax {
             name: lil.name.clone(),
             core: datasheet.core.clone(),
-            module: module.clone(),
-            lil: Arc::clone(&artifacts.lil),
+            module: Arc::clone(module),
+            lil: Arc::clone(lil),
             graphs,
             config,
             diagnostics,
@@ -661,9 +685,8 @@ impl Longnail {
     #[allow(clippy::too_many_arguments)]
     fn compile_graph(
         &self,
-        graph: &Graph,
+        unit: UnitGraph,
         graph_digest: &Digest,
-        lil: &LilModule,
         datasheet: &VirtualDatasheet,
         diagnostics: &mut Diagnostics,
         tel: &mut Telemetry,
@@ -671,6 +694,7 @@ impl Longnail {
         inject: bool,
         cx: &PipeCtx<'_>,
     ) -> Result<CompiledGraph, FlowError> {
+        let (graph, lil) = (&*unit, &*unit.lil);
         let is_always = graph.kind == GraphKind::Always;
         // Every per-unit stage is a function of this graph and the core
         // configuration alone, so one key serves all six; the store keeps
@@ -690,7 +714,7 @@ impl Longnail {
         );
         pval.tape
             .replay(tel, problem_span, unit_span, diagnostics, &graph.name);
-        let pout = pval.outcome?;
+        let pout = pval.value()?;
         tel.end_span(problem_span);
 
         // --- ILP solve (resilient facade) ---
@@ -713,12 +737,12 @@ impl Longnail {
         let sval = cx.run(
             "solve",
             unit_key,
-            || self.solve_stage(&pout, graph),
+            || self.solve_stage(pout, graph),
             |s| (s.schedule.start_time.len() as u64 + 1) * 16,
         );
         sval.tape
             .replay(tel, solve_span, unit_span, diagnostics, &graph.name);
-        let sout = sval.outcome?;
+        let sout = sval.value()?;
         tel.end_span(solve_span);
 
         // --- Per-write-interface mode selection (§4.3) and overall mode ---
@@ -727,12 +751,12 @@ impl Longnail {
         let mval = cx.run(
             "modes",
             unit_key,
-            || modes_stage(graph, is_always, datasheet, &sout),
+            || modes_stage(graph, is_always, datasheet, sout),
             |_| 64,
         );
         mval.tape
             .replay(tel, modes_span, unit_span, diagnostics, &graph.name);
-        let mout = mval.outcome?;
+        let mout = mval.value()?;
         tel.end_span(modes_span);
 
         // --- Hardware construction and lint ---
@@ -741,12 +765,12 @@ impl Longnail {
         let rval = cx.run(
             "rtl",
             unit_key,
-            || rtl_stage(graph, lil, datasheet, &sout),
+            || rtl_stage(graph, lil, datasheet, sout),
             |b| module_bytes(b),
         );
         rval.tape
             .replay(tel, rtl_span, unit_span, diagnostics, &graph.name);
-        let built = rval.outcome?;
+        let built = Arc::clone(rval.value()?);
         tel.end_span(rtl_span);
 
         // --- Oracle-gated netlist optimization (skipped entirely at -O0,
@@ -767,7 +791,7 @@ impl Longnail {
             );
             oval.tape
                 .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
-            let optimized = oval.outcome?;
+            let optimized = Arc::clone(oval.value()?);
             tel.end_span(opt_span);
             optimized
         };
@@ -783,7 +807,8 @@ impl Longnail {
         );
         vval.tape
             .replay(tel, verilog_span, unit_span, diagnostics, &graph.name);
-        let verilog = vval.outcome?;
+        // The one copy a hit makes: callers compare the text as a `String`.
+        let verilog = vval.value()?.clone();
         tel.end_span(verilog_span);
 
         let (mask, match_value) = match graph.kind {
@@ -795,14 +820,14 @@ impl Longnail {
             is_always,
             mask,
             match_value,
-            graph: graph.clone(),
-            schedule: sout.schedule,
+            schedule: Arc::clone(&sout.schedule),
             max_stage: built.max_stage,
             built,
             verilog,
             mode: mout.mode,
             result_stage: mout.result_stage,
             spawn_stage: mout.spawn_stage,
+            graph: unit,
         })
     }
 
@@ -855,10 +880,7 @@ impl Longnail {
         tape.counter(metrics::PROBLEM_DEPS, graph.edge_count() as u64);
         tape.gauge(metrics::SCHED_CHAIN_LIMIT, chain_limit);
         StageVal {
-            outcome: Ok(ProblemOut {
-                problem: Arc::new(problem),
-                op_ids,
-            }),
+            outcome: Ok(ProblemOut { problem, op_ids }),
             tape,
         }
     }
@@ -871,7 +893,7 @@ impl Longnail {
         // The solver adds chain breakers to the problem; the cached
         // ProblemOut must stay pristine for replay. The copy is flat: the
         // operations share their names with the cached problem.
-        let mut problem = (*pout.problem).clone();
+        let mut problem = pout.problem.clone();
         let result = schedule_resilient(&mut problem, &budget);
         // Solver work is counted, not timed — these are deterministic.
         tape.counter(metrics::SOLVER_PIVOTS, budget.count(WorkKind::Pivot));
@@ -912,10 +934,10 @@ impl Longnail {
             .collect();
         StageVal {
             outcome: Ok(SolveOut {
-                schedule: Schedule {
+                schedule: Arc::new(Schedule {
                     start_time,
                     start_time_in_cycle,
-                },
+                }),
                 max_stage_sched,
             }),
             tape,
@@ -985,21 +1007,27 @@ struct PipeCtx<'a> {
 
 impl PipeCtx<'_> {
     /// Runs one backend stage through the store: computed on a miss, the
-    /// cached value (outcome plus telemetry tape) on a hit.
+    /// cached value (outcome plus telemetry tape) on a hit. Either way the
+    /// caller shares the value the store holds.
     fn run<T, F>(
         &self,
         stage: &'static str,
         key: Digest,
         compute: F,
         payload_bytes: fn(&T) -> u64,
-    ) -> StageVal<T>
+    ) -> Arc<StageVal<T>>
     where
-        T: Clone + Send + Sync + 'static,
+        T: Send + Sync + 'static,
         F: FnOnce() -> StageVal<T>,
     {
         self.pipe
             .store()
-            .get_or_compute_sized(stage, key, compute, |v| stage_bytes(v, payload_bytes))
+            .get_or_compute_sized(
+                stage,
+                key,
+                || Arc::new(compute()),
+                |v| stage_bytes(v, payload_bytes),
+            )
             .0
     }
 }
@@ -1073,24 +1101,23 @@ fn type_key(op: &Op) -> TypeKey<'_> {
     (std::mem::discriminant(&op.kind), accessed, op.in_spawn)
 }
 
-/// Cached output of the `problem` stage. The problem is shared so that a
-/// cache hit costs a reference count, not a copy.
-#[derive(Debug, Clone)]
+/// Cached output of the `problem` stage.
+#[derive(Debug)]
 pub(crate) struct ProblemOut {
-    problem: Arc<LongnailProblem>,
+    problem: LongnailProblem,
     /// Graph-index → problem operation id (the solver's namespace).
     op_ids: Vec<OperationId>,
 }
 
 /// Cached output of the `solve` stage, remapped to graph indices.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SolveOut {
-    schedule: Schedule,
+    schedule: Arc<Schedule>,
     max_stage_sched: u32,
 }
 
 /// Cached output of the `modes` stage.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ModesOut {
     mode: ExecutionMode,
     result_stage: Option<u32>,
@@ -1291,13 +1318,13 @@ fn verilog_stage(built: &BuiltModule) -> StageVal<String> {
 }
 
 /// Stage `config`: the Figure 8 SCAIE-V configuration file.
-fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfig> {
+fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<Arc<IsaxConfig>> {
     let mut tape = Tape::default();
     let config = build_config(lil, graphs);
     tape.counter(metrics::CONFIG_ENTRIES, config.schedule_entry_count() as u64);
     tape.counter(metrics::CONFIG_REGISTERS, config.registers.len() as u64);
     StageVal {
-        outcome: Ok(config),
+        outcome: Ok(Arc::new(config)),
         tape,
     }
 }
@@ -1308,10 +1335,10 @@ fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfi
 /// Produced once per `(source, unit)` pair — the value of the store's
 /// `frontend` slot — and shared across every core the ISAX is compiled
 /// for.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FrontendArtifacts {
     /// The elaborated, type-checked module.
-    module: TypedModule,
+    module: Arc<TypedModule>,
     /// The lowered LIL module; only graphs that passed the stage verifier
     /// are present.
     lil: Arc<LilModule>,
@@ -1326,17 +1353,23 @@ struct FrontendArtifacts {
     lower_events: Vec<DiagEvent>,
 }
 
+/// The source span of the instruction or `always`-block named `unit` (the
+/// last one declared, should two share the name).
+fn declared_span(module: &TypedModule, unit: &str) -> Option<Span> {
+    let instructions = module.instructions.iter().map(|i| (&i.name, i.span));
+    let always = module.always_blocks.iter().map(|a| (&a.name, a.span));
+    instructions
+        .chain(always)
+        .rev()
+        .find(|(name, _)| *name == unit)
+        .map(|(_, span)| span)
+}
+
 /// Lowers a type-checked module to verified LIL, capturing per-unit
 /// problems as replayable events instead of aborting.
 fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
     let mut diagnostics = Diagnostics::default();
     let mut lil = lower_state(&module);
-    let spans: HashMap<String, Span> = module
-        .instructions
-        .iter()
-        .map(|i| (i.name.clone(), i.span))
-        .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
-        .collect();
     let lowered = module
         .instructions
         .iter()
@@ -1346,12 +1379,7 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
         let graph = match result {
             Ok(g) => g,
             Err(e) => {
-                diagnostics.error(
-                    "lower",
-                    Some(&e.unit),
-                    spans.get(&e.unit).copied(),
-                    e.message,
-                );
+                diagnostics.error("lower", Some(&e.unit), declared_span(&module, &e.unit), e.message);
                 continue;
             }
         };
@@ -1364,14 +1392,14 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
                 .join("; ");
-            diagnostics.fault("verify", Some(&graph.name), spans.get(&graph.name).copied(), msg);
+            diagnostics.fault("verify", Some(&graph.name), declared_span(&module, &graph.name), msg);
             continue;
         }
         lil.graphs.push(graph);
     }
     let (graph_digests, module_digest) = pipeline::lil_digests(&lil);
     FrontendArtifacts {
-        module,
+        module: Arc::new(module),
         lil: Arc::new(lil),
         graph_digests,
         module_digest,

@@ -30,10 +30,12 @@
 //! replayed failure still points at the edited source's lines.
 //!
 //! Cached stage values are [`StageVal`]s: the stage outcome plus a
-//! [`Tape`] of the telemetry the computation emitted. A cache hit
-//! *replays* the tape onto the live trace, so a warm compilation's trace
-//! is byte-identical (after [`telemetry::Trace::stripped`]) to a cold
-//! one — the determinism contract holds by construction, not by luck.
+//! [`Tape`] of the telemetry the computation emitted. The store holds
+//! each behind an `Arc`, so a cache hit shares the value instead of
+//! copying it, and *replays* the tape onto the live trace: a warm
+//! compilation's trace is byte-identical (after
+//! [`telemetry::Trace::stripped`]) to a cold one — the determinism
+//! contract holds by construction, not by luck.
 
 use crate::diag::Diagnostics;
 use ir::lil::LilModule;
@@ -231,7 +233,7 @@ pub fn cell_key(
 
 /// One telemetry operation a stage computation emitted, recorded so a
 /// cache hit can replay it instead of recomputing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum TapeOp {
     /// Counter on the stage span.
     Counter(&'static str, u64),
@@ -246,7 +248,7 @@ pub(crate) enum TapeOp {
 /// Ordered telemetry ops of one stage computation. Replayed identically
 /// on hit and miss, which is what keeps warm traces byte-identical to
 /// cold ones.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) struct Tape {
     ops: Vec<TapeOp>,
 }
@@ -295,10 +297,17 @@ impl Tape {
 /// A cached stage computation: its outcome (errors are cached too — a
 /// deterministically failing stage fails identically warm) plus the
 /// telemetry tape recorded up to the point the computation returned.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StageVal<T> {
     pub outcome: Result<T, crate::driver::FlowError>,
     pub tape: Tape,
+}
+
+impl<T> StageVal<T> {
+    /// The computed value, or a copy of the cached failure.
+    pub(crate) fn value(&self) -> Result<&T, crate::driver::FlowError> {
+        self.outcome.as_ref().map_err(Clone::clone)
+    }
 }
 
 /// The serialized artifact bundle of one matrix cell: exactly the files

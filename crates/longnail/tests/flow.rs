@@ -29,7 +29,7 @@ fn all_isaxes_compile_for_all_cores() {
             // Config round-trips through YAML.
             let yaml = compiled.config.to_yaml();
             let parsed = scaiev::IsaxConfig::from_yaml(&yaml).unwrap();
-            assert_eq!(parsed, compiled.config, "{name} on {core} config YAML");
+            assert_eq!(parsed, *compiled.config, "{name} on {core} config YAML");
         }
     }
 }

@@ -56,6 +56,34 @@ fn assert_byte_identical(a: &longnail::MatrixResult, b: &longnail::MatrixResult)
     }
 }
 
+/// A hit hands out what the store holds: the cores of one source share one
+/// typed module and one LIL graph per unit, and a warm cell shares its
+/// schedules, built modules and config with the cold cell.
+#[test]
+fn cache_hits_share_the_stored_values() {
+    use std::sync::Arc;
+    let ln = Longnail::new();
+    let pipe = PipelineCache::new();
+    let (unit, src) = isax_lib::isax_source("zol").unwrap();
+    let compile = |core: &str| {
+        let ds = builtin_datasheet(core).unwrap();
+        ln.compile_cell(&src, &unit, &ds, &pipe).unwrap()
+    };
+    let (orca, piccolo) = (compile("ORCA"), compile("Piccolo"));
+    assert!(Arc::ptr_eq(&orca.module, &piccolo.module), "typed module");
+    assert_eq!(orca.graphs.len(), 2);
+    assert_eq!(orca.graphs.len(), piccolo.graphs.len());
+    for (a, b) in orca.graphs.iter().zip(&piccolo.graphs) {
+        assert!(std::ptr::eq(&*a.graph, &*b.graph), "graph of `{}`", a.name);
+    }
+    let warm = compile("ORCA");
+    assert!(Arc::ptr_eq(&orca.config, &warm.config), "config");
+    for (cold, warm) in orca.graphs.iter().zip(&warm.graphs) {
+        assert!(Arc::ptr_eq(&cold.schedule, &warm.schedule), "schedule of `{}`", cold.name);
+        assert!(Arc::ptr_eq(&cold.built, &warm.built), "module of `{}`", cold.name);
+    }
+}
+
 #[test]
 fn warm_no_change_recompile_is_pure_replay() {
     let ln = Longnail::new();

@@ -1,14 +1,19 @@
-//! SystemVerilog emission, the netlist lint, the scheduler's graph walks
-//! and the copy of a scheduling problem allocate per module or per
-//! problem, never per net or per operation. A counting allocator checks
-//! that `emit_verilog`, `lint_module` and `comb_depth` allocate as often on
-//! a module with twice the nets, and that `topological_order`,
-//! `compute_chain_breakers`, `compute_stic`, `DiffSystem::solve` and
-//! `LongnailProblem::clone` allocate as often on a problem with twice the
-//! operations.
+//! SystemVerilog emission, the netlist lint, the scheduler's graph walks,
+//! the copy of a scheduling problem, the LIL verifier and a cache replay
+//! allocate per module, per problem or per unit, never per net or per
+//! operation. A counting allocator checks that `emit_verilog`,
+//! `lint_module` and `comb_depth` allocate as often on a module with twice
+//! the nets; that `topological_order`, `compute_chain_breakers`,
+//! `compute_stic`, `DiffSystem::solve` and `LongnailProblem::clone`
+//! allocate as often on a problem with twice the operations; and that
+//! `verify_graph` and a warm `compile_cell` allocate as often on a graph
+//! with twice the operations.
 
 use bits::ApInt;
 use ilp::{Budget, DiffSystem, WorkKind};
+use ir::lil::{Graph, GraphKind, LilModule, Op, OpKind, ValueId};
+use longnail::driver::builtin_datasheet;
+use longnail::{Longnail, PipelineCache};
 use rtl::lint::{comb_depth, lint_module};
 use rtl::netlist::{CombOp, Driver, Module, NetId, PortDir, RomData};
 use rtl::verilog::emit_verilog;
@@ -320,5 +325,118 @@ fn problem_copies_allocate_per_problem_not_per_operation() {
         "LongnailProblem::clone: {} operations allocate {once} times, {} operations {twice}",
         small.operations.len(),
         large.operations.len()
+    );
+}
+
+/// An instruction graph whose body is `ops` combinational operations: two
+/// register reads feeding a chain of adds, xors and ands, written to `rd`.
+fn lil_graph(ops: usize) -> Graph {
+    let op = |kind, operands: &[usize], width| Op {
+        kind,
+        operands: operands.iter().map(|&i| ValueId(i)).collect(),
+        width,
+        pred: None,
+        in_spawn: false,
+    };
+    let mut graph = Graph {
+        name: "chain".into(),
+        kind: GraphKind::Instruction {
+            mask: 0x7f,
+            match_value: 0x0b,
+        },
+        ops: vec![op(OpKind::ReadRs1, &[], 32), op(OpKind::ReadRs2, &[], 32)],
+    };
+    let kinds = [OpKind::Add, OpKind::Xor, OpKind::And];
+    for i in 0..ops {
+        let last = graph.ops.len() - 1;
+        graph.ops.push(op(kinds[i % 3].clone(), &[last, 1], 32));
+    }
+    let last = graph.ops.len() - 1;
+    graph.ops.push(op(OpKind::WriteRd, &[last], 0));
+    graph.ops.push(op(OpKind::Sink, &[], 0));
+    graph
+}
+
+#[test]
+fn verification_allocates_per_graph_not_per_operation() {
+    let module = LilModule {
+        name: "m".into(),
+        graphs: Vec::new(),
+        custom_regs: Vec::new(),
+        roms: Vec::new(),
+    };
+    let (small, large) = (lil_graph(100), lil_graph(200));
+    let verify = |g: &Graph| ir::verify_graph(g, &module).expect("the chain verifies");
+    let (once, twice) = (
+        allocations(|| verify(&small)),
+        allocations(|| verify(&large)),
+    );
+    assert!(
+        twice <= once,
+        "verify_graph: {} operations allocate {once} times, {} operations {twice}",
+        small.len(),
+        large.len()
+    );
+}
+
+/// CoreDSL for one instruction whose behavior is `ops` combinational
+/// operations on its two register operands.
+fn chain_source(ops: usize) -> String {
+    let body: String = (0..ops)
+        .map(|i| match i % 3 {
+            0 => "        a = a ^ b;\n",
+            1 => "        a = a & (b | a);\n",
+            _ => "        a = (unsigned<32>)(a + b);\n",
+        })
+        .collect();
+    format!(
+        "import \"RV32I.core_desc\";
+InstructionSet X_CHAIN extends RV32I {{
+  instructions {{
+    chain {{
+      encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd0 :: rd[4:0] :: 7'b0001011;
+      behavior: {{
+        unsigned<32> a = X[rs1];
+        unsigned<32> b = X[rs2];
+{body}        X[rd] = a;
+      }}
+    }}
+  }}
+}}
+"
+    )
+}
+
+/// Allocations of a replayed compile of `chain_source(ops)`: the second
+/// `compile_cell` on one cache, every stage of which hits.
+fn replay_allocations(ops: usize) -> (usize, u64) {
+    let ln = Longnail::new();
+    let ds = builtin_datasheet("ORCA").expect("builtin core");
+    let pipe = PipelineCache::new();
+    let src = chain_source(ops);
+    let cold = ln
+        .compile_cell(&src, "X_CHAIN", &ds, &pipe)
+        .expect("the chain compiles");
+    assert_eq!(cold.graphs.len(), 1);
+    assert!(!cold.diagnostics.has_errors() && !cold.diagnostics.has_faults());
+    let before = pipe.stage_stats();
+    let count = allocations(|| {
+        ln.compile_cell(&src, "X_CHAIN", &ds, &pipe)
+            .expect("the chain replays");
+    });
+    let misses = |stats: &[(String, qcache::StageStats)]| -> u64 {
+        stats.iter().map(|(_, s)| s.misses).sum()
+    };
+    assert_eq!(misses(&pipe.stage_stats()), misses(&before), "the replay recomputed");
+    (cold.graphs[0].graph.len(), count)
+}
+
+#[test]
+fn replay_allocates_per_unit_not_per_operation() {
+    let ((small, once), (large, twice)) = (replay_allocations(60), replay_allocations(120));
+    assert!(large > small + 100, "{small} and {large} operations");
+    assert_eq!(
+        once, twice,
+        "a replayed compile_cell: {small} operations allocate {once} times, {large} operations {twice}"
     );
 }

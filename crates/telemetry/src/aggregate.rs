@@ -163,7 +163,7 @@ pub fn summarize(cells: &[(String, &Trace)]) -> MatrixSummary {
         for e in &trace.events {
             if let EventKind::Counter { name: n, value, .. } = &e.kind {
                 if !is_nondeterministic(n) {
-                    *summary.counters.entry(n.clone()).or_insert(0) += value;
+                    *summary.counters.entry(n.to_string()).or_insert(0) += value;
                 }
             }
         }
@@ -378,7 +378,7 @@ pub fn merge_traces(
         kind: EventKind::SpanStart {
             id: root,
             parent: None,
-            name: "matrix".to_string(),
+            name: "matrix".into(),
             unit: None,
         },
     });
@@ -387,7 +387,7 @@ pub fn merge_traces(
             seq: 0,
             kind: EventKind::Counter {
                 span: root,
-                name: name.clone(),
+                name: name.clone().into(),
                 value: *value,
             },
         });
@@ -397,7 +397,7 @@ pub fn merge_traces(
             seq: 0,
             kind: EventKind::Gauge {
                 span: root,
-                name: name.clone(),
+                name: name.clone().into(),
                 value: *value,
             },
         });
@@ -410,7 +410,7 @@ pub fn merge_traces(
             kind: EventKind::SpanStart {
                 id: cell_span,
                 parent: Some(root),
-                name: "cell".to_string(),
+                name: "cell".into(),
                 unit: Some(name.clone()),
             },
         });

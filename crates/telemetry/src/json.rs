@@ -157,7 +157,7 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
         "span_start" => EventKind::SpanStart {
             id: SpanId(get_u64(&fields, "id")?),
             parent: get_opt_u64(&fields, "parent")?.map(SpanId),
-            name: get_str(&fields, "name")?,
+            name: get_str(&fields, "name")?.into(),
             unit: get_opt_str(&fields, "unit")?,
         },
         "span_end" => EventKind::SpanEnd {
@@ -166,17 +166,17 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
         },
         "counter" => EventKind::Counter {
             span: SpanId(get_u64(&fields, "span")?),
-            name: get_str(&fields, "name")?,
+            name: get_str(&fields, "name")?.into(),
             value: get_u64(&fields, "value")?,
         },
         "gauge" => EventKind::Gauge {
             span: SpanId(get_u64(&fields, "span")?),
-            name: get_str(&fields, "name")?,
+            name: get_str(&fields, "name")?.into(),
             value: get_f64(&fields, "value")?,
         },
         "attr" => EventKind::Attr {
             span: SpanId(get_u64(&fields, "span")?),
-            name: get_str(&fields, "name")?,
+            name: get_str(&fields, "name")?.into(),
             value: get_str(&fields, "value")?,
         },
         "diag" => EventKind::Diag {

@@ -22,12 +22,21 @@
 //! *counted*, never timed). [`Trace::stripped`] zeroes the `dur_ns` fields;
 //! two traces of the same compilation are identical after stripping, which
 //! is how tests compare runs.
+//!
+//! **What it does not do.** It times only span durations: counters,
+//! gauges and attributes carry values the caller computed. It does not
+//! sample, and it does not aggregate across processes — [`aggregate`]
+//! merges the traces one process hands it. It records the names it is
+//! given as they are (`&'static str`, kept borrowed), without interning
+//! them or checking them against [`metrics`] or [`STAGES`]: a misspelled
+//! name is a new series.
 
 pub mod aggregate;
 pub mod folded;
 pub mod json;
 pub mod report;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -199,7 +208,7 @@ pub enum EventKind {
         /// Enclosing span, if any.
         parent: Option<SpanId>,
         /// Stage name (one of [`STAGES`], `compile`, or `unit`).
-        name: String,
+        name: Cow<'static, str>,
         /// Instruction / always-block name for `unit` spans.
         unit: Option<String>,
     },
@@ -210,19 +219,19 @@ pub enum EventKind {
     /// `solver.pivots`).
     Counter {
         span: SpanId,
-        name: String,
+        name: Cow<'static, str>,
         value: u64,
     },
     /// A point-in-time float attributed to a span (e.g. `eda.area_um2`).
     Gauge {
         span: SpanId,
-        name: String,
+        name: Cow<'static, str>,
         value: f64,
     },
     /// A string attribute of a span (e.g. `core` = `VexRiscv`).
     Attr {
         span: SpanId,
-        name: String,
+        name: Cow<'static, str>,
         value: String,
     },
     /// A diagnostic mirrored into the trace, linked to the span in which
@@ -267,19 +276,19 @@ impl Telemetry {
     }
 
     /// Opens a span named `name` under the currently open span.
-    pub fn start_span(&mut self, name: &str) -> SpanId {
+    pub fn start_span(&mut self, name: &'static str) -> SpanId {
         self.start_unit_span(name, None)
     }
 
     /// Opens a span carrying a unit (instruction / always-block) name.
-    pub fn start_unit_span(&mut self, name: &str, unit: Option<&str>) -> SpanId {
+    pub fn start_unit_span(&mut self, name: &'static str, unit: Option<&str>) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
         let parent = self.stack.last().map(|&(p, _)| p);
         self.push(EventKind::SpanStart {
             id,
             parent,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             unit: unit.map(str::to_owned),
         });
         self.stack.push((id, Instant::now()));
@@ -302,28 +311,28 @@ impl Telemetry {
     }
 
     /// Records a counter on `span`.
-    pub fn counter(&mut self, span: SpanId, name: &str, value: u64) {
+    pub fn counter(&mut self, span: SpanId, name: &'static str, value: u64) {
         self.push(EventKind::Counter {
             span,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             value,
         });
     }
 
     /// Records a gauge on `span`.
-    pub fn gauge(&mut self, span: SpanId, name: &str, value: f64) {
+    pub fn gauge(&mut self, span: SpanId, name: &'static str, value: f64) {
         self.push(EventKind::Gauge {
             span,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             value,
         });
     }
 
     /// Records a string attribute on `span`.
-    pub fn attr(&mut self, span: SpanId, name: &str, value: &str) {
+    pub fn attr(&mut self, span: SpanId, name: &'static str, value: &str) {
         self.push(EventKind::Attr {
             span,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             value: value.to_string(),
         });
     }
@@ -401,7 +410,7 @@ impl Trace {
                 parent,
                 name,
                 unit,
-            } => Some((*id, *parent, name.as_str(), unit.as_deref())),
+            } => Some((*id, *parent, name.as_ref(), unit.as_deref())),
             _ => None,
         })
     }

@@ -42,7 +42,7 @@ fn index_spans(trace: &Trace) -> (Vec<SpanId>, HashMap<SpanId, SpanInfo>) {
                     *id,
                     SpanInfo {
                         parent: *parent,
-                        name: name.clone(),
+                        name: name.to_string(),
                         unit: unit.clone(),
                         dur_ns: 0,
                     },
@@ -134,21 +134,21 @@ pub fn render_report(trace: &Trace) -> String {
         match &e.kind {
             EventKind::Counter { span, name, value } => {
                 if let Some(&r) = owning_unit(&spans, *span).and_then(|u| row_of.get(&u)) {
-                    *rows[r].counters.entry(name.clone()).or_insert(0) += value;
+                    *rows[r].counters.entry(name.to_string()).or_insert(0) += value;
                 }
             }
             EventKind::Gauge { span, name, value } => {
                 if let Some(&r) = owning_unit(&spans, *span).and_then(|u| row_of.get(&u)) {
-                    rows[r].gauges.insert(name.clone(), *value);
+                    rows[r].gauges.insert(name.to_string(), *value);
                 }
             }
             EventKind::Attr { span, name, value } => {
                 match owning_unit(&spans, *span).and_then(|u| row_of.get(&u)) {
                     Some(&r) => {
-                        rows[r].attrs.insert(name.clone(), value.clone());
+                        rows[r].attrs.insert(name.to_string(), value.clone());
                     }
                     None if Some(*span) == root => {
-                        root_attrs.insert(name.clone(), value.clone());
+                        root_attrs.insert(name.to_string(), value.clone());
                     }
                     None => {}
                 }

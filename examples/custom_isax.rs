@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Assemble a test program using the new mnemonic.
-    let module = compiled.module.clone();
+    let module = (*compiled.module).clone();
     let mut asm = Assembler::new();
     register_mnemonics(&mut asm, &module)?;
     let program = asm.assemble(

@@ -20,7 +20,7 @@ fn machines(core: &str, names: &[&str]) -> (ExtendedCore, GoldenMachine, Assembl
         let (unit, src) = isax_lib::isax_source(name).unwrap();
         let isax = ln.compile(&src, &unit, &ds).unwrap();
         isax_lib::register_mnemonics(&mut asm, &isax.module).unwrap();
-        modules.push(isax.module.clone());
+        modules.push((*isax.module).clone());
         compiled.push(isax);
     }
     (

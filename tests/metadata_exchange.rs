@@ -37,7 +37,7 @@ fn configs_round_trip_for_all_isaxes_and_cores() {
             let compiled = ln.compile(&src, &unit, &ds).unwrap();
             let yaml = compiled.config.to_yaml();
             let parsed = IsaxConfig::from_yaml(&yaml).unwrap();
-            assert_eq!(parsed, compiled.config, "{core}/{name}");
+            assert_eq!(parsed, *compiled.config, "{core}/{name}");
             // Every scheduled stage respects the datasheet's earliest time,
             // and every encoding is a 32-character pattern.
             for f in &compiled.config.functionalities {
