@@ -146,23 +146,6 @@ impl Frontend {
         });
         CompileOutput { module, errors }
     }
-
-    /// Compiles a registered importable source by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `import_name` is not registered, or on any
-    /// parse/elaboration/type error.
-    pub fn compile_import(&self, import_name: &str, unit: &str) -> Result<TypedModule> {
-        let src = self.sources.get(import_name).ok_or_else(|| {
-            Diagnostic::coded(
-                codes::ELAB_UNKNOWN_IMPORT,
-                Span::default(),
-                format!("no source registered for import {import_name:?}"),
-            )
-        })?;
-        self.compile_str(src, unit)
-    }
 }
 
 /// The set of all parsed definitions reachable from the root file.

@@ -373,11 +373,7 @@ fn usage() {
 
 /// Maps the accumulated diagnostics to the process exit code.
 fn exit_for(compiled: &longnail::CompiledIsax) -> ExitCode {
-    match compiled.diagnostics.worst() {
-        Some(Severity::Fault) => ExitCode::from(2),
-        Some(Severity::Error) => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
-    }
+    ExitCode::from(compiled.diagnostics.worst().map_or(0, Severity::exit_code))
 }
 
 /// Builds the run's pipeline cache: in-memory only, or backed by the
@@ -477,22 +473,15 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
                                 eprintln!("error: {}×{core}: [frontend] {d}", cell.isax);
                             }
                         }
-                        worst = worst.max(if e.severity == Severity::Fault { 2 } else { 1 });
+                        worst = worst.max(e.severity.exit_code());
                         failed_cells += 1;
                         if args.verbose {
-                            eprintln!(
-                                "cell {}_{core}: failed [{}] {}",
-                                cell.isax, e.stage, e.message
-                            );
+                            eprintln!("cell {}_{core}: failed {e}", cell.isax);
                         }
                         continue;
                     }
                 };
-                worst = worst.max(match compiled.diagnostics.worst() {
-                    Some(Severity::Fault) => 2,
-                    Some(Severity::Error) => 1,
-                    _ => 0,
-                });
+                worst = worst.max(compiled.diagnostics.worst().map_or(0, Severity::exit_code));
                 if compiled.diagnostics.has_errors() {
                     failed_cells += 1;
                 } else {
@@ -844,11 +833,7 @@ fn main() -> ExitCode {
             } else {
                 eprintln!("error: {e}");
             }
-            return if e.severity == Severity::Fault {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            };
+            return ExitCode::from(e.severity.exit_code());
         }
         Err(payload) => {
             eprintln!(

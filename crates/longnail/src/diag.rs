@@ -24,6 +24,19 @@ pub enum Severity {
     Fault,
 }
 
+impl Severity {
+    /// The process exit code of an outcome whose worst event has this
+    /// severity, shared by `lnc` and `lnc serve`'s results: 0 for a
+    /// warning, 1 for a rejected unit or cell, 2 for an internal fault.
+    pub fn exit_code(self) -> u8 {
+        match self {
+            Severity::Warning => 0,
+            Severity::Error => 1,
+            Severity::Fault => 2,
+        }
+    }
+}
+
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -113,22 +126,12 @@ impl Diagnostics {
         });
     }
 
-    /// Records a fully built event (used for frontend diagnostics that
-    /// carry codes and fix-its), re-stamping its trace span.
+    /// Records a fully built event (a stage diagnostic replayed from a
+    /// cached tape, or one carrying a code and a fix-it), re-stamping its
+    /// trace span.
     pub fn push_event(&mut self, mut event: DiagEvent) {
         event.trace_span = self.current_trace_span;
         self.events.push(event);
-    }
-
-    /// Records a warning.
-    pub fn warn(
-        &mut self,
-        stage: &'static str,
-        unit: Option<&str>,
-        span: Option<Span>,
-        message: impl Into<String>,
-    ) {
-        self.push(Severity::Warning, stage, unit, span, message);
     }
 
     /// Records a unit-level error.
@@ -151,17 +154,6 @@ impl Diagnostics {
         message: impl Into<String>,
     ) {
         self.push(Severity::Fault, stage, unit, span, message);
-    }
-
-    /// Re-records previously captured events — e.g. the core-independent
-    /// lowering diagnostics cached with a source's frontend artifact —
-    /// re-stamping each with the currently active trace span so replayed
-    /// events link into *this* compilation's trace, not the one they were
-    /// first raised in.
-    pub fn replay(&mut self, events: &[DiagEvent]) {
-        for e in events {
-            self.push_event(e.clone());
-        }
     }
 
     /// Worst severity recorded, if any event exists.
@@ -273,13 +265,14 @@ fn same_event(a: &DiagEvent, b: &DiagEvent) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Severity::Warning;
 
     #[test]
     fn severity_ordering_drives_worst() {
         let mut d = Diagnostics::default();
         assert_eq!(d.worst(), None);
         assert!(!d.has_errors());
-        d.warn("schedule", Some("sqrt"), None, "degraded to ASAP");
+        d.push(Warning, "schedule", Some("sqrt"), None, "degraded to ASAP");
         assert_eq!(d.worst(), Some(Severity::Warning));
         assert!(!d.has_errors());
         d.error("lower", Some("bad"), Some(Span::new(3, 1)), "dynamic loop");
@@ -293,9 +286,9 @@ mod tests {
     #[test]
     fn events_link_to_the_current_trace_span() {
         let mut d = Diagnostics::default();
-        d.warn("schedule", None, None, "before any span");
+        d.push(Warning, "schedule", None, None, "before any span");
         d.set_trace_span(Some(7));
-        d.warn("schedule", Some("sqrt"), None, "inside unit span");
+        d.push(Warning, "schedule", Some("sqrt"), None, "inside unit span");
         d.set_trace_span(None);
         d.error("lower", None, None, "after");
         assert_eq!(d.events[0].trace_span, None);
@@ -336,14 +329,15 @@ mod tests {
     fn render_order_is_deterministic_not_raise_order() {
         // Raise events in two different orders; the report must come out
         // identical (stage rank, then unit, then span).
+        let at = |line| Some(Span::new(line, 1));
         let mut a = Diagnostics::default();
         a.error("rtl", Some("zeta"), None, "late stage");
-        a.warn("frontend", Some("alpha"), Some(Span::new(9, 1)), "early");
-        a.warn("frontend", Some("alpha"), Some(Span::new(2, 1)), "earlier");
+        a.push(Warning, "frontend", Some("alpha"), at(9), "early");
+        a.push(Warning, "frontend", Some("alpha"), at(2), "earlier");
         let mut b = Diagnostics::default();
-        b.warn("frontend", Some("alpha"), Some(Span::new(2, 1)), "earlier");
+        b.push(Warning, "frontend", Some("alpha"), at(2), "earlier");
         b.error("rtl", Some("zeta"), None, "late stage");
-        b.warn("frontend", Some("alpha"), Some(Span::new(9, 1)), "early");
+        b.push(Warning, "frontend", Some("alpha"), at(9), "early");
         assert_eq!(a.render(), b.render());
         let report = a.render();
         let fe = report.find("earlier").unwrap();

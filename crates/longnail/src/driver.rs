@@ -5,8 +5,14 @@
 //! ILP against the core's virtual datasheet) → execution-mode selection
 //! (§4.3) → hardware construction and SystemVerilog emission (§4.5) →
 //! SCAIE-V configuration file (§4.6).
+//!
+//! All nine stages go through one per-cell runner: it crosses the stage
+//! boundary (panic attribution and planned faults), opens the stage span,
+//! shares or computes the stage's value in the [`PipelineCache`] store,
+//! replays the value's telemetry tape and closes the span, so each span
+//! times its stage's work or its lookup.
 
-use crate::diag::{DiagEvent, Diagnostics, Severity};
+use crate::diag::{Diagnostics, Severity};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::pipeline::{self, PipelineCache, StageCacheStats, StageVal, Tape};
 use coredsl::error::{codes, Diagnostic, Span};
@@ -16,6 +22,7 @@ use eda::TechLibrary;
 use ir::lil::{Graph, GraphKind, LilModule, Op, OpKind};
 use ir::{lower_always, lower_instruction, lower_state, verify_graph};
 use pool::Pool;
+use qcache::{Digest, Lookup};
 use rtl::build::{build_graph_module, BuiltModule};
 use rtl::lint::{comb_depth, lint_module};
 use rtl::opt::{optimize, verify_equivalent, OptLevel};
@@ -24,7 +31,6 @@ use scaiev::config::{Functionality, IsaxConfig, RegisterRequest, ScheduleEntry};
 use scaiev::datasheet::{Timing, VirtualDatasheet};
 use scaiev::iface::SubInterfaceOp;
 use scaiev::modes::{select_mode, ExecutionMode};
-use qcache::Digest;
 use sched::problem::{LongnailProblem, OperationId, OperatorType, OperatorTypeId, Schedule};
 use sched::resilient::DegradationReason;
 use sched::{schedule_resilient, Budget, WorkKind};
@@ -137,7 +143,7 @@ fn set_stage(stage: &'static str) {
 }
 
 /// A compiled unit's LIL graph: one graph of the lowered module the
-/// frontend cache entry holds, shared rather than copied. It dereferences
+/// `lower` cache entry holds, shared rather than copied. It dereferences
 /// to the [`Graph`].
 #[derive(Debug, Clone)]
 pub struct UnitGraph {
@@ -199,9 +205,9 @@ pub struct CompiledIsax {
     /// Core this compilation targeted.
     pub core: String,
     /// The elaborated, type-checked module (golden-model input), shared
-    /// with the frontend cache entry.
+    /// with the `frontend` cache entry.
     pub module: Arc<TypedModule>,
-    /// The lowered LIL module, shared with the frontend cache entry (and
+    /// The lowered LIL module, shared with the `lower` cache entry (and
     /// so with every core compiled from the same source).
     pub lil: Arc<LilModule>,
     /// One compiled artifact per instruction / always-block.
@@ -301,18 +307,6 @@ impl Longnail {
         }
     }
 
-    /// Crosses a stage boundary: records the stage for panic attribution
-    /// and fires a planned [`FaultKind::Panic`] when this `(unit, core)`
-    /// cell is targeted at this stage.
-    fn stage_boundary(&self, unit: &str, core: &str, stage: &'static str) {
-        set_stage(stage);
-        if let Some(plan) = &self.fault_plan {
-            if plan.panic_at(unit, core, stage) {
-                panic!("injected fault: panic at stage `{stage}` of `{unit}` for `{core}`");
-            }
-        }
-    }
-
     /// Compiles CoreDSL source text for the given target core: one cell
     /// through [`Longnail::compile_cell`] on a fresh [`PipelineCache`], so
     /// a fault plan acts on it exactly as on that matrix cell. Unlike
@@ -344,15 +338,15 @@ impl Longnail {
     /// [`Longnail::compile`] through a caller-owned [`PipelineCache`]:
     /// every stage is looked up in (and populates) `pipe`'s content-keyed
     /// stage store, so recompiling an unchanged cell is pure cache replay.
-    /// An edited source reruns the frontend, but each backend stage is
-    /// keyed on the LIL graph it compiles: only the units whose graphs the
-    /// edit changed recompute, and a comment or reformat recomputes no
-    /// backend stage at all. The emitted trace is byte-identical (after
+    /// An edited source reruns `frontend` and `lower`, but each backend
+    /// stage is keyed on the LIL graph it compiles: only the units whose
+    /// graphs the edit changed recompute, and a comment or reformat
+    /// recomputes no backend stage at all. The emitted trace is byte-identical (after
     /// [`Trace::stripped`]) warm or cold.
     ///
-    /// A cell that a fault plan targets shares only the frontend: its
-    /// backend runs on a private store, so an injected panic or
-    /// degradation fires identically warm or cold and never parks an
+    /// A cell that a fault plan targets shares only `frontend` and
+    /// `lower`: its backend runs on a private store, so an injected panic
+    /// or degradation fires identically warm or cold and never parks an
     /// artifact under a key healthy runs trust.
     ///
     /// # Errors
@@ -382,7 +376,10 @@ impl Longnail {
     }
 
     /// [`Longnail::compile_cell`] with its frontend and config keys
-    /// already computed.
+    /// already computed: all nine stages through one [`Runner`]. The
+    /// `frontend` and `lower` slots, both keyed by `fe_key`, are shared
+    /// across every core the source is compiled for; the backend's keys
+    /// derive from the LIL digests `lower` produces and from `cfg_key`.
     fn compile_keyed(
         &self,
         src: &str,
@@ -392,6 +389,7 @@ impl Longnail {
         (fe_key, cfg_key): (Digest, Digest),
     ) -> Result<CompiledIsax, FlowError> {
         let core = &datasheet.core;
+        let mut run = Runner::new(self, unit, core);
         let private;
         let backend_pipe = match &self.fault_plan {
             Some(plan) if plan.targets_cell(unit, core) => {
@@ -411,7 +409,7 @@ impl Longnail {
                     // Never cached: the injected failure must stay in this
                     // cell, not reach every core that asks for this
                     // (healthy) source.
-                    self.stage_boundary(unit, core, "frontend");
+                    run.boundary("frontend");
                     return Err(FlowError::frontend(vec![Diagnostic::coded(
                         codes::PARSE_EXPECTED,
                         Span::new(1, 1),
@@ -424,87 +422,67 @@ impl Longnail {
             }
             _ => pipe,
         };
-        let (result, lookup) = pipe.store().get_or_compute_sized(
+        let root = run.tel.start_span("compile");
+        run.tel.attr(root, "core", core);
+        let fe = run.stage(
+            pipe,
             "frontend",
             fe_key,
-            || frontend_artifacts(src, unit).map(Arc::new),
-            |r| frontend_bytes(r, src.len()),
+            || frontend_stage(src, unit),
+            |_| 8 * src.len() as u64,
         );
-        // The lowered LIL rides inside the frontend artifact; mirror the
-        // lookup so `cache.lower.*` stats stay observable per stage.
-        pipe.store().record("lower", lookup);
-        let cx = PipeCtx {
-            pipe: backend_pipe,
-            cfg_key,
-        };
-        let artifacts = result?;
-        Ok(self.backend(&artifacts, datasheet, lookup, &cx))
-    }
-
-    /// The core-aware backend: schedules, builds, and emits every verified
-    /// LIL graph in `artifacts` against `datasheet` through `cx`'s store,
-    /// replaying the cached frontend/lower telemetry so the trace is
-    /// indistinguishable from a monolithic run. The root span carries what
-    /// the frontend `lookup` observed as `cache.frontend.*` counters; which
-    /// cell wins a shared miss is a race under concurrency, so
-    /// [`Trace::stripped`] drops them.
-    fn backend(
-        &self,
-        artifacts: &FrontendArtifacts,
-        datasheet: &VirtualDatasheet,
-        lookup: qcache::Lookup,
-        cx: &PipeCtx<'_>,
-    ) -> CompiledIsax {
-        let module = &artifacts.module;
-        let lil = &artifacts.lil;
-        let mut tel = Telemetry::new();
-        let root = tel.start_span("compile");
-        tel.attr(root, "core", &datasheet.core);
+        // The root span carries what this cell's frontend lookup observed.
+        // Which cell wins a shared miss is a race under concurrency, so
+        // [`Trace::stripped`] drops these counters.
+        let lookup = run.lookup;
+        let tel = &mut run.tel;
         tel.counter(root, metrics::CACHE_FRONTEND_HIT, u64::from(lookup.hit));
         tel.counter(root, metrics::CACHE_FRONTEND_MISS, u64::from(!lookup.hit));
         if lookup.waited {
             tel.counter(root, metrics::CACHE_FRONTEND_WAIT, 1);
             tel.counter(root, metrics::CACHE_FRONTEND_WAIT_NS, lookup.wait_ns);
         }
-        let stats = module.stats();
-        self.stage_boundary(&module.name, &datasheet.core, "frontend");
-        let fe = tel.start_span("frontend");
-        tel.counter(fe, metrics::FRONTEND_INSTRUCTIONS, stats.instructions as u64);
-        tel.counter(fe, metrics::FRONTEND_ALWAYS, stats.always_blocks as u64);
-        tel.counter(fe, metrics::FRONTEND_FUNCTIONS, stats.functions as u64);
-        tel.end_span(fe);
-        tel.attr(root, "isax", &module.name);
-        let mut diagnostics = Diagnostics::default();
-        self.stage_boundary(&module.name, &datasheet.core, "lower");
-        let lower_span = tel.start_span("lower");
-        diagnostics.set_trace_span(Some(lower_span.0));
-        diagnostics.replay(&artifacts.lower_events);
-        tel.counter(lower_span, "lower.graphs", lil.graphs.len() as u64);
-        tel.end_span(lower_span);
+        let module = Arc::clone(fe.value()?);
+        run.tel.attr(root, "isax", &module.name);
+        let lw = run.stage(
+            pipe,
+            "lower",
+            fe_key,
+            || lower_stage(&module),
+            |l| 160 * l.lil.graphs.iter().map(|g| g.len() as u64).sum::<u64>(),
+        );
+        let lowered = lw.value()?;
+        let lil = &lowered.lil;
         let mut graphs = Vec::new();
-        for (gi, (graph, digest)) in lil.graphs.iter().zip(&artifacts.graph_digests).enumerate() {
-            let unit_span = tel.start_unit_span("unit", Some(&graph.name));
-            diagnostics.set_trace_span(Some(unit_span.0));
+        for (gi, graph) in lil.graphs.iter().enumerate() {
+            let unit_span = run.tel.start_unit_span("unit", Some(&graph.name));
+            run.unit_span = Some(unit_span);
+            // Every per-unit stage is a function of this graph and the
+            // core configuration alone, so one key serves all six; the
+            // store keeps each stage's value in its own `(stage, key)`
+            // slot. An edit that changes the graph flips the key, one
+            // that leaves it unchanged flips nothing.
+            let unit_key = pipeline::derive("unit", &[&lowered.graph_digests[gi], &cfg_key]);
+            let unit_graph = UnitGraph {
+                lil: Arc::clone(lil),
+                index: gi,
+            };
             // Cell-level fault injection fires once per compilation, on
             // the first unit, so a faulted cell degrades to exactly one
             // diagnostic.
-            let inject = gi == 0;
             match self.compile_graph(
-                UnitGraph {
-                    lil: Arc::clone(lil),
-                    index: gi,
-                },
-                digest,
+                &mut run,
+                backend_pipe,
+                unit_graph,
+                unit_key,
                 datasheet,
-                &mut diagnostics,
-                &mut tel,
-                unit_span,
-                inject,
-                cx,
+                gi == 0,
             ) {
                 Ok(cg) => graphs.push(cg),
                 Err(e) => {
-                    let span = declared_span(module, &graph.name);
+                    let span = declared_span(&module, &graph.name);
+                    let diagnostics = &mut run.diagnostics;
+                    diagnostics.set_trace_span(Some(unit_span.0));
                     // The netlist lint guards compiler-constructed hardware;
                     // its findings are internal faults, not user errors.
                     if e.severity == Severity::Fault || e.stage == "netlist" {
@@ -514,51 +492,28 @@ impl Longnail {
                     }
                 }
             }
-            // Also closes any stage span an error path left open.
-            tel.end_span(unit_span);
+            run.unit_span = None;
+            run.tel.end_span(unit_span);
         }
-        diagnostics.set_trace_span(None);
-        self.stage_boundary(&module.name, &datasheet.core, "config");
-        let config_span = tel.start_span("config");
-        let cval = cx.run(
+        let cval = run.stage(
+            backend_pipe,
             "config",
-            pipeline::derive("config", &[&artifacts.module_digest, &cx.cfg_key]),
+            pipeline::derive("config", &[&lowered.module_digest, &cfg_key]),
             || config_stage(lil, &graphs),
             |c| (c.functionalities.len() as u64 + 1) * 256,
         );
-        cval.tape
-            .replay(&mut tel, config_span, config_span, &mut diagnostics, &lil.name);
-        let config = Arc::clone(cval.outcome.as_ref().expect("config stage is infallible"));
-        tel.end_span(config_span);
-        // Errors that were contained to their unit instead of aborting
-        // the compilation. Omitted (not zero) on clean runs so a clean
-        // trace stays byte-identical to pre-degradation baselines.
-        let recovered = diagnostics.of(Severity::Error).count() as u64;
-        if recovered > 0 {
-            tel.counter(root, metrics::DEGRADE_ERRORS_RECOVERED, recovered);
-        }
-        tel.end_span(root);
-        // Mirror the diagnostics into the trace, each linked to the span
-        // that was open when it fired.
-        for e in &diagnostics.events {
-            tel.diag(
-                e.trace_span.map(SpanId),
-                &e.severity.to_string(),
-                e.stage,
-                e.unit.as_deref(),
-                &e.message,
-            );
-        }
-        CompiledIsax {
+        let config = Arc::clone(cval.value()?);
+        let (diagnostics, trace) = run.finish(root);
+        Ok(CompiledIsax {
             name: lil.name.clone(),
-            core: datasheet.core.clone(),
-            module: Arc::clone(module),
+            core: core.clone(),
+            module,
             lil: Arc::clone(lil),
             graphs,
             config,
             diagnostics,
-            trace: tel.finish(),
-        }
+            trace,
+        })
     }
 
     /// Compiles a batch of cells across up to `jobs` worker threads, all
@@ -569,8 +524,9 @@ impl Longnail {
     /// With a fresh cache this is a cold compile; with a reused one, every
     /// stage whose content key is unchanged since the previous run is
     /// replayed. A warm recompile with one edited ISAX reruns that ISAX's
-    /// frontend once, then recomputes only the units whose LIL graphs the
-    /// edit changed (and the ISAX's `config`), on every core.
+    /// `frontend` and `lower` once, then recomputes only the units whose
+    /// LIL graphs the edit changed (and the ISAX's `config`), on every
+    /// core.
     ///
     /// Each cell is isolated: a panic anywhere in its flow becomes a
     /// [`Severity::Fault`] outcome attributed to the stage boundary the
@@ -682,134 +638,97 @@ impl Longnail {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Compiles one unit through the six per-unit stages, all keyed by
+    /// `unit_key`. `inject` marks the cell's first unit, the one a
+    /// cell-level fault fires on.
     fn compile_graph(
         &self,
+        run: &mut Runner<'_>,
+        pipe: &PipelineCache,
         unit: UnitGraph,
-        graph_digest: &Digest,
+        unit_key: Digest,
         datasheet: &VirtualDatasheet,
-        diagnostics: &mut Diagnostics,
-        tel: &mut Telemetry,
-        unit_span: SpanId,
         inject: bool,
-        cx: &PipeCtx<'_>,
     ) -> Result<CompiledGraph, FlowError> {
         let (graph, lil) = (&*unit, &*unit.lil);
         let is_always = graph.kind == GraphKind::Always;
-        // Every per-unit stage is a function of this graph and the core
-        // configuration alone, so one key serves all six; the store keeps
-        // each stage's value in its own `(stage, key)` slot. An edit that
-        // changes the graph flips the key, one that leaves it unchanged
-        // flips nothing.
-        let unit_key = pipeline::derive("unit", &[graph_digest, &cx.cfg_key]);
 
         // --- LongnailProblem construction ---
-        self.stage_boundary(&lil.name, &datasheet.core, "problem");
-        let problem_span = tel.start_span("problem");
-        let pval = cx.run(
+        let pval = run.stage(
+            pipe,
             "problem",
             unit_key,
             || self.problem_stage(graph, is_always, datasheet),
             |p| (p.op_ids.len() as u64 + 1) * 192,
         );
-        pval.tape
-            .replay(tel, problem_span, unit_span, diagnostics, &graph.name);
         let pout = pval.value()?;
-        tel.end_span(problem_span);
 
         // --- ILP solve (resilient facade) ---
-        self.stage_boundary(&lil.name, &datasheet.core, "solve");
-        if inject {
-            if let Some(plan) = &self.fault_plan {
-                if plan
-                    .fault(&lil.name, &datasheet.core, FaultKind::BudgetExhaustion)
-                    .is_some()
-                {
-                    return Err(FlowError::error(
-                        "solve",
-                        "injected fault: solver work budget exhausted before a schedule \
-                         was found",
-                    ));
-                }
-            }
+        if inject && run.planned(FaultKind::BudgetExhaustion) {
+            // A panic planned at `solve` still fires first.
+            run.boundary("solve");
+            return Err(FlowError::error(
+                "solve",
+                "injected fault: solver work budget exhausted before a schedule was found",
+            ));
         }
-        let solve_span = tel.start_span("solve");
-        let sval = cx.run(
+        let sval = run.stage(
+            pipe,
             "solve",
             unit_key,
             || self.solve_stage(pout, graph),
             |s| (s.schedule.start_time.len() as u64 + 1) * 16,
         );
-        sval.tape
-            .replay(tel, solve_span, unit_span, diagnostics, &graph.name);
         let sout = sval.value()?;
-        tel.end_span(solve_span);
 
         // --- Per-write-interface mode selection (§4.3) and overall mode ---
-        self.stage_boundary(&lil.name, &datasheet.core, "modes");
-        let modes_span = tel.start_span("modes");
-        let mval = cx.run(
+        let mval = run.stage(
+            pipe,
             "modes",
             unit_key,
             || modes_stage(graph, is_always, datasheet, sout),
             |_| 64,
         );
-        mval.tape
-            .replay(tel, modes_span, unit_span, diagnostics, &graph.name);
         let mout = mval.value()?;
-        tel.end_span(modes_span);
 
         // --- Hardware construction and lint ---
-        self.stage_boundary(&lil.name, &datasheet.core, "rtl");
-        let rtl_span = tel.start_span("rtl");
-        let rval = cx.run(
+        let rval = run.stage(
+            pipe,
             "rtl",
             unit_key,
             || rtl_stage(graph, lil, datasheet, sout),
             |b| module_bytes(b),
         );
-        rval.tape
-            .replay(tel, rtl_span, unit_span, diagnostics, &graph.name);
-        let built = Arc::clone(rval.value()?);
-        tel.end_span(rtl_span);
+        let mut built = Arc::clone(rval.value()?);
 
         // --- Oracle-gated netlist optimization (skipped entirely at -O0,
         // so the default flow — spans, traces, artifacts — is untouched).
         // The stage *boundary* is crossed regardless: it only updates the
         // panic-attribution stage and fires planned faults, so chaos plans
         // targeting `opt` behave identically at every level. ---
-        self.stage_boundary(&lil.name, &datasheet.core, "opt");
-        let built = if self.opt_level == OptLevel::O0 {
-            built
+        if self.opt_level == OptLevel::O0 {
+            run.boundary("opt");
         } else {
-            let opt_span = tel.start_span("opt");
-            let oval = cx.run(
+            let oval = run.stage(
+                pipe,
                 "opt",
                 unit_key,
-                || opt_stage(&built, self.opt_level),
+                || opt_stage(&built, self.opt_level, &graph.name),
                 |b| module_bytes(b),
             );
-            oval.tape
-                .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
-            let optimized = Arc::clone(oval.value()?);
-            tel.end_span(opt_span);
-            optimized
-        };
+            built = Arc::clone(oval.value()?);
+        }
 
         // --- SystemVerilog emission ---
-        self.stage_boundary(&lil.name, &datasheet.core, "verilog");
-        let verilog_span = tel.start_span("verilog");
-        let vval = cx.run(
+        let vval = run.stage(
+            pipe,
             "verilog",
             unit_key,
             || verilog_stage(&built),
             |v| v.len() as u64,
         );
-        vval.tape
-            .replay(tel, verilog_span, unit_span, diagnostics, &graph.name);
         // The one copy a hit makes: callers compare the text as a `String`.
         let verilog = vval.value()?.clone();
-        tel.end_span(verilog_span);
 
         let (mask, match_value) = match graph.kind {
             GraphKind::Instruction { mask, match_value } => (mask, match_value),
@@ -916,9 +835,11 @@ impl Longnail {
             if matches!(deg.reason, DegradationReason::BudgetExhausted(_)) {
                 tape.counter(metrics::SOLVER_EXHAUSTED, 1);
             }
-            tape.warn("schedule", deg.to_string());
+            let warning = deg.to_string();
+            let unit = Some(graph.name.as_str());
+            tape.diag(Severity::Warning, "schedule", unit, None, warning);
         }
-        tape.unit_attr(
+        tape.attr(
             "scheduler",
             if outcome.is_exact() { "ilp" } else { "asap" }.to_string(),
         );
@@ -996,39 +917,114 @@ impl Longnail {
     }
 }
 
-/// Stage-cache context of one cell compilation: the store its backend
-/// stages run through plus the core/options root every backend key
-/// derives from (the other root is the digest of the LIL it compiles).
-struct PipeCtx<'a> {
-    pipe: &'a PipelineCache,
-    /// Content-address of the core/options configuration.
-    cfg_key: Digest,
+/// One cell's pass through the nine stages. Each stage runs through
+/// [`Runner::stage`], so every stage crosses its boundary, times its work
+/// under its own span and replays its tape the same way.
+struct Runner<'a> {
+    ln: &'a Longnail,
+    /// The cell's unit and core, which a fault plan names.
+    unit: &'a str,
+    core: &'a str,
+    tel: Telemetry,
+    diagnostics: Diagnostics,
+    /// The span of the unit being compiled: while set, it takes the
+    /// attributes and diagnostics a stage replays, which otherwise go to
+    /// the stage's own span.
+    unit_span: Option<SpanId>,
+    /// What the latest store lookup observed.
+    lookup: Lookup,
 }
 
-impl PipeCtx<'_> {
-    /// Runs one backend stage through the store: computed on a miss, the
-    /// cached value (outcome plus telemetry tape) on a hit. Either way the
-    /// caller shares the value the store holds.
-    fn run<T, F>(
-        &self,
+impl<'a> Runner<'a> {
+    fn new(ln: &'a Longnail, unit: &'a str, core: &'a str) -> Self {
+        Runner {
+            ln,
+            unit,
+            core,
+            tel: Telemetry::new(),
+            diagnostics: Diagnostics::default(),
+            unit_span: None,
+            lookup: Lookup::default(),
+        }
+    }
+
+    /// Crosses a stage boundary: records the stage for panic attribution
+    /// and fires a planned [`FaultKind::Panic`] when this cell is targeted
+    /// at this stage.
+    fn boundary(&self, stage: &'static str) {
+        set_stage(stage);
+        if let Some(plan) = &self.ln.fault_plan {
+            if plan.panic_at(self.unit, self.core, stage) {
+                panic!(
+                    "injected fault: panic at stage `{stage}` of `{}` for `{}`",
+                    self.unit, self.core
+                );
+            }
+        }
+    }
+
+    /// Whether the fault plan injects a fault of `kind` into this cell.
+    fn planned(&self, kind: FaultKind) -> bool {
+        let plan = self.ln.fault_plan.as_ref();
+        plan.is_some_and(|p| p.fault(self.unit, self.core, kind).is_some())
+    }
+
+    /// Runs one stage: crosses its boundary, opens its span, shares the
+    /// value `pipe` holds under `(stage, key)` or computes and parks it
+    /// there, replays its tape and closes the span. `payload_bytes` sizes
+    /// the value's charge against the store's byte cap.
+    fn stage<T, F, B>(
+        &mut self,
+        pipe: &PipelineCache,
         stage: &'static str,
         key: Digest,
         compute: F,
-        payload_bytes: fn(&T) -> u64,
+        payload_bytes: B,
     ) -> Arc<StageVal<T>>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> StageVal<T>,
+        B: FnOnce(&T) -> u64,
     {
-        self.pipe
-            .store()
-            .get_or_compute_sized(
-                stage,
-                key,
-                || Arc::new(compute()),
-                |v| stage_bytes(v, payload_bytes),
-            )
-            .0
+        self.boundary(stage);
+        let span = self.tel.start_span(stage);
+        let (val, lookup) = pipe.store().get_or_compute_sized(
+            stage,
+            key,
+            || Arc::new(compute()),
+            |v| stage_bytes(v, payload_bytes),
+        );
+        self.lookup = lookup;
+        let target = self.unit_span.unwrap_or(span);
+        val.tape
+            .replay(&mut self.tel, span, target, &mut self.diagnostics);
+        self.tel.end_span(span);
+        val
+    }
+
+    /// Closes the cell's root span and hands back its diagnostics and its
+    /// trace, with every diagnostic mirrored into the trace and linked to
+    /// the span it fired in.
+    fn finish(mut self, root: SpanId) -> (Diagnostics, Trace) {
+        // Errors that were contained to their unit instead of aborting
+        // the compilation. Omitted (not zero) on clean runs so a clean
+        // trace stays byte-identical to pre-degradation baselines.
+        let recovered = self.diagnostics.of(Severity::Error).count() as u64;
+        if recovered > 0 {
+            self.tel
+                .counter(root, metrics::DEGRADE_ERRORS_RECOVERED, recovered);
+        }
+        self.tel.end_span(root);
+        for e in &self.diagnostics.events {
+            self.tel.diag(
+                e.trace_span.map(SpanId),
+                &e.severity.to_string(),
+                e.stage,
+                e.unit.as_deref(),
+                &e.message,
+            );
+        }
+        (self.diagnostics, self.tel.finish())
     }
 }
 
@@ -1037,24 +1033,11 @@ impl PipeCtx<'_> {
 /// payload estimates plus a fixed slot/tape overhead — the cap is a
 /// budget, not an allocator audit, but `tests/cache_footprint.rs` keeps
 /// it within 2× of the heap it stands for.
-fn stage_bytes<T>(v: &StageVal<T>, payload: fn(&T) -> u64) -> u64 {
+fn stage_bytes<T>(v: &StageVal<T>, payload: impl FnOnce(&T) -> u64) -> u64 {
     const BASE: u64 = 512;
     match &v.outcome {
         Ok(t) => BASE + payload(t),
         Err(e) => BASE + error_bytes(e),
-    }
-}
-
-/// Heap charge of one cached frontend value: the typed module scales with
-/// the source text, the lowered LIL with its operations (an op, its
-/// operand list and its share of the graph and digest vectors).
-fn frontend_bytes(v: &Result<Arc<FrontendArtifacts>, FlowError>, src_len: usize) -> u64 {
-    match v {
-        Ok(a) => {
-            let ops: usize = a.lil.graphs.iter().map(Graph::len).sum();
-            1024 + 8 * src_len as u64 + 160 * ops as u64
-        }
-        Err(e) => 512 + error_bytes(e),
     }
 }
 
@@ -1171,7 +1154,7 @@ fn modes_stage(
         None => 1,
     };
     tape.counter(metrics::SCHED_II, ii);
-    tape.unit_attr("mode", mode.to_string());
+    tape.attr("mode", mode.to_string());
     StageVal {
         outcome: Ok(ModesOut {
             mode,
@@ -1237,13 +1220,11 @@ const OPT_VERIFY_CYCLES: u32 = 32;
 /// stage falls back to the unoptimized netlist, records a warning, and
 /// counts the fallback. (The third gate — `lnc --xcheck` over the full
 /// matrix — runs downstream on whatever module this stage emits.)
-fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel) -> StageVal<Arc<BuiltModule>> {
+fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel, unit: &str) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
     let fall_back = |mut tape: Tape, why: String| {
-        tape.warn(
-            "opt",
-            format!("optimization disabled for this unit: {why}"),
-        );
+        let warning = format!("optimization disabled for this unit: {why}");
+        tape.diag(Severity::Warning, "opt", Some(unit), None, warning);
         tape.counter(metrics::OPT_FALLBACK, 1);
         StageVal {
             outcome: Ok(built.clone()),
@@ -1329,16 +1310,10 @@ fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<Arc<IsaxC
     }
 }
 
-/// The core-independent half of a compilation: the elaborated typed
-/// module plus its verified LIL lowering, the content digests the backend
-/// keys derive from, and any per-unit diagnostics the lowering raised.
-/// Produced once per `(source, unit)` pair — the value of the store's
-/// `frontend` slot — and shared across every core the ISAX is compiled
-/// for.
+/// What the `lower` stage hands the backend: the verified LIL lowering of
+/// one typed module and the content digests its backend keys derive from.
 #[derive(Debug)]
-struct FrontendArtifacts {
-    /// The elaborated, type-checked module.
-    module: Arc<TypedModule>,
+struct Lowered {
     /// The lowered LIL module; only graphs that passed the stage verifier
     /// are present.
     lil: Arc<LilModule>,
@@ -1347,10 +1322,6 @@ struct FrontendArtifacts {
     graph_digests: Vec<Digest>,
     /// Content digest of `lil` as the `config` stage reads it.
     module_digest: Digest,
-    /// Diagnostics raised during lowering/verification. Core-independent,
-    /// so they are replayed verbatim into every per-core compilation
-    /// (re-stamped with that compilation's trace span).
-    lower_events: Vec<DiagEvent>,
 }
 
 /// The source span of the instruction or `always`-block named `unit` (the
@@ -1365,21 +1336,48 @@ fn declared_span(module: &TypedModule, unit: &str) -> Option<Span> {
         .map(|(_, span)| span)
 }
 
-/// Lowers a type-checked module to verified LIL, capturing per-unit
-/// problems as replayable events instead of aborting.
-fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
-    let mut diagnostics = Diagnostics::default();
-    let mut lil = lower_state(&module);
+/// Stage `frontend`: parses, elaborates, and type-checks `src` against the
+/// built-in prelude — the only source a description can import, which is
+/// what makes [`pipeline::frontend_key`] complete. A rejected source
+/// fails with a [`FlowError`] whose `frontend_errors` field carries
+/// *every* accumulated coded diagnostic, not just the first.
+fn frontend_stage(src: &str, unit: &str) -> StageVal<Arc<TypedModule>> {
+    let mut tape = Tape::default();
+    let out = Frontend::new().compile_str_all(src, unit);
+    let outcome = if !out.errors.is_empty() {
+        Err(FlowError::frontend(out.errors))
+    } else if let Some(module) = out.module {
+        let stats = module.stats();
+        tape.counter(metrics::FRONTEND_INSTRUCTIONS, stats.instructions as u64);
+        tape.counter(metrics::FRONTEND_ALWAYS, stats.always_blocks as u64);
+        tape.counter(metrics::FRONTEND_FUNCTIONS, stats.functions as u64);
+        Ok(Arc::new(module))
+    } else {
+        Err(FlowError::error(
+            "frontend",
+            "elaboration produced no module",
+        ))
+    };
+    StageVal { outcome, tape }
+}
+
+/// Stage `lower`: lowers a type-checked module to verified LIL. A unit
+/// that fails to lower or to verify is left out and its diagnostic goes
+/// on the tape, so one broken unit costs that unit on every core.
+fn lower_stage(module: &TypedModule) -> StageVal<Lowered> {
+    let mut tape = Tape::default();
+    let mut lil = lower_state(module);
     let lowered = module
         .instructions
         .iter()
-        .map(|i| lower_instruction(&module, i))
-        .chain(module.always_blocks.iter().map(|a| lower_always(&module, a)));
+        .map(|i| lower_instruction(module, i))
+        .chain(module.always_blocks.iter().map(|a| lower_always(module, a)));
     for result in lowered {
         let graph = match result {
             Ok(g) => g,
             Err(e) => {
-                diagnostics.error("lower", Some(&e.unit), declared_span(&module, &e.unit), e.message);
+                let span = declared_span(module, &e.unit);
+                tape.diag(Severity::Error, "lower", Some(&e.unit), span, e.message);
                 continue;
             }
         };
@@ -1392,43 +1390,22 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
                 .join("; ");
-            diagnostics.fault("verify", Some(&graph.name), declared_span(&module, &graph.name), msg);
+            let span = declared_span(module, &graph.name);
+            tape.diag(Severity::Fault, "verify", Some(&graph.name), span, msg);
             continue;
         }
         lil.graphs.push(graph);
     }
+    tape.counter("lower.graphs", lil.graphs.len() as u64);
     let (graph_digests, module_digest) = pipeline::lil_digests(&lil);
-    FrontendArtifacts {
-        module: Arc::new(module),
-        lil: Arc::new(lil),
-        graph_digests,
-        module_digest,
-        lower_events: diagnostics.events,
+    StageVal {
+        outcome: Ok(Lowered {
+            lil: Arc::new(lil),
+            graph_digests,
+            module_digest,
+        }),
+        tape,
     }
-}
-
-/// Stage `frontend`, with `lower` riding along: parses, elaborates, and
-/// type-checks `src` against the built-in prelude — the only source a
-/// description can import, which is what makes [`pipeline::frontend_key`]
-/// complete — then lowers it to verified LIL.
-///
-/// # Errors
-///
-/// Returns a [`FlowError`] if the frontend rejects the source; its
-/// `frontend_errors` field carries *every* accumulated coded diagnostic,
-/// not just the first. Per-unit lowering problems are captured inside the
-/// artifacts and replayed into each compilation's diagnostics instead.
-fn frontend_artifacts(src: &str, unit: &str) -> Result<FrontendArtifacts, FlowError> {
-    set_stage("frontend");
-    let out = Frontend::new().compile_str_all(src, unit);
-    if !out.errors.is_empty() {
-        return Err(FlowError::frontend(out.errors));
-    }
-    let module = out
-        .module
-        .ok_or_else(|| FlowError::error("frontend", "elaboration produced no module"))?;
-    set_stage("lower");
-    Ok(lower_artifacts(module))
 }
 
 /// One cell of work for [`Longnail::compile_cells`]: an ISAX source
@@ -1501,8 +1478,8 @@ pub struct MatrixResult {
     pub errors_recovered: u64,
     /// Per-stage cache activity of this run (hit/miss/wait deltas
     /// against the shared [`PipelineCache`]), sorted by stage name.
-    /// `frontend` repeats `cache_hits`/`cache_misses`; `lower` mirrors
-    /// `frontend` (the lowered IR rides inside the frontend artifact).
+    /// `frontend` repeats `cache_hits`/`cache_misses`; `lower` is looked
+    /// up once per cell whose source the frontend accepted.
     pub stage_stats: Vec<StageCacheStats>,
     /// What the worker pool observed about its own scheduling: wall time,
     /// queue-wait vs run split per cell, per-worker load. Wall-clock- and
@@ -1732,9 +1709,12 @@ mod tests {
     #[test]
     fn reformatting_and_renaming_a_local_keep_every_digest() {
         let digests = |src: &str| {
-            let a = frontend_artifacts(src, "X_DOTP").expect("dotprod compiles");
-            assert!(!a.graph_digests.is_empty());
-            (a.graph_digests, a.module_digest)
+            let fe = frontend_stage(src, "X_DOTP");
+            let module = fe.value().expect("dotprod compiles");
+            let lw = lower_stage(module);
+            let lowered = lw.value().expect("lowering is infallible");
+            assert!(!lowered.graph_digests.is_empty());
+            (lowered.graph_digests.clone(), lowered.module_digest)
         };
         let src = crate::isax_lib::DOTPROD;
         let base = digests(src);

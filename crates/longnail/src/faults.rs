@@ -25,6 +25,12 @@
 //! `solve`); the other kinds imply their stage (`parse-error` and
 //! `poison-cache` hit the frontend, `budget-exhaustion` hits the
 //! solver).
+//!
+//! A panic fires at its stage's boundary, before the cell looks the stage
+//! up in the store. One planned at `frontend` therefore fires before the
+//! cell's frontend lookup, not after it: the faulted cell neither
+//! computes nor counts its source's frontend, and a peer core of the same
+//! source computes it instead.
 
 use std::fmt;
 

@@ -6,8 +6,8 @@
 //! stage consumes —
 //!
 //! ```text
-//! frontend_key = H(unit ‖ source)                    (lower rides along)
-//! cfg_key      = H(datasheet ‖ clock ‖ chain ‖ work-limit ‖ config-fp)
+//! frontend_key = H(unit ‖ source)                    keys frontend and lower
+//! cfg_key      = H(datasheet fields ‖ chain ‖ work-limit ‖ config-fp)
 //! lil_ctx      = H(module name ‖ ROMs ‖ custom registers)
 //! graph_digest = H(lil_ctx ‖ graph)                  (one per LIL graph)
 //! module_digest = H(lil_ctx ‖ graph_digest…)
@@ -17,17 +17,19 @@
 //! cell_key     = H("cell" ‖ frontend_key ‖ cfg_key)
 //! ```
 //!
-//! — so the backend is cut off early: the frontend reruns on any edit to
-//! an ISAX source, but the digests it produces ([`lil_digests`]) change
-//! only for the LIL graphs the edit changed. A comment or a reformat
-//! recomputes no backend stage at all; an edit to one instruction
-//! recomputes that unit's cone (and the ISAX's `config`) on every core,
-//! while every other unit's keys and cached stage artifacts survive. The
-//! compiler itself is deterministic, which is what lets a stage key hash
-//! the upstream *inputs* instead of the upstream artifact bytes: same
-//! inputs, same artifact. Source positions never enter a backend value:
-//! a unit's diagnostics take their span from the live frontend, so a
-//! replayed failure still points at the edited source's lines.
+//! — so the backend is cut off early: `frontend` and `lower` rerun on
+//! any edit to an ISAX source, but the digests `lower` produces
+//! ([`lil_digests`]) change only for the LIL graphs the edit changed. A
+//! comment or a reformat recomputes no backend stage at all; an edit to
+//! one instruction recomputes that unit's cone (and the ISAX's `config`)
+//! on every core, while every other unit's keys and cached stage
+//! artifacts survive. The compiler itself is deterministic, which is
+//! what lets a stage key hash the upstream *inputs* instead of the
+//! upstream artifact bytes: same inputs, same artifact. Source positions
+//! never enter a backend value: a unit's diagnostics take their span from
+//! the live frontend, so a replayed failure still points at the edited
+//! source's lines. (The lowering diagnostics on `lower`'s tape carry
+//! spans, but `lower` is keyed by the source text itself.)
 //!
 //! Cached stage values are [`StageVal`]s: the stage outcome plus a
 //! [`Tape`] of the telemetry the computation emitted. The store holds
@@ -37,7 +39,8 @@
 //! [`telemetry::Trace::stripped`]) to a cold one — the determinism
 //! contract holds by construction, not by luck.
 
-use crate::diag::Diagnostics;
+use crate::diag::{DiagEvent, Diagnostics, Severity};
+use coredsl::error::Span;
 use ir::lil::LilModule;
 use qcache::{digest, Digest, DiskCache, Sha256, StageStats, Store};
 use scaiev::datasheet::VirtualDatasheet;
@@ -68,7 +71,7 @@ pub fn schema_fingerprint(config: &str) -> u64 {
 /// stage store, plus an optional persistent layer (`--cache-dir`).
 ///
 /// A fresh instance per run reproduces the pre-incremental behavior
-/// exactly (the frontend artifact is still shared across cells). Reusing
+/// exactly (`frontend` and `lower` are still shared across cells). Reusing
 /// one instance across runs — `lnc serve`, warm matrix recompiles, the
 /// bench harness — is what makes recompilation incremental.
 #[derive(Default)]
@@ -140,31 +143,43 @@ pub fn frontend_key(unit: &str, src: &str) -> Digest {
 }
 
 /// Content-address of everything core- and option-shaped that feeds the
-/// backend: the virtual datasheet (its YAML rendering plus the exact
-/// clock bits, which the YAML omits when unset), the chaining budget,
-/// the solver work limit, and the canonical config fingerprint (opt
-/// level — [`crate::Longnail::config_fingerprint`]).
+/// backend: every field of the virtual datasheet (core, stages,
+/// write-back and memory stage, the exact clock bits, and each
+/// interface's name, earliest, latest or ∞, and latency), the chaining
+/// budget, the solver work limit, and the canonical config fingerprint
+/// (opt level — [`crate::Longnail::config_fingerprint`]).
 /// Every backend stage key derives from this one, so flipping
 /// `--opt-level` flips the whole backend cone — the historic bug this
 /// guards against served `-O0` artifacts to a `-O2` run from a shared
 /// cache dir.
+///
+/// The fields are streamed as explicit little-endian bytes, strings and
+/// the entry list length-prefixed and `latest` tagged (∞ is tag 0), never
+/// through a derived `Hash`: this key reaches disk inside [`cell_key`].
 pub fn core_config_key(
     ds: &VirtualDatasheet,
     chain_depth: f64,
     work_limit: u64,
     config: &str,
 ) -> Digest {
-    Sha256::new()
-        .chain(b"longnail.coreconfig\0")
-        .chain(ds.core.as_bytes())
-        .chain(b"\0")
-        .chain(ds.to_yaml().as_bytes())
+    let text = |h: Sha256, s: &str| h.chain(&(s.len() as u64).to_le_bytes()).chain(s.as_bytes());
+    let mut h = text(Sha256::new().chain(b"longnail.coreconfig\0"), &ds.core)
+        .chain(&ds.stages.to_le_bytes())
+        .chain(&ds.writeback_stage.to_le_bytes())
+        .chain(&ds.memory_stage.to_le_bytes())
         .chain(&ds.clock_ns.to_bits().to_le_bytes())
+        .chain(&(ds.entries.len() as u64).to_le_bytes());
+    for (name, t) in &ds.entries {
+        h = text(h, name)
+            .chain(&t.earliest.to_le_bytes())
+            .chain(&[u8::from(t.latest.is_some())])
+            .chain(&t.latest.unwrap_or(0).to_le_bytes())
+            .chain(&t.latency.to_le_bytes());
+    }
+    let h = h
         .chain(&chain_depth.to_bits().to_le_bytes())
-        .chain(&work_limit.to_le_bytes())
-        .chain(b"\0")
-        .chain(config.as_bytes())
-        .finalize()
+        .chain(&work_limit.to_le_bytes());
+    text(h, config).finalize()
 }
 
 /// Content digests of a lowered module: `(graph_digests, module_digest)`.
@@ -239,10 +254,12 @@ pub(crate) enum TapeOp {
     Counter(&'static str, u64),
     /// Gauge on the stage span.
     Gauge(&'static str, f64),
-    /// Attribute on the enclosing unit span.
-    UnitAttr(&'static str, String),
-    /// Warning diagnostic attributed to `(stage, current unit)`.
-    Warn(&'static str, String),
+    /// Attribute on the enclosing unit span (the stage span outside one).
+    Attr(&'static str, String),
+    /// Diagnostic the computation raised, with its severity, stage, unit
+    /// and source span; replay re-stamps its trace span. Boxed:
+    /// diagnostics are rare, and the other ops stay small.
+    Diag(Box<DiagEvent>),
 }
 
 /// Ordered telemetry ops of one stage computation. Replayed identically
@@ -262,33 +279,47 @@ impl Tape {
         self.ops.push(TapeOp::Gauge(name, value));
     }
 
-    pub(crate) fn unit_attr(&mut self, name: &'static str, value: String) {
-        self.ops.push(TapeOp::UnitAttr(name, value));
+    pub(crate) fn attr(&mut self, name: &'static str, value: String) {
+        self.ops.push(TapeOp::Attr(name, value));
     }
 
-    pub(crate) fn warn(&mut self, stage: &'static str, message: String) {
-        self.ops.push(TapeOp::Warn(stage, message));
+    pub(crate) fn diag(
+        &mut self,
+        severity: Severity,
+        stage: &'static str,
+        unit: Option<&str>,
+        span: Option<Span>,
+        message: String,
+    ) {
+        self.ops.push(TapeOp::Diag(Box::new(DiagEvent {
+            severity,
+            stage,
+            unit: unit.map(str::to_owned),
+            span,
+            trace_span: None,
+            code: None,
+            fixit: None,
+            message,
+        })));
     }
 
-    /// Plays the tape onto a live compilation: counters and gauges target
-    /// the open stage span, attributes the enclosing unit span, warnings
-    /// the diagnostics sink (attributed to `unit`).
+    /// Plays the tape onto a live compilation: counters and gauges go to
+    /// the stage span `span`, attributes and diagnostics to `target` (the
+    /// enclosing unit span inside a unit, the stage span outside one).
     pub(crate) fn replay(
         &self,
         tel: &mut Telemetry,
-        stage_span: SpanId,
-        unit_span: SpanId,
+        span: SpanId,
+        target: SpanId,
         diagnostics: &mut Diagnostics,
-        unit: &str,
     ) {
+        diagnostics.set_trace_span(Some(target.0));
         for op in &self.ops {
             match op {
-                TapeOp::Counter(name, v) => tel.counter(stage_span, name, *v),
-                TapeOp::Gauge(name, v) => tel.gauge(stage_span, name, *v),
-                TapeOp::UnitAttr(name, v) => tel.attr(unit_span, name, v),
-                TapeOp::Warn(stage, msg) => {
-                    diagnostics.warn(stage, Some(unit), None, msg.clone());
-                }
+                TapeOp::Counter(name, v) => tel.counter(span, name, *v),
+                TapeOp::Gauge(name, v) => tel.gauge(span, name, *v),
+                TapeOp::Attr(name, v) => tel.attr(target, name, v),
+                TapeOp::Diag(event) => diagnostics.push_event((**event).clone()),
             }
         }
     }
@@ -404,6 +435,30 @@ mod tests {
         assert_ne!(base, core_config_key(&faster, 6.0, 1000, "opt=0"), "clock");
         let other = crate::driver::builtin_datasheet("Piccolo").unwrap();
         assert_ne!(base, core_config_key(&other, 6.0, 1000, "opt=0"), "datasheet");
+        type Edit = fn(&mut VirtualDatasheet);
+        let edits: [(&str, Edit); 7] = [
+            ("stages", |d| d.stages += 1),
+            ("write-back stage", |d| d.writeback_stage += 1),
+            ("memory stage", |d| d.memory_stage += 1),
+            ("latest bounded → ∞", |d| {
+                d.entries.get_mut("RdRS1").unwrap().latest = None
+            }),
+            ("latest ∞ → bounded", |d| {
+                d.entries.get_mut("RdMem").unwrap().latest = Some(0)
+            }),
+            ("latency", |d| {
+                d.entries.get_mut("RdMem").unwrap().latency += 1
+            }),
+            ("added entry", |d| {
+                d.entries
+                    .insert("RdCustReg.extra".into(), scaiev::Timing::new(1, None, 0));
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut edited = ds.clone();
+            edit(&mut edited);
+            assert_ne!(base, core_config_key(&edited, 6.0, 1000, "opt=0"), "{what}");
+        }
     }
 
     #[test]

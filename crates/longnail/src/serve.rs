@@ -399,12 +399,13 @@ impl JobResult {
                 }
                 _ => return JobResult::ok(id, compiled.graphs.len()),
             },
-            Err(e) => (e.severity, format!("[{}] {}", e.stage, e.message)),
+            Err(e) => (e.severity, e.to_string()),
         };
-        match severity {
-            Severity::Fault => JobResult::failed(id, "fault", 2, message),
-            _ => JobResult::failed(id, "error", 1, message),
-        }
+        let status = match severity {
+            Severity::Fault => "fault",
+            _ => "error",
+        };
+        JobResult::failed(id, status, severity.exit_code(), message)
     }
 
     /// The serialized result line (no trailing newline).

@@ -2,7 +2,7 @@
 //! pipeline stage, carries non-trivial solver counters, survives a JSONL
 //! round trip, and is deterministic modulo wall-clock timings.
 
-use longnail::driver::builtin_datasheet;
+use longnail::driver::{builtin_datasheet, EVAL_CORES};
 use longnail::{isax_lib, Longnail, Severity};
 use telemetry::{metrics, EventKind, Trace, STAGES};
 
@@ -74,6 +74,30 @@ fn trace_records_solver_and_hardware_counters() {
     let areas = trace.gauges(metrics::EDA_AREA_UM2);
     assert_eq!(areas.len(), 1);
     assert!(areas[0] > 0.0);
+}
+
+/// Parsing, type checking and lowering run inside the `frontend` and
+/// `lower` spans: on a cold compile each of them outlasts the `config`
+/// span, which only assembles the configuration file from the compiled
+/// units. The comparison is relative, so the host's speed cannot flip it.
+#[test]
+fn frontend_and_lower_spans_time_their_work() {
+    for isax in ["sparkle", "sqrt_tightly"] {
+        let (unit, src) = isax_lib::isax_source(isax).unwrap();
+        for core in EVAL_CORES {
+            let ds = builtin_datasheet(core).unwrap();
+            let trace = Longnail::new().compile(&src, &unit, &ds).unwrap().trace;
+            let dur = |stage| trace.span_duration_ns(stage).expect(stage);
+            let config = dur("config");
+            for stage in ["frontend", "lower"] {
+                assert!(
+                    dur(stage) > config,
+                    "{isax}@{core}: `{stage}` took {} ns, `config` {config} ns",
+                    dur(stage)
+                );
+            }
+        }
+    }
 }
 
 #[test]

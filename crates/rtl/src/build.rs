@@ -112,13 +112,6 @@ pub struct BuiltModule {
 }
 
 impl BuiltModule {
-    /// Finds a binding by signal and stage.
-    pub fn binding(&self, signal: &IfaceSignal, stage: u32) -> Option<&PortBinding> {
-        self.bindings
-            .iter()
-            .find(|b| b.signal == *signal && b.stage == stage)
-    }
-
     /// Finds the unique binding for a signal regardless of stage.
     pub fn binding_any_stage(&self, signal: &IfaceSignal) -> Option<&PortBinding> {
         self.bindings.iter().find(|b| b.signal == *signal)

@@ -110,11 +110,6 @@ impl Scoreboard {
         ready
     }
 
-    /// Number of in-flight decoupled instructions.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// True if any instruction is pending (the pipeline cannot retire the
     /// ISAX context yet).
     pub fn is_busy(&self) -> bool {

@@ -16,12 +16,9 @@
 //!   decoupled, always) and the post-scheduling selection rule of §4.3,
 //! * [`hazard`] — the scoreboard used for automatic data-hazard resolution
 //!   in decoupled mode,
-//! * [`arbiter`] — static-priority arbitration between ISAXes requesting
-//!   the same state update (§3.3),
 //! * [`integrate`] — sizing of the generated interface logic (muxes,
 //!   scoreboard, custom register files) consumed by the ASIC cost model.
 
-pub mod arbiter;
 pub mod config;
 pub mod datasheet;
 pub mod hazard;
