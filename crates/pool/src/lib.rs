@@ -385,7 +385,10 @@ mod tests {
     #[test]
     fn non_string_panic_payloads_degrade_gracefully() {
         let payload: Box<dyn std::any::Any + Send> = Box::new(42_u32);
-        assert_eq!(panic_message(payload.as_ref()), "<non-string panic payload>");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "<non-string panic payload>"
+        );
     }
 
     #[test]
