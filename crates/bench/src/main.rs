@@ -43,12 +43,7 @@ fn stage_mix(m: &MatrixResult) -> String {
     telemetry::STAGES
         .iter()
         .map(|s| {
-            let d = m
-                .stage_stats
-                .iter()
-                .find(|x| x.stage == *s)
-                .cloned()
-                .unwrap_or_default();
+            let d = m.stage_cache(s);
             format!("\"{s}\": \"{}m/{}h\"", d.misses, d.hits)
         })
         .collect::<Vec<_>>()
@@ -115,11 +110,7 @@ fn bench_json() -> String {
     let mut edited = isaxes.clone();
     edited[0].2.push_str("\n// incremental bench edit\n");
     let edit = ln.compile_cells(&matrix_cells(&edited, &cores), 4, &pipe);
-    let edit_fe = edit
-        .stage_stats
-        .iter()
-        .find(|s| s.stage == "frontend")
-        .map_or(0, |s| s.misses);
+    let edit_fe = edit.stage_cache("frontend").misses;
     assert_eq!(edit_fe, 1, "one edited source, one frontend recompute");
     let backend_misses: u64 = edit
         .stage_stats
@@ -229,8 +220,9 @@ fn bench_json() -> String {
     let mut json = String::from("{\n  \"schema\": \"longnail-bench/3\",\n");
     json.push_str("  \"deterministic\": {\n");
     let _ = writeln!(json, "    \"cells\": {},", serial.entries.len());
-    let _ = writeln!(json, "    \"cache_hits\": {},", serial.cache_hits);
-    let _ = writeln!(json, "    \"cache_misses\": {},", serial.cache_misses);
+    let frontend = serial.stage_cache("frontend");
+    let _ = writeln!(json, "    \"cache_hits\": {},", frontend.hits);
+    let _ = writeln!(json, "    \"cache_misses\": {},", frontend.misses);
     let _ = writeln!(json, "    \"cell_faults\": {},", serial.cell_faults);
     let _ = writeln!(json, "    \"errors_recovered\": {},", serial.errors_recovered);
     json.push_str("    \"counters\": {\n");

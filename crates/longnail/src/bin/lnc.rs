@@ -56,7 +56,6 @@
 //! --cache-mem-bytes <N> (matrix and serve) caps the shared in-memory
 //! stage cache at ~N bytes; least-recently-used stage artifacts are
 //! evicted (and recomputed on demand) once the estimate exceeds the cap.
-//! Evictions show up in the `cache-stats:` lines.
 //!
 //! Observability: --trace prints the hierarchical stage-span tree with
 //! wall-clock timings to stderr (in --matrix mode, the merged matrix
@@ -579,8 +578,9 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     // cells have no trace for the aggregator to see).
     summary.cells = cells.len() as u64;
     summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = matrix.cache_hits;
-    summary.cache_misses = matrix.cache_misses;
+    let frontend = matrix.stage_cache("frontend");
+    summary.cache_hits = frontend.hits;
+    summary.cache_misses = frontend.misses;
     summary.cell_faults = matrix.cell_faults;
     summary.errors_recovered = matrix.errors_recovered;
     summary.pool_wall_ns = matrix.pool_stats.wall_ns;
@@ -590,12 +590,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     // probes of the persistent layer.
     let served_count = run.served.iter().flatten().count() as u64;
     for stage in telemetry::STAGES {
-        let d = matrix
-            .stage_stats
-            .iter()
-            .find(|s| s.stage == stage)
-            .cloned()
-            .unwrap_or_default();
+        let d = matrix.stage_cache(stage);
         let credit: u64 = served_traces
             .iter()
             .flatten()
@@ -639,8 +634,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     if args.trace || args.metrics_out.is_some() || args.profile_folded.is_some() {
         use telemetry::metrics;
         let matrix_counters = vec![
-            (metrics::CACHE_FRONTEND_HIT.to_string(), matrix.cache_hits),
-            (metrics::CACHE_FRONTEND_MISS.to_string(), matrix.cache_misses),
+            (metrics::CACHE_FRONTEND_HIT.to_string(), frontend.hits),
+            (metrics::CACHE_FRONTEND_MISS.to_string(), frontend.misses),
             (
                 metrics::POOL_QUEUE_WAIT_NS.to_string(),
                 matrix.pool_stats.queue_wait_total_ns(),
@@ -689,8 +684,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
         "matrix: {} cell(s), {} job(s), frontend cache {} hit(s) / {} miss(es), {:.1} ms",
         cells.len(),
         matrix.jobs,
-        matrix.cache_hits,
-        matrix.cache_misses,
+        frontend.hits,
+        frontend.misses,
         wall.as_secs_f64() * 1e3
     );
     if args.cache_dir.is_some() {

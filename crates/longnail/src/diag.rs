@@ -61,11 +61,6 @@ pub struct DiagEvent {
     /// Telemetry span (by raw id) that was open when the event fired, so
     /// trace consumers can line diagnostics up with pipeline stages.
     pub trace_span: Option<u64>,
-    /// Stable machine-readable code (`LN0xxx`), when the frontend
-    /// assigned one.
-    pub code: Option<&'static str>,
-    /// Suggested fix, when the frontend provided one.
-    pub fixit: Option<String>,
     pub message: String,
 }
 
@@ -78,14 +73,7 @@ impl fmt::Display for DiagEvent {
         if let Some(span) = &self.span {
             write!(f, " at {span}")?;
         }
-        write!(f, ": {}", self.message)?;
-        if let Some(code) = self.code {
-            write!(f, " [{code}]")?;
-        }
-        if let Some(fixit) = &self.fixit {
-            write!(f, "; help: {fixit}")?;
-        }
-        Ok(())
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -120,15 +108,12 @@ impl Diagnostics {
             unit: unit.map(str::to_owned),
             span,
             trace_span: self.current_trace_span,
-            code: None,
-            fixit: None,
             message: message.into(),
         });
     }
 
     /// Records a fully built event (a stage diagnostic replayed from a
-    /// cached tape, or one carrying a code and a fix-it), re-stamping its
-    /// trace span.
+    /// cached tape), re-stamping its trace span.
     pub fn push_event(&mut self, mut event: DiagEvent) {
         event.trace_span = self.current_trace_span;
         self.events.push(event);
@@ -257,8 +242,6 @@ fn same_event(a: &DiagEvent, b: &DiagEvent) -> bool {
         && a.stage == b.stage
         && a.unit == b.unit
         && a.span == b.span
-        && a.code == b.code
-        && a.fixit == b.fixit
         && a.message == b.message
 }
 
@@ -305,24 +288,6 @@ mod tests {
         assert!(report.contains("`bad`"), "{report}");
         assert!(report.contains("3:7"), "{report}");
         assert!(report.contains("1 error"), "{report}");
-    }
-
-    #[test]
-    fn rendering_shows_codes_and_fixits() {
-        let mut d = Diagnostics::default();
-        d.push_event(DiagEvent {
-            severity: Severity::Error,
-            stage: "frontend",
-            unit: Some("bad".into()),
-            span: Some(Span::new(2, 4)),
-            trace_span: None,
-            code: Some("LN0304"),
-            fixit: Some("use an explicit cast".into()),
-            message: "lossy conversion".into(),
-        });
-        let report = d.render();
-        assert!(report.contains("[LN0304]"), "{report}");
-        assert!(report.contains("help: use an explicit cast"), "{report}");
     }
 
     #[test]

@@ -377,7 +377,7 @@ impl Longnail {
 
     /// [`Longnail::compile_cell`] with its frontend and config keys
     /// already computed: all nine stages through one [`Runner`]. The
-    /// `frontend` and `lower` slots, both keyed by `fe_key`, are shared
+    /// `frontend` and `lower` entries, both keyed by `fe_key`, are shared
     /// across every core the source is compiled for; the backend's keys
     /// derive from the LIL digests `lower` produces and from `cfg_key`.
     fn compile_keyed(
@@ -394,15 +394,15 @@ impl Longnail {
         let backend_pipe = match &self.fault_plan {
             Some(plan) if plan.targets_cell(unit, core) => {
                 if plan.fault(unit, core, FaultKind::PoisonCache).is_some() {
-                    // Genuinely poison the shared slot mutex — exactly the
-                    // state a worker that crashed mid-compute leaves behind
-                    // — then fail this cell. Peers sharing the entry must
-                    // recover through the store's poison-tolerant locking.
+                    // Genuinely poison the shared store's lock — exactly the
+                    // state a worker that crashed inside the store leaves
+                    // behind — then fail this cell. Peers must recover
+                    // through the store's poison-tolerant locking.
                     set_stage("frontend");
-                    pipe.store().poison("frontend", fe_key);
+                    pipe.store().poison();
                     return Err(FlowError::fault(
                         "frontend",
-                        format!("injected fault: frontend cache entry for `{unit}` poisoned"),
+                        format!("injected fault: stage cache lock poisoned by `{unit}`"),
                     ));
                 }
                 if plan.fault(unit, core, FaultKind::ParseError).is_some() {
@@ -460,7 +460,7 @@ impl Longnail {
             // Every per-unit stage is a function of this graph and the
             // core configuration alone, so one key serves all six; the
             // store keeps each stage's value in its own `(stage, key)`
-            // slot. An edit that changes the graph flips the key, one
+            // entry. An edit that changes the graph flips the key, one
             // that leaves it unchanged flips nothing.
             let unit_key = pipeline::derive("unit", &[&lowered.graph_digests[gi], &cfg_key]);
             let unit_graph = UnitGraph {
@@ -621,16 +621,9 @@ impl Longnail {
                 }
             })
             .collect();
-        let frontend = stage_stats
-            .iter()
-            .find(|s| s.stage == "frontend")
-            .cloned()
-            .unwrap_or_default();
         MatrixResult {
             entries,
             jobs: pool.workers(),
-            cache_hits: frontend.hits,
-            cache_misses: frontend.misses,
             cell_faults,
             errors_recovered,
             stage_stats,
@@ -988,7 +981,7 @@ impl<'a> Runner<'a> {
     {
         self.boundary(stage);
         let span = self.tel.start_span(stage);
-        let (val, lookup) = pipe.store().get_or_compute_sized(
+        let (val, lookup) = pipe.store().get_or_compute(
             stage,
             key,
             || Arc::new(compute()),
@@ -1030,7 +1023,7 @@ impl<'a> Runner<'a> {
 
 /// Rough heap footprint of one cached stage value, charged against the
 /// byte-accounted in-memory LRU (`--cache-mem-bytes`). Coarse per-stage
-/// payload estimates plus a fixed slot/tape overhead — the cap is a
+/// payload estimates plus a fixed entry/tape overhead — the cap is a
 /// budget, not an allocator audit, but `tests/cache_footprint.rs` keeps
 /// it within 2× of the heap it stands for.
 fn stage_bytes<T>(v: &StageVal<T>, payload: impl FnOnce(&T) -> u64) -> u64 {
@@ -1465,11 +1458,6 @@ pub struct MatrixResult {
     pub entries: Vec<MatrixEntry>,
     /// Worker threads the matrix actually ran with.
     pub jobs: usize,
-    /// Frontend-cache hits across all cells (for the 8×4 evaluation
-    /// matrix: 24 — each of the 8 ISAXes reused by 3 of the 4 cores).
-    pub cache_hits: u64,
-    /// Frontend-cache misses (distinct ISAX sources actually compiled).
-    pub cache_misses: u64,
     /// Cells whose outcome is a [`Severity::Fault`] failure (contained
     /// panics, poisoned caches) — the `degrade.cell_faults` counter.
     pub cell_faults: u64,
@@ -1477,9 +1465,9 @@ pub struct MatrixResult {
     /// instead of aborting the batch — `degrade.errors_recovered`.
     pub errors_recovered: u64,
     /// Per-stage cache activity of this run (hit/miss/wait deltas
-    /// against the shared [`PipelineCache`]), sorted by stage name.
-    /// `frontend` repeats `cache_hits`/`cache_misses`; `lower` is looked
-    /// up once per cell whose source the frontend accepted.
+    /// against the shared [`PipelineCache`]), sorted by stage name; read
+    /// one stage with [`MatrixResult::stage_cache`]. `lower` is looked up
+    /// once per cell whose source the frontend accepted.
     pub stage_stats: Vec<StageCacheStats>,
     /// What the worker pool observed about its own scheduling: wall time,
     /// queue-wait vs run split per cell, per-worker load. Wall-clock- and
@@ -1489,6 +1477,18 @@ pub struct MatrixResult {
 }
 
 impl MatrixResult {
+    /// This run's cache activity for one stage; zero for a stage no cell
+    /// looked up. For the 8×4 evaluation matrix on a fresh cache,
+    /// `frontend` reads 8 misses (the distinct ISAX sources) and 24 hits
+    /// (each reused by 3 of the 4 cores).
+    pub fn stage_cache(&self, stage: &str) -> StageCacheStats {
+        self.stage_stats
+            .iter()
+            .find(|s| s.stage == stage)
+            .cloned()
+            .unwrap_or_default()
+    }
+
     /// Finds a cell by ISAX display name and core.
     pub fn entry(&self, isax: &str, core: &str) -> Option<&MatrixEntry> {
         self.entries

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] tells the driver to break specific matrix cells on
 //! purpose — a forced panic at one of the nine pipeline stage
 //! boundaries, a forced parse error, solver-budget exhaustion, or a
-//! poisoned frontend slot of the shared stage store — so the graceful-
+//! poisoned lock of the shared stage store — so the graceful-
 //! degradation machinery (per-cell isolation, `--keep-going`, partial
 //! exit codes) can be exercised and regression-tested without relying on
 //! real compiler bugs. Injection is keyed on the `(unit, core)` cell, so
@@ -46,9 +46,9 @@ pub enum FaultKind {
     /// Solver work budget exhausted before a schedule exists; the cell's
     /// first unit fails with a `solve`-stage error.
     BudgetExhaustion,
-    /// The shared frontend-cache entry mutex is genuinely poisoned (a
-    /// panic while holding the lock); this cell fails, peers sharing the
-    /// entry must recover.
+    /// The shared stage store's mutex is genuinely poisoned (a panic
+    /// while holding the lock); this cell fails, every other cell must
+    /// recover.
     PoisonCache,
 }
 

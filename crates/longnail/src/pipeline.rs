@@ -297,8 +297,6 @@ impl Tape {
             unit: unit.map(str::to_owned),
             span,
             trace_span: None,
-            code: None,
-            fixit: None,
             message,
         })));
     }

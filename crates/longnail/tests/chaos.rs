@@ -3,12 +3,13 @@
 //! For every cell of the 8×4 evaluation matrix, a [`FaultPlan`] injects
 //! exactly one fault — rotating through contained panics (at rotating
 //! stage boundaries), forced parse errors, solver-budget exhaustion, and
-//! poisoned frontend-cache entries — and the run must degrade gracefully:
+//! a poisoned stage-store lock — and the run must degrade gracefully:
 //! the faulted cell yields exactly one Error/Fault-severity diagnostic,
 //! and the *other 31 cells* produce SystemVerilog and SCAIE-V YAML
 //! byte-identical to a clean baseline run. Poisoned-cache cells double as
-//! a recovery proof: sibling cells of the same ISAX share the poisoned
-//! entry and must still compile bit-exactly.
+//! a recovery proof: every other cell, sibling cells of the same ISAX
+//! included, goes through the poisoned store and must still compile
+//! bit-exactly.
 //!
 //! The sweep runs on four workers and on one. With one worker the pool
 //! runs every cell inline on the calling thread, so the driver's own
@@ -21,7 +22,7 @@ use longnail::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Keeps injected panics (and the store's injected slot poisoning) off
+/// Keeps injected panics (and the store's injected lock poisoning) off
 /// stderr for every test in this binary; any other panic still reaches
 /// the default hook.
 fn silence_injected_panics() {

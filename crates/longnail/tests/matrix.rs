@@ -42,8 +42,8 @@ fn cached_compile_matches_uncached_compile() {
         assert_eq!(cold.diagnostics.events, warm.diagnostics.events);
     }
     // One source, four cores: one miss, three hits.
-    assert_eq!(shared.cache_misses, 1);
-    assert_eq!(shared.cache_hits, 3);
+    assert_eq!(shared.stage_cache("frontend").misses, 1);
+    assert_eq!(shared.stage_cache("frontend").hits, 3);
     assert_eq!(pipe.store().len("frontend"), 1);
 }
 
@@ -64,9 +64,9 @@ fn matrix_is_deterministic_across_worker_counts() {
     assert_eq!(parallel.entries.len(), serial.entries.len());
     // Cache totals are deterministic: one miss per ISAX, the rest hits.
     for m in [&serial, &parallel] {
-        assert_eq!(m.cache_misses, isaxes.len() as u64);
+        assert_eq!(m.stage_cache("frontend").misses, isaxes.len() as u64);
         assert_eq!(
-            m.cache_hits,
+            m.stage_cache("frontend").hits,
             (isaxes.len() * (cores.len() - 1)) as u64,
             "jobs = {}",
             m.jobs
@@ -107,8 +107,8 @@ fn frontend_failures_are_cached_and_reported_per_cell() {
         assert_eq!(err.stage, "frontend", "{}×{}", e.isax, e.core);
     }
     // The frontend ran once; every other cell reused the cached failure.
-    assert_eq!(matrix.cache_misses, 1);
-    assert_eq!(matrix.cache_hits, cores.len() as u64 - 1);
+    assert_eq!(matrix.stage_cache("frontend").misses, 1);
+    assert_eq!(matrix.stage_cache("frontend").hits, cores.len() as u64 - 1);
     assert_eq!(matrix.compiled().count(), 0);
 }
 

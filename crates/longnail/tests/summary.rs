@@ -42,8 +42,8 @@ fn summarize_matrix(matrix: &MatrixResult) -> MatrixSummary {
         .collect();
     let mut summary = summarize(&cells);
     summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = matrix.cache_hits;
-    summary.cache_misses = matrix.cache_misses;
+    summary.cache_hits = matrix.stage_cache("frontend").hits;
+    summary.cache_misses = matrix.stage_cache("frontend").misses;
     summary.cell_faults = matrix.cell_faults;
     summary.errors_recovered = matrix.errors_recovered;
     summary.pool_wall_ns = matrix.pool_stats.wall_ns;
@@ -110,8 +110,8 @@ fn cache_attribution_lives_in_cells_but_not_in_stripped_traces() {
     }
     // Serially the attribution is exact and matches the matrix totals:
     // one miss per ISAX source, a hit for every reuse.
-    assert_eq!(misses, matrix.cache_misses);
-    assert_eq!(hits, matrix.cache_hits);
+    assert_eq!(misses, matrix.stage_cache("frontend").misses);
+    assert_eq!(hits, matrix.stage_cache("frontend").hits);
     assert_eq!(misses, 3);
     assert_eq!(hits, 3);
 }

@@ -51,20 +51,12 @@ pub struct DiskStats {
     pub stores: u64,
 }
 
-#[derive(Default)]
-struct StatCell {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalid: AtomicU64,
-    stores: AtomicU64,
-}
-
 /// Content-addressed persistent cache under a root directory.
 pub struct DiskCache {
     root: PathBuf,
     fingerprint: u64,
     tmp_seq: AtomicU64,
-    stats: Mutex<BTreeMap<String, StatCell>>,
+    stats: Mutex<BTreeMap<String, DiskStats>>,
 }
 
 impl DiskCache {
@@ -86,7 +78,7 @@ impl DiskCache {
         self.root.join(stage).join(format!("{}.bin", key.to_hex()))
     }
 
-    fn bump(&self, stage: &str, f: impl Fn(&StatCell)) {
+    fn bump(&self, stage: &str, f: impl FnOnce(&mut DiskStats)) {
         let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         f(stats.entry(stage.to_string()).or_default())
     }
@@ -99,23 +91,17 @@ impl DiskCache {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
-                self.bump(stage, |c| {
-                    c.misses.fetch_add(1, Ordering::Relaxed);
-                });
+                self.bump(stage, |c| c.misses += 1);
                 return None;
             }
         };
         match Self::decode(&bytes, self.fingerprint) {
             Some(payload) => {
-                self.bump(stage, |c| {
-                    c.hits.fetch_add(1, Ordering::Relaxed);
-                });
+                self.bump(stage, |c| c.hits += 1);
                 Some(payload)
             }
             None => {
-                self.bump(stage, |c| {
-                    c.invalid.fetch_add(1, Ordering::Relaxed);
-                });
+                self.bump(stage, |c| c.invalid += 1);
                 None
             }
         }
@@ -168,43 +154,14 @@ impl DiskCache {
         if renamed.is_err() {
             let _ = fs::remove_file(&tmp);
         }
-        self.bump(stage, |c| {
-            c.stores.fetch_add(1, Ordering::Relaxed);
-        });
+        self.bump(stage, |c| c.stores += 1);
         renamed
     }
 
     /// Snapshot the counters for one stage.
     pub fn stage_stats(&self, stage: &str) -> DiskStats {
         let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats
-            .get(stage)
-            .map(|c| DiskStats {
-                hits: c.hits.load(Ordering::Relaxed),
-                misses: c.misses.load(Ordering::Relaxed),
-                invalid: c.invalid.load(Ordering::Relaxed),
-                stores: c.stores.load(Ordering::Relaxed),
-            })
-            .unwrap_or_default()
-    }
-
-    /// Snapshot all stages, sorted by stage name.
-    pub fn all_stats(&self) -> Vec<(String, DiskStats)> {
-        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats
-            .iter()
-            .map(|(s, c)| {
-                (
-                    s.clone(),
-                    DiskStats {
-                        hits: c.hits.load(Ordering::Relaxed),
-                        misses: c.misses.load(Ordering::Relaxed),
-                        invalid: c.invalid.load(Ordering::Relaxed),
-                        stores: c.stores.load(Ordering::Relaxed),
-                    },
-                )
-            })
-            .collect()
+        stats.get(stage).copied().unwrap_or_default()
     }
 }
 

@@ -12,16 +12,28 @@
 //!   `#[derive(Hash)]` value can be digested whole — for in-memory keys
 //!   only, since std `Hash` streams are stable only within one build.
 //! * [`store`] — [`Store`], an in-memory, exactly-once map from
-//!   `(stage, key)` to a cached value. The first accessor computes while
-//!   concurrent peers block on a condvar; hit/miss/wait accounting is
-//!   exact (the waiter increments the counter *under the slot lock*, so
-//!   contended waits cannot be undercounted the way a `try_lock` probe
-//!   can race).
+//!   `(stage, key)` to a cached value, held in one table behind one
+//!   mutex. The first accessor computes while concurrent peers wait on
+//!   its slot; hit/miss/wait accounting is exact (a waiter is counted in
+//!   the critical section that sees the key in flight). An optional byte
+//!   cap evicts least-recently-used ready values, never one in flight.
 //! * [`disk`] — [`DiskCache`], an optional persistent layer: entries are
 //!   written to a temp file and atomically renamed into place, carry a
 //!   schema fingerprint (stale entries from older compiler revisions
 //!   self-invalidate), and a SHA-256 payload checksum (corrupted or
 //!   truncated entries are detected and recomputed, never trusted).
+//!
+//! # What it does not do
+//!
+//! - **Check a hit against a recompute.** A hit is trusted: if a key
+//!   leaves out an input its stage reads, the store serves a stale value
+//!   and nothing here notices. Key completeness is the caller's to test.
+//! - **Measure the heap.** The byte cap bounds the charges the caller's
+//!   `size_of` models, not the bytes the allocator holds; an entry whose
+//!   model undercounts lets the heap outgrow the cap.
+//! - **Catch a wrong key on disk.** The persistent layer detects
+//!   corruption, truncation and stale schemas. An entry written under the
+//!   wrong key passes every check and is served.
 
 pub mod disk;
 pub mod hash;

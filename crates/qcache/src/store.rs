@@ -1,30 +1,34 @@
 //! In-memory, exactly-once stage store.
 //!
-//! Generalizes the frontend-only cache of the earlier pipeline: any
-//! stage can park a cloneable artifact under a `(stage, key)` pair. The first thread to ask for a key computes it;
-//! concurrent threads asking for the same key block on a condvar until
-//! the value is ready (exactly-once semantics — important because a
-//! stage compute can cost milliseconds of ILP solving and must not be
-//! duplicated across an 8×4 matrix fan-out).
+//! Any stage can park a cloneable artifact under a `(stage, key)` pair.
+//! The first thread to ask for a key computes it; concurrent threads
+//! asking for the same key wait until the value is ready (exactly-once
+//! semantics — important because a stage compute can cost milliseconds of
+//! ILP solving and must not be duplicated across an 8×4 matrix fan-out).
 //!
-//! Wait accounting is exact: a waiter increments the stage's wait
-//! counter while it still holds the slot's state lock, immediately
-//! before parking on the condvar. The previous implementation probed
-//! contention with `Mutex::try_lock`, which undercounts — a second
-//! waiter arriving after the computing thread released the lock (but
-//! before the value was published) saw `WouldBlock` as a clean acquire
-//! and was never counted.
+//! Everything lives in one table behind one mutex: each `(stage, key)`
+//! maps to either a ready entry (the value, its byte charge and its last
+//! use) or the slot of the thread computing it, next to the per-stage
+//! counters, the byte total and the recency clock. A hit locks the table
+//! once. A miss inserts an in-flight slot, computes outside the lock and
+//! charges the value's size once. Because one map holds both kinds of
+//! entry, an eviction sees which keys are in flight and never drops one.
 //!
-//! Panic safety mirrors the old cache: if a compute panics, the slot is
-//! reset to vacant and all waiters are woken so one of them retakes the
-//! computation. Poisoned mutexes are tolerated everywhere
-//! (`unwrap_or_else(PoisonError::into_inner)`) so a fault-injected cell
-//! cannot wedge unrelated cells.
+//! Wait accounting is exact: a waiter counts itself in the same critical
+//! section in which it sees the key in flight, then parks on the slot's
+//! condvar. A waiter receives the computed value through the slot, so an
+//! eviction between the publish and its wake-up cannot take the value
+//! away from it.
+//!
+//! If a compute panics, its entry is removed and its waiters are woken;
+//! one of them takes the compute over. A poisoned table lock is recovered
+//! with `PoisonError::into_inner`: no code that can panic runs between
+//! two table updates that must happen together, so the table is
+//! consistent whenever the lock is free.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::hash::Digest;
@@ -46,99 +50,104 @@ pub struct StageStats {
     pub hits: u64,
     pub misses: u64,
     pub waits: u64,
-    pub wait_ns: u64,
     /// Ready values dropped by the byte-accounted LRU (capacity mode).
     pub evictions: u64,
 }
 
+/// A stored value, type-erased so one store serves every stage.
+type Value = Arc<dyn Any + Send + Sync>;
+
+type Key = (&'static str, Digest);
+
+/// The rendezvous of one in-flight compute. Its condvar pairs with the
+/// table's mutex; `value` is set once, when the compute publishes.
 #[derive(Default)]
-struct StatCell {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl StatCell {
-    fn snapshot(&self) -> StageStats {
-        StageStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-enum SlotState {
-    /// Nobody has computed this key yet (or the last computer panicked).
-    Vacant,
-    /// A thread is computing; waiters park on the condvar.
-    Computing,
-    /// Value published. Type-erased so one store serves every stage.
-    Ready(Box<dyn Any + Send + Sync>),
-}
-
 struct Slot {
-    state: Mutex<SlotState>,
     cv: Condvar,
+    value: OnceLock<Value>,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState::Vacant),
-            cv: Condvar::new(),
+enum Entry {
+    /// A computed value, its byte charge and the clock of its last use.
+    Ready {
+        value: Value,
+        bytes: u64,
+        last_use: u64,
+    },
+    /// The key is being computed; waiters park on the slot.
+    InFlight(Arc<Slot>),
+}
+
+#[derive(Default)]
+struct Table {
+    entries: HashMap<Key, Entry>,
+    stats: BTreeMap<&'static str, StageStats>,
+    /// Byte cap; `None` means unbounded (the default).
+    cap: Option<u64>,
+    /// Bytes charged by ready entries.
+    total: u64,
+    /// Monotone recency clock; bumped on every use of a ready entry.
+    clock: u64,
+}
+
+impl Table {
+    fn stats(&mut self, stage: &'static str) -> &mut StageStats {
+        self.stats.entry(stage).or_default()
+    }
+
+    fn in_flight(&self, key: &Key, slot: &Arc<Slot>) -> bool {
+        matches!(self.entries.get(key), Some(Entry::InFlight(s)) if Arc::ptr_eq(s, slot))
+    }
+
+    /// Drops least-recently-used ready entries until the total fits the
+    /// cap. `keep` (the entry just inserted) is never evicted, so a single
+    /// over-cap value still round-trips to its caller; in-flight and
+    /// zero-charge entries are never evicted either.
+    fn evict_over_cap(&mut self, keep: Option<&Key>) {
+        let Some(cap) = self.cap else { return };
+        while self.total > cap {
+            let victim = self
+                .entries
+                .iter()
+                .filter_map(|(k, e)| match e {
+                    Entry::Ready {
+                        bytes, last_use, ..
+                    } if *bytes > 0 && Some(k) != keep => Some((*last_use, *k)),
+                    _ => None,
+                })
+                .min_by_key(|(last_use, _)| *last_use);
+            let Some((_, victim)) = victim else { break };
+            if let Some(Entry::Ready { bytes, .. }) = self.entries.remove(&victim) {
+                self.total -= bytes;
+            }
+            self.stats(victim.0).evictions += 1;
         }
     }
 }
 
-/// Resets a slot to vacant if the compute closure unwinds, so waiters
-/// are released and one of them retries instead of deadlocking.
-struct ComputeGuard<'a> {
-    slot: &'a Slot,
+/// Removes an in-flight entry and wakes its waiters if the compute
+/// unwinds, so one of them takes the compute over instead of waiting
+/// forever.
+struct Abandon<'a> {
+    store: &'a Store,
+    key: Key,
+    slot: Arc<Slot>,
     armed: bool,
 }
 
-impl Drop for ComputeGuard<'_> {
+impl Drop for Abandon<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut st = self
-                .slot
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *st = SlotState::Vacant;
-            drop(st);
+            self.store.table().entries.remove(&self.key);
             self.slot.cv.notify_all();
         }
     }
 }
 
-/// Byte accounting for the optional LRU capacity mode: sized entries,
-/// their recency clock, and the running total. Entries enter via
-/// [`Store::get_or_compute_sized`]; plain `get_or_compute` values are
-/// untracked (and never evicted).
-#[derive(Default)]
-struct LruState {
-    /// Byte cap; `None` means unbounded (the default).
-    cap: Option<u64>,
-    /// Bytes currently held by tracked entries.
-    total: u64,
-    /// Monotone recency clock; bumped on every tracked touch.
-    clock: u64,
-    /// `(stage, key) -> (bytes, last_use)`.
-    entries: HashMap<(&'static str, Digest), (u64, u64)>,
-}
-
 /// Content-keyed, exactly-once, stage-partitioned value store.
 #[derive(Default)]
 pub struct Store {
-    slots: Mutex<HashMap<(&'static str, Digest), Arc<Slot>>>,
-    stats: Mutex<BTreeMap<&'static str, Arc<StatCell>>>,
-    lru: Mutex<LruState>,
+    table: Mutex<Table>,
 }
 
 impl Store {
@@ -146,111 +155,32 @@ impl Store {
         Store::default()
     }
 
-    /// A store whose *sized* entries are bounded to `cap_bytes` total; the
-    /// least-recently-used entries are dropped when an insert overflows.
-    pub fn with_capacity(cap_bytes: u64) -> Self {
-        let store = Store::default();
-        store.set_capacity(Some(cap_bytes));
-        store
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// (Re)sets the byte cap for sized entries. `None` disables eviction.
-    /// Lowering the cap evicts immediately.
+    /// (Re)sets the byte cap. `None` disables eviction. Lowering the cap
+    /// evicts immediately.
     pub fn set_capacity(&self, cap_bytes: Option<u64>) {
-        let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
-        lru.cap = cap_bytes;
-        self.evict_over_cap(&mut lru, None);
+        let mut table = self.table();
+        table.cap = cap_bytes;
+        table.evict_over_cap(None);
     }
 
-    /// Bytes currently held by sized entries.
+    /// Bytes charged by the entries the store holds.
     pub fn tracked_bytes(&self) -> u64 {
-        self.lru
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .total
-    }
-
-    fn slot(&self, stage: &'static str, key: Digest) -> Arc<Slot> {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            slots
-                .entry((stage, key))
-                .or_insert_with(|| Arc::new(Slot::new())),
-        )
-    }
-
-    fn stat_cell(&self, stage: &'static str) -> Arc<StatCell> {
-        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(stats.entry(stage).or_default())
+        self.table().total
     }
 
     /// Fetch the value under `(stage, key)`, computing it with `compute`
-    /// if absent. Exactly one thread computes per key; the rest block.
+    /// if absent. Exactly one thread computes per key; the rest wait. A
+    /// computed value is charged `size_of(&value)` bytes against the cap,
+    /// once, and the least-recently-used entries are evicted (a later
+    /// lookup recomputes them) until the total fits.
     ///
     /// The stored value type `T` must match across all accesses of a key
     /// (a mismatch is a caller bug and panics on downcast).
-    pub fn get_or_compute<T, F>(&self, stage: &'static str, key: Digest, compute: F) -> (T, Lookup)
-    where
-        T: Clone + Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let slot = self.slot(stage, key);
-        let stats = self.stat_cell(stage);
-        let mut lookup = Lookup::default();
-        let mut st = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &*st {
-                SlotState::Ready(v) => {
-                    let value = v
-                        .downcast_ref::<T>()
-                        .expect("qcache: stage value type mismatch")
-                        .clone();
-                    stats.hits.fetch_add(1, Ordering::Relaxed);
-                    if lookup.waited {
-                        stats.wait_ns.fetch_add(lookup.wait_ns, Ordering::Relaxed);
-                    }
-                    lookup.hit = true;
-                    return (value, lookup);
-                }
-                SlotState::Computing => {
-                    // Counted under the lock, before parking: no probe race.
-                    if !lookup.waited {
-                        lookup.waited = true;
-                        stats.waits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let t0 = Instant::now();
-                    st = slot.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                    lookup.wait_ns += t0.elapsed().as_nanos() as u64;
-                }
-                SlotState::Vacant => break,
-            }
-        }
-        *st = SlotState::Computing;
-        drop(st);
-        stats.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = ComputeGuard {
-            slot: &slot,
-            armed: true,
-        };
-        let value = compute();
-        let mut st = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *st = SlotState::Ready(Box::new(value.clone()));
-        guard.armed = false;
-        drop(st);
-        slot.cv.notify_all();
-        if lookup.waited {
-            stats.wait_ns.fetch_add(lookup.wait_ns, Ordering::Relaxed);
-        }
-        (value, lookup)
-    }
-
-    /// [`Store::get_or_compute`] plus byte accounting: the value's size
-    /// (as reported by `size_of`) is charged against the store's capacity,
-    /// and when the running total exceeds the cap the least-recently-used
-    /// sized entries are evicted (their slots dropped, so a later lookup
-    /// recomputes). Hits refresh the entry's recency. Without a capacity
-    /// this behaves exactly like `get_or_compute`.
-    pub fn get_or_compute_sized<T, F, S>(
+    pub fn get_or_compute<T, F, S>(
         &self,
         stage: &'static str,
         key: Digest,
@@ -262,80 +192,122 @@ impl Store {
         F: FnOnce() -> T,
         S: FnOnce(&T) -> u64,
     {
-        let (value, lookup) = self.get_or_compute(stage, key, compute);
-        let size = size_of(&value);
-        let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
-        lru.clock += 1;
-        let now = lru.clock;
-        match lru.entries.insert((stage, key), (size, now)) {
-            Some((old, _)) => lru.total = lru.total - old + size,
-            None => lru.total += size,
-        }
-        self.evict_over_cap(&mut lru, Some((stage, key)));
+        let key = (stage, key);
+        let mut lookup = Lookup::default();
+        let mut table = self.table();
+        let slot = loop {
+            let t = &mut *table;
+            let value = match t.entries.get_mut(&key) {
+                Some(Entry::Ready {
+                    value, last_use, ..
+                }) => {
+                    t.clock += 1;
+                    *last_use = t.clock;
+                    downcast::<T>(value)
+                }
+                Some(Entry::InFlight(slot)) => {
+                    let slot = Arc::clone(slot);
+                    // Counted in the critical section that saw the key in
+                    // flight: no probe race.
+                    if !lookup.waited {
+                        lookup.waited = true;
+                        t.stats(stage).waits += 1;
+                    }
+                    let t0 = Instant::now();
+                    table = slot
+                        .cv
+                        .wait_while(table, |t| {
+                            slot.value.get().is_none() && t.in_flight(&key, &slot)
+                        })
+                        .unwrap_or_else(PoisonError::into_inner);
+                    lookup.wait_ns += t0.elapsed().as_nanos() as u64;
+                    // Unset if the compute panicked: look the key up again.
+                    let Some(value) = slot.value.get() else {
+                        continue;
+                    };
+                    downcast::<T>(value)
+                }
+                None => {
+                    let slot = Arc::new(Slot::default());
+                    t.entries.insert(key, Entry::InFlight(Arc::clone(&slot)));
+                    t.stats(stage).misses += 1;
+                    break slot;
+                }
+            };
+            table.stats(stage).hits += 1;
+            lookup.hit = true;
+            return (value, lookup);
+        };
+        drop(table);
+        let mut guard = Abandon {
+            store: self,
+            key,
+            slot,
+            armed: true,
+        };
+        let value = compute();
+        let bytes = size_of(&value);
+        let stored: Value = Arc::new(value.clone());
+        let _ = guard.slot.value.set(Arc::clone(&stored));
+        let mut table = self.table();
+        table.clock += 1;
+        let last_use = table.clock;
+        table.entries.insert(
+            key,
+            Entry::Ready {
+                value: stored,
+                bytes,
+                last_use,
+            },
+        );
+        table.total += bytes;
+        table.evict_over_cap(Some(&key));
+        drop(table);
+        guard.armed = false;
+        guard.slot.cv.notify_all();
         (value, lookup)
     }
 
-    /// Drops least-recently-used sized entries until the total fits the
-    /// cap. `keep` (the entry just served) is never evicted, so a single
-    /// over-cap value still round-trips to its caller.
-    fn evict_over_cap(&self, lru: &mut LruState, keep: Option<(&'static str, Digest)>) {
-        let Some(cap) = lru.cap else { return };
-        while lru.total > cap {
-            let victim = lru
-                .entries
-                .iter()
-                .filter(|(k, v)| Some(**k) != keep && v.0 > 0)
-                .min_by_key(|(_, v)| v.1)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            let (size, _) = lru
-                .entries
-                .remove(&victim)
-                .expect("victim came from the map");
-            lru.total -= size;
-            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots.remove(&victim);
-            drop(slots);
-            self.stat_cell(victim.0)
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    /// Poisons the table's mutex (chaos hook): a thread panics while
+    /// holding it, as a worker that crashed inside the store would. Later
+    /// accessors recover the lock via `PoisonError::into_inner` and
+    /// proceed — every entry stays usable.
+    pub fn poison(&self) {
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _table = self.table();
+                    panic!("qcache: injected store poisoning");
+                })
+                .join();
+        });
     }
 
-    /// Poison the slot's mutex (chaos hook): spawns a thread that panics
-    /// while holding the state lock. Later accessors recover the lock via
-    /// `PoisonError::into_inner` and proceed — the entry stays usable.
-    pub fn poison(&self, stage: &'static str, key: Digest) {
-        let slot = self.slot(stage, key);
-        let _ = std::thread::spawn(move || {
-            let _guard = slot.state.lock().unwrap();
-            panic!("qcache: injected slot poisoning");
-        })
-        .join();
-    }
-
-    /// Number of keys ever inserted for `stage` (slots, not just values).
+    /// Number of keys the store holds for `stage`, ready or in flight.
     pub fn len(&self, stage: &str) -> usize {
-        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        slots.keys().filter(|(s, _)| *s == stage).count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        slots.is_empty()
+        self.table()
+            .entries
+            .keys()
+            .filter(|(s, _)| *s == stage)
+            .count()
     }
 
     /// Snapshot the counters for one stage.
     pub fn stage_stats(&self, stage: &str) -> StageStats {
-        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats.get(stage).map(|c| c.snapshot()).unwrap_or_default()
+        self.table().stats.get(stage).copied().unwrap_or_default()
     }
 
     /// Snapshot all stages, sorted by stage name.
     pub fn all_stats(&self) -> Vec<(&'static str, StageStats)> {
-        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats.iter().map(|(s, c)| (*s, c.snapshot())).collect()
+        self.table().stats.iter().map(|(s, c)| (*s, *c)).collect()
     }
+}
+
+fn downcast<T: Clone + 'static>(value: &Value) -> T {
+    value
+        .downcast_ref::<T>()
+        .expect("qcache: stage value type mismatch")
+        .clone()
 }
 
 #[cfg(test)]
@@ -343,17 +315,18 @@ mod tests {
     use super::*;
     use crate::hash::digest;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]
     fn miss_then_hit_returns_same_value() {
         let store = Store::new();
         let key = digest(b"k");
-        let (v, l) = store.get_or_compute("solve", key, || 41u64 + 1);
+        let (v, l) = store.get_or_compute("solve", key, || 41u64 + 1, |_| 0);
         assert_eq!(v, 42);
         assert!(!l.hit && !l.waited);
-        let (v, l) = store.get_or_compute::<u64, _>("solve", key, || unreachable!("must hit"));
+        let (v, l) =
+            store.get_or_compute::<u64, _, _>("solve", key, || unreachable!("must hit"), |_| 0);
         assert_eq!(v, 42u64);
         assert!(l.hit && !l.waited);
         let s = store.stage_stats("solve");
@@ -366,8 +339,8 @@ mod tests {
     fn stages_partition_the_key_space() {
         let store = Store::new();
         let key = digest(b"same-key");
-        let (a, _) = store.get_or_compute("problem", key, || 1u32);
-        let (b, _) = store.get_or_compute("rtl", key, || 2u32);
+        let (a, _) = store.get_or_compute("problem", key, || 1u32, |_| 0);
+        let (b, _) = store.get_or_compute("rtl", key, || 2u32, |_| 0);
         assert_eq!((a, b), (1, 2));
         assert_eq!(store.stage_stats("problem").misses, 1);
         assert_eq!(store.stage_stats("rtl").misses, 1);
@@ -392,15 +365,20 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    store.get_or_compute("frontend", key, || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        // Hold the slot until every peer is provably
-                        // parked in the wait counter.
-                        while store.stage_stats("frontend").waits < (N - 1) as u64 {
-                            std::thread::yield_now();
-                        }
-                        7u8
-                    })
+                    store.get_or_compute(
+                        "frontend",
+                        key,
+                        || {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            // Hold the slot until every peer is provably
+                            // parked in the wait counter.
+                            while store.stage_stats("frontend").waits < (N - 1) as u64 {
+                                std::thread::yield_now();
+                            }
+                            7u8
+                        },
+                        |_| 0,
+                    )
                 })
             })
             .collect();
@@ -424,24 +402,61 @@ mod tests {
         let store = Store::new();
         let key = digest(b"boom");
         let r = catch_unwind(AssertUnwindSafe(|| {
-            store.get_or_compute::<u32, _>("rtl", key, || panic!("compute failed"));
+            store.get_or_compute::<u32, _, _>("rtl", key, || panic!("compute failed"), |_| 0);
         }));
         assert!(r.is_err());
         // Slot is vacant again: the next accessor recomputes.
-        let (v, l) = store.get_or_compute("rtl", key, || 9u32);
+        let (v, l) = store.get_or_compute("rtl", key, || 9u32, |_| 0);
         assert_eq!(v, 9);
         assert!(!l.hit);
         assert_eq!(store.stage_stats("rtl").misses, 2);
+    }
+
+    /// A thread parked on a compute that panics is woken and takes the
+    /// compute over. The panicking compute waits until the peer is
+    /// counted as a wait, which it is in the critical section in which it
+    /// parks.
+    #[test]
+    fn a_waiter_takes_over_a_panicked_compute() {
+        let store = Store::new();
+        let key = digest(b"handover");
+        let started = Barrier::new(2);
+        let (v, l) = std::thread::scope(|s| {
+            let failed = s.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    store.get_or_compute::<u32, _, _>(
+                        "rtl",
+                        key,
+                        || {
+                            started.wait();
+                            while store.stage_stats("rtl").waits < 1 {
+                                std::thread::yield_now();
+                            }
+                            panic!("injected compute failure")
+                        },
+                        |_| 0,
+                    )
+                }))
+            });
+            started.wait();
+            let taken = store.get_or_compute("rtl", key, || 7u32, |_| 0);
+            assert!(failed.join().unwrap().is_err());
+            taken
+        });
+        assert_eq!(v, 7);
+        assert!(l.waited && !l.hit, "{l:?}");
+        let s = store.stage_stats("rtl");
+        assert_eq!((s.hits, s.misses, s.waits), (0, 2, 1));
     }
 
     #[test]
     fn poisoned_slot_stays_usable() {
         let store = Store::new();
         let key = digest(b"poison");
-        store.poison("frontend", key);
-        let (v, _) = store.get_or_compute("frontend", key, || 3u16);
+        store.poison();
+        let (v, _) = store.get_or_compute("frontend", key, || 3u16, |_| 0);
         assert_eq!(v, 3);
-        let (v, l) = store.get_or_compute::<u16, _>("frontend", key, || unreachable!());
+        let (v, l) = store.get_or_compute::<u16, _, _>("frontend", key, || unreachable!(), |_| 0);
         assert_eq!(v, 3u16);
         assert!(l.hit);
     }
@@ -451,11 +466,12 @@ mod tests {
     /// recompute), and counts each eviction.
     #[test]
     fn capped_store_stays_under_the_cap() {
-        let store = Store::with_capacity(4 * 64);
+        let store = Store::new();
+        store.set_capacity(Some(4 * 64));
         // 10 entries of 64 bytes against a 4-entry budget.
         for round in 0..2 {
             for i in 0..10u64 {
-                let (v, _) = store.get_or_compute_sized(
+                let (v, _) = store.get_or_compute(
                     "rtl",
                     digest(&i.to_le_bytes()),
                     || vec![i; 8],
@@ -480,18 +496,19 @@ mod tests {
 
     #[test]
     fn recently_used_entries_survive_eviction() {
-        let store = Store::with_capacity(2 * 8);
+        let store = Store::new();
+        store.set_capacity(Some(2 * 8));
         let hot = digest(b"hot");
-        store.get_or_compute_sized("solve", hot, || 1u64, |_| 8);
-        store.get_or_compute_sized("solve", digest(b"b"), || 2u64, |_| 8);
+        store.get_or_compute("solve", hot, || 1u64, |_| 8);
+        store.get_or_compute("solve", digest(b"b"), || 2u64, |_| 8);
         // Touch `hot` so `b` is the LRU victim of the next insert.
-        let (_, l) = store.get_or_compute_sized("solve", hot, || unreachable!(), |_: &u64| 8);
+        let (_, l) = store.get_or_compute("solve", hot, || unreachable!(), |_: &u64| 8);
         assert!(l.hit);
-        store.get_or_compute_sized("solve", digest(b"c"), || 3u64, |_| 8);
-        let (v, l) = store.get_or_compute_sized("solve", hot, || 0u64, |_| 8);
+        store.get_or_compute("solve", digest(b"c"), || 3u64, |_| 8);
+        let (v, l) = store.get_or_compute("solve", hot, || 0u64, |_| 8);
         assert!(l.hit, "hot entry must survive");
         assert_eq!(v, 1);
-        let (_, l) = store.get_or_compute_sized("solve", digest(b"b"), || 2u64, |_| 8);
+        let (_, l) = store.get_or_compute("solve", digest(b"b"), || 2u64, |_| 8);
         assert!(!l.hit, "cold entry was evicted");
         assert_eq!(store.stage_stats("solve").evictions, 2);
     }
@@ -500,7 +517,7 @@ mod tests {
     fn uncapped_sized_entries_never_evict() {
         let store = Store::new();
         for i in 0..100u64 {
-            store.get_or_compute_sized("modes", digest(&i.to_le_bytes()), || i, |_| 1 << 20);
+            store.get_or_compute("modes", digest(&i.to_le_bytes()), || i, |_| 1 << 20);
         }
         assert_eq!(store.stage_stats("modes").evictions, 0);
         assert_eq!(store.tracked_bytes(), 100 << 20);
@@ -514,9 +531,82 @@ mod tests {
     fn all_stats_sorted_by_stage() {
         let store = Store::new();
         let key = digest(b"x");
-        store.get_or_compute("verilog", key, || 0u8);
-        store.get_or_compute("frontend", key, || 0u8);
+        store.get_or_compute("verilog", key, || 0u8, |_| 0);
+        store.get_or_compute("frontend", key, || 0u8, |_| 0);
         let names: Vec<_> = store.all_stats().iter().map(|(s, _)| *s).collect();
         assert_eq!(names, vec!["frontend", "verilog"]);
+    }
+
+    /// A value is charged when it is computed, not again on every hit.
+    #[test]
+    fn a_value_is_charged_once() {
+        let store = Store::new();
+        let key = digest(b"once");
+        let sized = AtomicUsize::new(0);
+        for _ in 0..3 {
+            store.get_or_compute(
+                "config",
+                key,
+                || 5u64,
+                |_| {
+                    sized.fetch_add(1, Ordering::SeqCst);
+                    8
+                },
+            );
+        }
+        assert_eq!(sized.load(Ordering::SeqCst), 1, "size_of runs once");
+        assert_eq!(store.tracked_bytes(), 8);
+    }
+
+    /// Four threads hammer six keys through a three-entry cap, so entries
+    /// are evicted while other threads hit, wait on and recompute them.
+    /// No key may ever be inside two computes at once (an eviction must
+    /// not drop an in-flight key), and the byte total must end equal to
+    /// the charges of the entries the store still holds.
+    #[test]
+    fn capped_store_never_computes_a_key_twice_at_once() {
+        const THREADS: u64 = 4;
+        const LOOKUPS: u64 = 20_000;
+        const KEYS: usize = 6;
+        let store = Store::new();
+        store.set_capacity(Some(3 * 8));
+        let keys: Vec<Digest> = (0..KEYS).map(|k| digest(&k.to_le_bytes())).collect();
+        let computing: Vec<AtomicUsize> = (0..KEYS).map(|_| AtomicUsize::new(0)).collect();
+        let overlaps = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (store, keys, computing, overlaps) = (&store, &keys, &computing, &overlaps);
+                s.spawn(move || {
+                    // xorshift64, seeded per thread.
+                    let mut x = 0x9e37_79b9_7f4a_7c15 ^ (t + 1);
+                    for _ in 0..LOOKUPS {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = (x % KEYS as u64) as usize;
+                        let (v, _) = store.get_or_compute(
+                            "s",
+                            keys[k],
+                            || {
+                                if computing[k].fetch_add(1, Ordering::SeqCst) > 0 {
+                                    overlaps.fetch_add(1, Ordering::SeqCst);
+                                }
+                                std::thread::yield_now();
+                                computing[k].fetch_sub(1, Ordering::SeqCst);
+                                k
+                            },
+                            |_| 8,
+                        );
+                        assert_eq!(v, k);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            overlaps.load(Ordering::SeqCst),
+            0,
+            "a key computed twice at once"
+        );
+        assert_eq!(store.tracked_bytes(), 8 * store.len("s") as u64);
     }
 }

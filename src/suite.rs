@@ -40,10 +40,10 @@ mod tests {
         let serial = compile_matrix_slice(&["autoinc", "sbox"], 1);
         let parallel = compile_matrix_slice(&["autoinc", "sbox"], 4);
         assert_eq!(serial.entries.len(), 8); // 2 ISAXes × 4 cores
-        assert_eq!(serial.cache_misses, 2);
-        assert_eq!(serial.cache_hits, 6);
-        assert_eq!(parallel.cache_misses, serial.cache_misses);
-        assert_eq!(parallel.cache_hits, serial.cache_hits);
+        assert_eq!(serial.stage_cache("frontend").misses, 2);
+        assert_eq!(serial.stage_cache("frontend").hits, 6);
+        assert_eq!(parallel.stage_cache("frontend").misses, serial.stage_cache("frontend").misses);
+        assert_eq!(parallel.stage_cache("frontend").hits, serial.stage_cache("frontend").hits);
         for (a, b) in serial.entries.iter().zip(&parallel.entries) {
             assert_eq!((a.isax.as_str(), a.core.as_str()), (b.isax.as_str(), b.core.as_str()));
             let (ca, cb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
