@@ -86,12 +86,12 @@ cargo test --release --test rtl_cosim
 echo "== cargo test --release: allocation counts in the build that ships"
 # compilebench and lnc run the release build. The debug build counts a
 # different program: it inlines differently, and `build_graph_module`
-# runs a `debug_assert!` over `Module::validate` there.
+# lints every module it builds in a `debug_assert!` there.
 cargo test --release -p longnail --test layer_allocations --test cycle_allocations
 
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -- --check"
-    cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -- --check
+    echo "== cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -- --check"
+    cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -- --check
 else
     echo "== rustfmt not installed; skipping format step"
 fi

@@ -9,9 +9,11 @@
 //!   modes (in-pipeline / tightly-coupled / decoupled with scoreboard
 //!   stalls), `always`-blocks evaluated every retired instruction, and
 //!   SCAIE-V arbitration. Architectural ISAX semantics come from
-//!   evaluating the *compiled* LIL graphs — i.e. the same data-flow the
-//!   generated hardware implements (differentially tested against the RTL
-//!   netlist interpreter and the golden model).
+//!   evaluating the *compiled*, scheduled LIL graphs
+//!   (`ir::eval::eval_graph`), the data-flow the generated hardware is
+//!   built from; the netlists themselves are not run here. Programs are
+//!   checked against the golden model; only `tests/rtl_cosim.rs` and
+//!   `tests/differential_fuzz.rs` simulate the netlists.
 
 pub mod descriptor;
 pub mod exec;

@@ -32,7 +32,9 @@ pub struct ModuleTiming {
     pub worst_output_arrival_ns: f64,
 }
 
-/// Computes per-net arrival times and the module's critical paths.
+/// Computes per-net arrival times and the module's critical paths, in one
+/// forward pass: the module must lint clean (`rtl::lint_module`), which
+/// defines every combinational operand before the net that reads it.
 pub fn module_timing(lib: &TechLibrary, module: &Module) -> ModuleTiming {
     let n = module.nets.len();
     let mut arrival = vec![0.0f64; n];

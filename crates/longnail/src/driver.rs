@@ -1172,7 +1172,8 @@ fn rtl_stage(
             .map_or(0, |t| t.latency)
     };
     let built = build_graph_module(graph, lil, &sout.schedule.start_time, &read_latency);
-    // Netlist lint: last gate before SystemVerilog leaves the compiler.
+    // Netlist lint: last gate before SystemVerilog leaves the compiler,
+    // and the precondition of `comb_depth` below.
     if let Err(issues) = lint_module(&built.module) {
         return StageVal {
             outcome: Err(FlowError::fault(
@@ -1204,15 +1205,16 @@ const OPT_VERIFY_CYCLES: u32 = 32;
 
 /// Stage `opt`: oracle-gated netlist optimization (`-O1`/`-O2`).
 ///
-/// Runs [`rtl::opt::optimize`] at the requested level, then gates the
-/// result two ways before it may replace the built module: the structural
-/// lint must stay clean, and [`rtl::opt::verify_equivalent`] must see the
-/// optimized module track the original in lockstep — exact two-valued
-/// output equality plus four-state refinement under X stimulus. A gate
-/// violation is an optimizer bug, but not a reason to fail the cell: the
-/// stage falls back to the unoptimized netlist, records a warning, and
-/// counts the fallback. (The third gate — `lnc --xcheck` over the full
-/// matrix — runs downstream on whatever module this stage emits.)
+/// Runs [`rtl::opt::optimize`] at the requested level, which lints the
+/// netlist after every pass, then gates the result with
+/// [`rtl::opt::verify_equivalent`] before it may replace the built module:
+/// the optimized module must track the original in lockstep — exact
+/// two-valued output equality plus four-state refinement under X stimulus.
+/// A lint finding or a divergence is an optimizer bug, but not a reason to
+/// fail the cell: the stage falls back to the unoptimized netlist, records
+/// a warning, and counts the fallback. (The third gate — `lnc --xcheck`
+/// over the full matrix — runs downstream on whatever module this stage
+/// emits.)
 fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel, unit: &str) -> StageVal<Arc<BuiltModule>> {
     let mut tape = Tape::default();
     let fall_back = |mut tape: Tape, why: String| {
@@ -1226,26 +1228,12 @@ fn opt_stage(built: &Arc<BuiltModule>, level: OptLevel, unit: &str) -> StageVal<
     };
     let (module, report) = match optimize(&built.module, level) {
         Ok(out) => out,
-        // A structurally invalid rewrite never leaves the pass manager;
-        // emit the known-good module instead.
+        // A rewrite that fails lint never leaves the pass manager; emit
+        // the known-good module instead.
         Err(e) => return fall_back(tape, e),
     };
-    let gate = lint_module(&module)
-        .map_err(|issues| {
-            format!(
-                "optimized netlist failed lint: {}",
-                issues
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            )
-        })
-        .and_then(|()| {
-            verify_equivalent(&built.module, &module, &EmitOptions, OPT_VERIFY_CYCLES)
-                .map_err(|e| format!("optimized netlist failed the lockstep oracle: {e}"))
-        });
-    if let Err(why) = gate {
+    if let Err(e) = verify_equivalent(&built.module, &module, &EmitOptions, OPT_VERIFY_CYCLES) {
+        let why = format!("optimized netlist failed the lockstep oracle: {e}");
         return fall_back(tape, why);
     }
     tape.counter(metrics::OPT_ITERATIONS, u64::from(report.iterations));

@@ -24,7 +24,7 @@ fn all_isaxes_compile_for_all_cores() {
                     "{name}/{} emitted no Verilog",
                     g.name
                 );
-                g.built.module.validate().unwrap();
+                rtl::lint_module(&g.built.module).unwrap();
             }
             // Config round-trips through YAML.
             let yaml = compiled.config.to_yaml();

@@ -262,9 +262,16 @@ impl Store {
         );
         table.total += bytes;
         table.evict_over_cap(Some(&key));
+        // Waiters clone the slot under this lock and hold the clone while
+        // parked, and the ready entry has just dropped the table's clone:
+        // another reference means someone may be parked. A wake nobody
+        // waits for still costs a futex syscall.
+        let parked = Arc::strong_count(&guard.slot) > 1;
         drop(table);
         guard.armed = false;
-        guard.slot.cv.notify_all();
+        if parked {
+            guard.slot.cv.notify_all();
+        }
         (value, lookup)
     }
 

@@ -10,13 +10,15 @@
 //!   where needed; interface operations become input/output ports whose
 //!   names carry the active-stage suffix (cf. Figure 5d's `instr_word_2`,
 //!   `res_3_data`),
-//! * [`lint`] — the structural gate in front of emission: operator widths,
-//!   register and ROM shapes, port connections and combinational cycles,
-//!   plus the logic-depth statistic [`lint::comb_depth`],
+//! * [`lint`] — the one structural check, in front of emission and around
+//!   every optimizer pass: operator widths, register and ROM shapes, port
+//!   connections, and definition order (every combinational operand
+//!   precedes its user), plus the logic-depth statistic
+//!   [`lint::comb_depth`],
 //! * [`verilog`] — emits the module as SystemVerilog,
-//! * [`interp`] — executes the netlist cycle by cycle, which is how the
-//!   "RTL simulation" verification of paper §5.3 is realized in this
-//!   reproduction,
+//! * [`interp`] — executes the netlist cycle by cycle; `tests/rtl_cosim.rs`
+//!   and `tests/differential_fuzz.rs` use it for the "RTL simulation"
+//!   verification of paper §5.3,
 //! * [`xsim`] — four-state (0/1/X) re-execution under the IEEE-1800
 //!   semantics of the emitted SystemVerilog, plus the differential oracle
 //!   that checks it against [`interp`],

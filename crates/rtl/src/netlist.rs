@@ -1,5 +1,8 @@
 //! The netlist data structures: a flat, SSA-like module representation in
-//! which every net has exactly one driver.
+//! which every net has exactly one driver and every combinational operand
+//! is defined before the net that reads it (a register's `next` and
+//! `enable` may point forward). [`crate::lint::lint_module`] checks that
+//! rule and every width.
 
 use bits::ApInt;
 
@@ -161,142 +164,11 @@ impl Module {
             .map(|n| n.width as u64)
             .sum()
     }
-
-    /// Checks structural sanity: operand nets exist, output ports are
-    /// connected exactly once, register `next` references are in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.nets.len();
-        for (i, net) in self.nets.iter().enumerate() {
-            match &net.driver {
-                Driver::Input { port } => {
-                    if *port >= self.ports.len() || self.ports[*port].dir != PortDir::Input {
-                        return Err(format!("net {i} reads a non-input port"));
-                    }
-                    if self.ports[*port].width != net.width {
-                        return Err(format!("net {i} width differs from its port"));
-                    }
-                }
-                Driver::Const(c) => {
-                    if c.width() != net.width {
-                        return Err(format!("net {i} constant width mismatch"));
-                    }
-                }
-                Driver::Comb { args, .. } => {
-                    for a in args {
-                        if a.0 >= n {
-                            return Err(format!("net {i} references unknown net {}", a.0));
-                        }
-                        // Combinational operand must come earlier (no comb loops).
-                        if a.0 >= i {
-                            return Err(format!("net {i} has a combinational cycle"));
-                        }
-                    }
-                }
-                Driver::Reg { next, enable, .. } => {
-                    if next.0 >= n || enable.map(|e| e.0 >= n).unwrap_or(false) {
-                        return Err(format!("net {i} register references unknown net"));
-                    }
-                }
-                Driver::Rom { rom, index } => {
-                    if *rom >= self.roms.len() || index.0 >= i {
-                        return Err(format!("net {i} ROM reference invalid"));
-                    }
-                }
-            }
-        }
-        let mut seen = vec![false; self.ports.len()];
-        for (port, net) in &self.outputs {
-            match self.ports.get(*port) {
-                None => return Err(format!("output connection to nonexistent port {port}")),
-                Some(p) if p.dir != PortDir::Output => {
-                    return Err(format!("output connection to non-output port {port}"));
-                }
-                Some(_) => {}
-            }
-            if seen[*port] {
-                return Err(format!("output port {port} driven twice"));
-            }
-            seen[*port] = true;
-            if net.0 >= n {
-                return Err(format!("output port {port} driven by unknown net"));
-            }
-        }
-        for (i, p) in self.ports.iter().enumerate() {
-            if p.dir == PortDir::Output && !seen[i] {
-                return Err(format!("output port `{}` is undriven", p.name));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_and_validate_tiny_module() {
-        let mut m = Module::new("t");
-        let a = m.add_port("a", PortDir::Input, 8);
-        let b = m.add_port("b", PortDir::Input, 8);
-        let o = m.add_port("o", PortDir::Output, 8);
-        let na = m.add_net(Driver::Input { port: a }, 8, "a");
-        let nb = m.add_net(Driver::Input { port: b }, 8, "b");
-        let sum = m.add_net(
-            Driver::Comb {
-                op: CombOp::Add,
-                args: vec![na, nb],
-                lo: 0,
-            },
-            8,
-            "sum",
-        );
-        m.connect_output(o, sum);
-        m.validate().unwrap();
-        assert_eq!(m.register_bits(), 0);
-    }
-
-    #[test]
-    fn undriven_output_is_rejected() {
-        let mut m = Module::new("t");
-        m.add_port("o", PortDir::Output, 1);
-        assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn connection_to_nonexistent_port_is_rejected() {
-        let mut m = Module::new("t");
-        let o = m.add_port("o", PortDir::Output, 1);
-        let n = m.add_net(Driver::Const(bits::ApInt::zero(1)), 1, "z");
-        m.connect_output(o, n);
-        m.outputs.push((7, n));
-        assert_eq!(
-            m.validate(),
-            Err("output connection to nonexistent port 7".to_string())
-        );
-    }
-
-    #[test]
-    fn combinational_cycle_is_rejected() {
-        let mut m = Module::new("t");
-        let o = m.add_port("o", PortDir::Output, 1);
-        // net 0 references itself.
-        let n = m.add_net(
-            Driver::Comb {
-                op: CombOp::Not,
-                args: vec![NetId(0)],
-                lo: 0,
-            },
-            1,
-            "loop",
-        );
-        m.connect_output(o, n);
-        assert!(m.validate().is_err());
-    }
 
     #[test]
     fn register_bits_counted() {
@@ -314,7 +186,7 @@ mod tests {
             "r",
         );
         m.connect_output(o, r);
-        m.validate().unwrap();
+        crate::lint::lint_module(&m).unwrap();
         assert_eq!(m.register_bits(), 16);
     }
 }

@@ -24,7 +24,7 @@ fn mux_parts(m: &Module, id: NetId) -> Option<(NetId, NetId, NetId)> {
             op: CombOp::Mux,
             args,
             ..
-        } if args.len() == 3 => Some((args[0], args[1], args[2])),
+        } => Some((args[0], args[1], args[2])),
         _ => None,
     }
 }
@@ -43,12 +43,12 @@ pub(super) fn run(m: &mut Module) -> u64 {
             continue;
         };
         // Identical arms: the select cannot matter.
-        if t == e && m.nets[t.0].width == width {
+        if t == e {
             repl.alias(i, t);
             continue;
         }
         // 1-bit boolean muxes.
-        if width == 1 && m.nets[c.0].width == 1 {
+        if width == 1 {
             let tc = as_const(m, t).map(|v| !v.is_zero());
             let ec = as_const(m, e).map(|v| !v.is_zero());
             match (tc, ec) {
@@ -75,16 +75,13 @@ pub(super) fn run(m: &mut Module) -> u64 {
             ..
         } = &m.nets[c.0].driver
         {
-            let inner = not_args[0];
-            if m.nets[inner.0].width == 1 {
-                m.nets[i].driver = Driver::Comb {
-                    op: CombOp::Mux,
-                    args: vec![inner, e, t],
-                    lo: 0,
-                };
-                rewrites += 1;
-                continue;
-            }
+            m.nets[i].driver = Driver::Comb {
+                op: CombOp::Mux,
+                args: vec![not_args[0], e, t],
+                lo: 0,
+            };
+            rewrites += 1;
+            continue;
         }
         // Same-select nesting.
         let mut new_t = t;

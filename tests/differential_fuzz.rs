@@ -416,7 +416,7 @@ fn random_netlist(seed: u64) -> Module {
         );
     }
     m.connect_output(po, acc);
-    m.validate().unwrap_or_else(|e| panic!("seed {seed}: invalid netlist: {e}"));
+    rtl::lint_module(&m).unwrap_or_else(|e| panic!("seed {seed}: invalid netlist: {e:?}"));
     m
 }
 
