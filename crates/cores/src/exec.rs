@@ -138,16 +138,12 @@ impl ExtendedCore {
         let word = self.cpu.read_word(pc);
 
         // Match ISAX instructions first (registration order = priority).
-        let isax_match = self
-            .isaxes
-            .iter()
-            .enumerate()
-            .find_map(|(i, isax)| {
-                isax.graphs
-                    .iter()
-                    .position(|g| !g.is_always && (word & g.mask) == g.match_value)
-                    .map(|j| (i, j))
-            });
+        let isax_match = self.isaxes.iter().enumerate().find_map(|(i, isax)| {
+            isax.graphs
+                .iter()
+                .position(|g| !g.is_always && (word & g.mask) == g.match_value)
+                .map(|j| (i, j))
+        });
 
         if let Some((isax_idx, graph_idx)) = isax_match {
             self.step_isax(pc, word, isax_idx, graph_idx)?;
@@ -398,9 +394,7 @@ impl ExtendedCore {
                     let (_, updates, rd) = self.in_flight.remove(pos);
                     for u in &updates {
                         match &u.kind {
-                            UpdateKind::Rd => {
-                                self.cpu.write_reg(rd, u.value.to_u64() as u32)
-                            }
+                            UpdateKind::Rd => self.cpu.write_reg(rd, u.value.to_u64() as u32),
                             _ => self.apply_updates(std::slice::from_ref(u)),
                         }
                     }

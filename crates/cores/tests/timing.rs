@@ -53,14 +53,8 @@ fn loads_pay_the_memory_wait() {
 fn taken_branches_pay_the_flush_penalty() {
     let d = descriptor("VexRiscv").unwrap();
     // Not-taken branch vs taken branch.
-    let not_taken = run_cycles(
-        "VexRiscv",
-        "li t0, 1\nbeqz t0, skip\nnop\nskip: ebreak\n",
-    );
-    let taken = run_cycles(
-        "VexRiscv",
-        "li t0, 0\nbeqz t0, skip\nnop\nskip: ebreak\n",
-    );
+    let not_taken = run_cycles("VexRiscv", "li t0, 1\nbeqz t0, skip\nnop\nskip: ebreak\n");
+    let taken = run_cycles("VexRiscv", "li t0, 0\nbeqz t0, skip\nnop\nskip: ebreak\n");
     // The taken path also skips the nop (one fewer retired instruction).
     assert_eq!(taken + 1, not_taken + d.branch_penalty);
 }
@@ -169,9 +163,7 @@ fn always_blocks_cost_zero_cycles() {
     // A zol setup whose loop never activates: the always-block evaluates
     // every instruction but adds no cycles.
     let (mut ec, asm) = with_isax("VexRiscv", "zol");
-    let words = asm
-        .assemble("setup_zol 0, 4\nnop\nnop\nebreak")
-        .unwrap();
+    let words = asm.assemble("setup_zol 0, 4\nnop\nnop\nebreak").unwrap();
     ec.load_program(0, &words);
     ec.run(10_000).unwrap();
     let cycles = ec.cycles - descriptor("VexRiscv").unwrap().startup_cycles;

@@ -296,8 +296,11 @@ fn hazard_free_ablation_returns_stale_values() {
     let program = asm
         .assemble("li a0, 0\nli a1, 1764\nsqrt a0, a1\nmv a2, a0\nebreak")
         .unwrap();
-    let mut unsafe_core =
-        ExtendedCore::new(descriptor("VexRiscv").unwrap(), vec![compiled.clone()], false);
+    let mut unsafe_core = ExtendedCore::new(
+        descriptor("VexRiscv").unwrap(),
+        vec![compiled.clone()],
+        false,
+    );
     unsafe_core.load_program(0, &program);
     unsafe_core.run(100_000).unwrap();
     // The dependent `mv` executed before the decoupled commit: stale zero.
@@ -305,8 +308,7 @@ fn hazard_free_ablation_returns_stale_values() {
     // a0 still receives the result eventually.
     assert_eq!(unsafe_core.cpu.read_reg(10), 42 << 16);
     // With hazard handling the dependent read is correct.
-    let mut safe_core =
-        ExtendedCore::new(descriptor("VexRiscv").unwrap(), vec![compiled], true);
+    let mut safe_core = ExtendedCore::new(descriptor("VexRiscv").unwrap(), vec![compiled], true);
     safe_core.load_program(0, &program);
     safe_core.run(100_000).unwrap();
     assert_eq!(safe_core.cpu.read_reg(12), 42 << 16);

@@ -63,7 +63,11 @@ pub fn interface_logic_area(lib: &TechLibrary, report: &InterfaceLogicReport) ->
         ge += 1400.0 + 280.0 * (report.mem_write_users - 1) as f64;
     }
     // PC redirect mux into the fetch stage.
-    ge += if report.pc_write_users > 0 { 380.0 } else { 0.0 };
+    ge += if report.pc_write_users > 0 {
+        380.0
+    } else {
+        0.0
+    };
     // Scoreboard: pending-rd tag registers, per-read-port comparators in
     // every operand-read stage, stall tree, commit arbitration.
     ge += report.scoreboard_entries as f64 * 1300.0;

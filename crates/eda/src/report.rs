@@ -67,7 +67,10 @@ pub fn evaluate_integration(
         })
         .collect();
     let timing = integration_timing(profile, &situations);
-    let raw_area: f64 = isaxes.iter().map(|i| module_area(lib, i.module).total()).sum();
+    let raw_area: f64 = isaxes
+        .iter()
+        .map(|i| module_area(lib, i.module).total())
+        .sum();
     AsicReport {
         core: profile.name.to_string(),
         base_area_um2: profile.base_area_um2,
@@ -132,10 +135,7 @@ mod tests {
         assert!(report.area_overhead_pct() < 10.0, "tiny ISAX stays small");
         assert_eq!(report.fmax_delta_pct(), 0.0);
         assert!(
-            (report.extension_area_um2()
-                - report.isax_area_um2
-                - report.interface_area_um2)
-                .abs()
+            (report.extension_area_um2() - report.isax_area_um2 - report.interface_area_um2).abs()
                 < 1e-9
         );
     }

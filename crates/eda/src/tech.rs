@@ -71,9 +71,7 @@ impl TechLibrary {
             }
             CombOp::And | CombOp::Or | CombOp::Xor => 0.025,
             CombOp::Not => 0.012,
-            CombOp::Shl | CombOp::ShrU | CombOp::ShrS | CombOp::ExtractDyn => {
-                0.035 * log2_ceil(w)
-            }
+            CombOp::Shl | CombOp::ShrU | CombOp::ShrS | CombOp::ExtractDyn => 0.035 * log2_ceil(w),
             CombOp::Eq | CombOp::Ne => 0.04 + 0.018 * log2_ceil(w),
             CombOp::Ult | CombOp::Ule | CombOp::Slt | CombOp::Sle => 0.05 + 0.026 * log2_ceil(w),
             CombOp::Mux => 0.035,

@@ -49,10 +49,7 @@ pub fn module_timing(lib: &TechLibrary, module: &Module) -> ModuleTiming {
                     + lib.rom_delay_ns(table.width as u64 * table.contents.len() as u64)
             }
             Driver::Comb { op, args, .. } => {
-                let input = args
-                    .iter()
-                    .map(|a| arrival[a.0])
-                    .fold(0.0f64, f64::max);
+                let input = args.iter().map(|a| arrival[a.0]).fold(0.0f64, f64::max);
                 input + lib.comb_delay_ns(*op, net.width)
             }
         };

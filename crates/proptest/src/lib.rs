@@ -527,14 +527,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "proptest: case #")]
     fn failures_report_input() {
-        crate::run(
-            &ProptestConfig::with_cases(8),
-            &(0u32..10),
-            |v| {
-                prop_assert!(v < 100, "bad {v}");
-                prop_assert!(v > 100, "forced failure on {v}");
-                Ok(())
-            },
-        );
+        crate::run(&ProptestConfig::with_cases(8), &(0u32..10), |v| {
+            prop_assert!(v < 100, "bad {v}");
+            prop_assert!(v > 100, "forced failure on {v}");
+            Ok(())
+        });
     }
 }
