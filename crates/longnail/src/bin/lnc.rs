@@ -4,16 +4,16 @@
 //! usage: lnc <file.core_desc> --core <ORCA|Piccolo|PicoRV32|VexRiscv>
 //!            [--unit <InstructionSet>] [--out <dir>]
 //!            [--emit hir|lil|sv|config|datasheet] [--budget <units>]
-//!            [--opt-level <0|1|2>]
+//!            [--opt-level <0|2>]
 //!            [--trace] [--metrics-out <path>] [--profile-folded <path>]
 //!            [--report] [--xcheck]
 //!        lnc --matrix [--jobs <N>] [--out <dir>] [--budget <units>] [--xcheck]
-//!            [--opt-level <0|1|2>] [--keep-going] [--fault-plan <path>]
+//!            [--opt-level <0|2>] [--keep-going] [--fault-plan <path>]
 //!            [--summary] [--verbose]
 //!            [--trace] [--metrics-out <path>] [--profile-folded <path>]
 //!            [--cache-dir <dir>] [--cache-mem-bytes <N>]
 //!        lnc serve [--jobs <N>] [--budget <units>] [--fault-plan <path>]
-//!            [--opt-level <0|1|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]
+//!            [--opt-level <0|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]
 //!
 //! Compiles the CoreDSL description for the selected host core. Without
 //! --emit, writes one SystemVerilog file per instruction/always-block plus
@@ -41,10 +41,10 @@
 //! exact scheduler exhausts it, the instruction degrades to the verified
 //! ASAP fallback and a warning is reported.
 //!
-//! --opt-level {0,1,2} selects the netlist optimization effort (default
-//! 0: no opt stage, byte-identical to the pre-optimizer flow). Levels 1
-//! and 2 run the oracle-gated rewrite pipeline (`rtl::opt`) on every
-//! generated netlist between RTL construction and SystemVerilog emission;
+//! --opt-level {0,2} selects the netlist optimization effort (default 0:
+//! no opt stage, byte-identical to the pre-optimizer flow). Level 2 runs
+//! the oracle-gated rewrite pipeline (`rtl::opt`) on every generated
+//! netlist between RTL construction and SystemVerilog emission;
 //! an optimized netlist is only kept when it lints clean and a 32-cycle
 //! lockstep differential simulation against the unoptimized module shows
 //! zero disagreements — otherwise the unit falls back to the unoptimized
@@ -117,7 +117,7 @@
 //! ```
 
 use longnail::driver::{builtin_datasheet, eval_datasheets, EVAL_CORES};
-use longnail::{isax_lib, Longnail, Severity};
+use longnail::{isax_lib, Longnail, OptLevel, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -142,7 +142,7 @@ struct Args {
     profile_folded: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
     serve: bool,
-    opt_level: u8,
+    opt_level: OptLevel,
     cache_mem_bytes: Option<u64>,
 }
 
@@ -166,7 +166,7 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut profile_folded = None;
     let mut cache_dir = None;
     let mut serve = false;
-    let mut opt_level = 0u8;
+    let mut opt_level = OptLevel::O0;
     let mut cache_mem_bytes = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
@@ -222,8 +222,8 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
                 opt_level = v
                     .parse::<u8>()
                     .ok()
-                    .filter(|&n| n <= 2)
-                    .ok_or_else(|| format!("--opt-level: `{v}` is not 0, 1, or 2"))?;
+                    .and_then(OptLevel::from_level)
+                    .ok_or_else(|| format!("--opt-level: `{v}` is not 0 or 2"))?;
             }
             "--cache-mem-bytes" => {
                 let v = args.next().ok_or("--cache-mem-bytes needs a value")?;
@@ -358,14 +358,14 @@ fn usage() {
     eprintln!(
         "usage: lnc <file.core_desc> --core <{}> [--unit <InstructionSet>] \
          [--out <dir>] [--emit hir|lil|sv|config|datasheet] [--budget <units>] \
-         [--opt-level <0|1|2>] \
+         [--opt-level <0|2>] \
          [--trace] [--metrics-out <path>] [--profile-folded <path>] [--report] [--xcheck]\n\
          \u{20}      lnc --matrix [--jobs <N>] [--out <dir>] [--budget <units>] [--xcheck] \
-         [--opt-level <0|1|2>] [--keep-going] [--fault-plan <path>] [--summary] [--verbose] \
+         [--opt-level <0|2>] [--keep-going] [--fault-plan <path>] [--summary] [--verbose] \
          [--trace] [--metrics-out <path>] [--profile-folded <path>] [--cache-dir <dir>] \
          [--cache-mem-bytes <N>]\n\
          \u{20}      lnc serve [--jobs <N>] [--budget <units>] [--fault-plan <path>] \
-         [--opt-level <0|1|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]",
+         [--opt-level <0|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]",
         EVAL_CORES.join("|")
     );
 }
@@ -731,7 +731,7 @@ fn main() -> ExitCode {
     if let Some(b) = args.budget {
         ln.work_limit = b;
     }
-    ln.opt_level = longnail::OptLevel::from_level(args.opt_level).expect("validated in parse_args");
+    ln.opt_level = args.opt_level;
     if let Some(path) = &args.fault_plan {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -1025,16 +1025,27 @@ mod tests {
 
     #[test]
     fn opt_level_parses_in_every_mode_and_validates_its_range() {
-        assert_eq!(parse(&["x", "--core", "ORCA"]).unwrap().opt_level, 0);
+        assert_eq!(
+            parse(&["x", "--core", "ORCA"]).unwrap().opt_level,
+            OptLevel::O0
+        );
         assert_eq!(
             parse(&["x", "--core", "ORCA", "--opt-level", "2"]).unwrap().opt_level,
-            2
+            OptLevel::O2
         );
-        assert_eq!(parse(&["--matrix", "--opt-level", "1"]).unwrap().opt_level, 1);
-        assert_eq!(parse(&["serve", "--opt-level", "2"]).unwrap().opt_level, 2);
-        assert!(parse(&["--matrix", "--opt-level", "3"])
-            .unwrap_err()
-            .contains("not 0, 1, or 2"));
+        assert_eq!(
+            parse(&["--matrix", "--opt-level", "0"]).unwrap().opt_level,
+            OptLevel::O0
+        );
+        assert_eq!(
+            parse(&["serve", "--opt-level", "2"]).unwrap().opt_level,
+            OptLevel::O2
+        );
+        for level in ["1", "3"] {
+            assert!(parse(&["--matrix", "--opt-level", level])
+                .unwrap_err()
+                .contains("not 0 or 2"));
+        }
         assert!(parse(&["--matrix", "--opt-level", "fast"]).is_err());
         assert!(parse(&["--matrix", "--opt-level"]).is_err());
     }

@@ -1203,10 +1203,10 @@ fn rtl_stage(
 /// through the original and optimized netlists (including X stimulus).
 const OPT_VERIFY_CYCLES: u32 = 32;
 
-/// Stage `opt`: oracle-gated netlist optimization (`-O1`/`-O2`).
+/// Stage `opt`: oracle-gated netlist optimization (`-O2`).
 ///
 /// Runs [`rtl::opt::optimize`] at the requested level, which lints the
-/// netlist after every pass, then gates the result with
+/// netlist after every pass that rewrote it, then gates the result with
 /// [`rtl::opt::verify_equivalent`] before it may replace the built module:
 /// the optimized module must track the original in lockstep — exact
 /// two-valued output equality plus four-state refinement under X stimulus.

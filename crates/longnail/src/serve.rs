@@ -223,7 +223,7 @@ pub struct Job {
     pub core: String,
     /// Inline CoreDSL source text.
     pub src: Option<String>,
-    /// Per-job optimization level override (0, 1, or 2). Jobs without
+    /// Per-job optimization level override (0 or 2). Jobs without
     /// one compile at the daemon's `--opt-level`.
     pub opt_level: Option<u8>,
 }
@@ -243,8 +243,8 @@ pub fn parse_job(line: &str) -> Result<Job, String> {
             "core" => job.core = v.into_owned(),
             "src" => job.src = Some(v.into_owned()),
             "opt_level" => match &*v {
-                "0" | "1" | "2" => job.opt_level = Some(v.as_bytes()[0] - b'0'),
-                other => return Err(format!("opt_level `{other}` is not 0, 1, or 2")),
+                "0" | "2" => job.opt_level = Some(v.as_bytes()[0] - b'0'),
+                other => return Err(format!("opt_level `{other}` is not 0 or 2")),
             },
             other => return Err(format!("unknown job field `{other}`")),
         }
@@ -633,11 +633,14 @@ mod tests {
         assert_eq!(j.opt_level, Some(2));
         let j = parse_job(r#"{"id": "a", "isax": "dotprod", "core": "ORCA"}"#).unwrap();
         assert_eq!(j.opt_level, None);
-        assert!(
-            parse_job(r#"{"id": "a", "isax": "dotprod", "core": "ORCA", "opt_level": "3"}"#)
-                .unwrap_err()
-                .contains("not 0, 1, or 2")
-        );
+        for level in ["1", "3"] {
+            let line =
+                format!(r#"{{"id": "a", "isax": "dotprod", "core": "ORCA", "opt_level": "{level}"}}"#);
+            assert_eq!(
+                parse_job(&line).unwrap_err(),
+                format!("opt_level `{level}` is not 0 or 2")
+            );
+        }
     }
 
     #[test]

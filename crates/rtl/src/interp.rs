@@ -144,17 +144,7 @@ impl Simulator {
                 Driver::Const(_) => continue,
                 Driver::Input { port } => inputs[*port].clone(),
                 Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
-                Driver::Rom { rom, index } => {
-                    let table = &self.module.roms[*rom];
-                    // Indices past the table (or past the platform's usize,
-                    // which would otherwise wrap on 32-bit targets) read zero.
-                    self.values[index.0]
-                        .try_to_u64()
-                        .and_then(|v| usize::try_from(v).ok())
-                        .and_then(|idx| table.contents.get(idx))
-                        .cloned()
-                        .unwrap_or_else(|| ApInt::zero(table.width))
-                }
+                Driver::Rom { rom, index } => self.module.roms[*rom].read(&self.values[index.0]),
                 Driver::Comb { op, args, lo } => {
                     eval_comb(*op, |k| &self.values[args[k].0], *lo, width)
                 }

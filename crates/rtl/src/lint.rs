@@ -24,7 +24,7 @@
 //! compute the wrong value. [`comb_depth`] counts logic levels, not delay;
 //! `eda::timing` models delay. Lint never rewrites a netlist.
 
-use crate::netlist::{CombOp, Driver, Module, Net, NetId, PortDir};
+use crate::netlist::{CombOp, Driver, Module, NetId, PortDir};
 use std::fmt;
 
 /// One lint finding.
@@ -61,17 +61,6 @@ fn comb_arity(op: CombOp) -> usize {
     }
 }
 
-/// The operands a net reads combinationally: a comb operator's arguments
-/// or a ROM read's index. A register samples its `next` at the clock edge,
-/// so it has none.
-fn comb_operands(net: &Net) -> &[NetId] {
-    match &net.driver {
-        Driver::Comb { args, .. } => args,
-        Driver::Rom { index, .. } => std::slice::from_ref(index),
-        _ => &[],
-    }
-}
-
 /// Lints `module`, collecting every problem that would make the emitted
 /// SystemVerilog wrong or unsynthesizable, or that breaks the
 /// definition-order rule the simulators and [`comb_depth`] rely on.
@@ -86,7 +75,8 @@ pub fn lint_module(module: &Module) -> Result<(), Vec<LintIssue>> {
 
     for (i, net) in module.nets.iter().enumerate() {
         // Operands past the last net are the driver arms' to report.
-        for a in comb_operands(net).iter().filter(|a| (i..n).contains(&a.0)) {
+        let forward = |a: &&NetId| (i..n).contains(&a.0);
+        for a in net.driver.comb_operands().iter().filter(forward) {
             fail(Some(i), format!("reads net {} before it is defined", a.0));
         }
         let w = |id: NetId| module.nets.get(id.0).map(|x| x.width);
@@ -413,13 +403,10 @@ pub fn lint_module(module: &Module) -> Result<(), Vec<LintIssue>> {
 pub fn comb_depth(module: &Module) -> u32 {
     let mut depth: Vec<u32> = Vec::with_capacity(module.nets.len());
     for net in &module.nets {
+        let operands = net.driver.comb_operands().iter();
         let d = match net.driver {
             Driver::Comb { .. } | Driver::Rom { .. } => {
-                1 + comb_operands(net)
-                    .iter()
-                    .map(|a| depth[a.0])
-                    .max()
-                    .unwrap_or(0)
+                1 + operands.map(|a| depth[a.0]).max().unwrap_or(0)
             }
             _ => 0,
         };

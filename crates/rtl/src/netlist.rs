@@ -88,6 +88,47 @@ pub enum Driver {
     Rom { rom: usize, index: NetId },
 }
 
+impl Driver {
+    /// The nets this driver reads combinationally: a comb operator's
+    /// arguments or a ROM read's index. A register samples its `next` at
+    /// the clock edge, so it has none.
+    pub(crate) fn comb_operands(&self) -> &[NetId] {
+        match self {
+            Driver::Comb { args, .. } => args,
+            Driver::Rom { index, .. } => std::slice::from_ref(index),
+            Driver::Input { .. } | Driver::Const(_) | Driver::Reg { .. } => &[],
+        }
+    }
+
+    /// [`Driver::comb_operands`], mutably.
+    pub(crate) fn comb_operands_mut(&mut self) -> &mut [NetId] {
+        match self {
+            Driver::Comb { args, .. } => args,
+            Driver::Rom { index, .. } => std::slice::from_mut(index),
+            Driver::Input { .. } | Driver::Const(_) | Driver::Reg { .. } => &mut [],
+        }
+    }
+
+    /// Every net this driver reads: its combinational operands, or a
+    /// register's `next` and then its `enable`.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = &NetId> {
+        let (next, enable) = match self {
+            Driver::Reg { next, enable, .. } => (Some(next), enable.as_ref()),
+            _ => (None, None),
+        };
+        self.comb_operands().iter().chain(next).chain(enable)
+    }
+
+    /// [`Driver::operands`], mutably.
+    pub(crate) fn operands_mut(&mut self) -> impl Iterator<Item = &mut NetId> {
+        let (comb, next, enable) = match self {
+            Driver::Reg { next, enable, .. } => (&mut [][..], Some(next), enable.as_mut()),
+            driver => (driver.comb_operands_mut(), None, None),
+        };
+        comb.iter_mut().chain(next).chain(enable)
+    }
+}
+
 /// A net: a driver plus its bit width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
@@ -105,8 +146,22 @@ pub struct RomData {
     pub contents: Vec<ApInt>,
 }
 
+impl RomData {
+    /// The word at `index`. Indices past the table (or past the
+    /// platform's `usize`, which would otherwise wrap on 32-bit targets)
+    /// read zero.
+    pub(crate) fn read(&self, index: &ApInt) -> ApInt {
+        index
+            .try_to_u64()
+            .and_then(|v| usize::try_from(v).ok())
+            .and_then(|k| self.contents.get(k))
+            .cloned()
+            .unwrap_or_else(|| ApInt::zero(self.width))
+    }
+}
+
 /// A hardware module.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Module {
     pub name: String,
     pub ports: Vec<Port>,

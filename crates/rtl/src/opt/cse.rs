@@ -35,14 +35,8 @@ pub(super) fn run(m: &mut Module) -> u64 {
     let mut repl = Replacements::new(m.nets.len());
     let mut seen: HashMap<Key, NetId> = HashMap::new();
     for i in 0..m.nets.len() {
-        match &mut m.nets[i].driver {
-            Driver::Comb { args, .. } => {
-                for a in args.iter_mut() {
-                    *a = repl.resolve(*a);
-                }
-            }
-            Driver::Rom { index, .. } => *index = repl.resolve(*index),
-            _ => {}
+        for a in m.nets[i].driver.comb_operands_mut() {
+            *a = repl.resolve(*a);
         }
         let width = m.nets[i].width;
         let key = match &m.nets[i].driver {

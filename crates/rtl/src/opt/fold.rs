@@ -39,28 +39,15 @@ pub(super) fn run(m: &mut Module) -> u64 {
     for i in 0..m.nets.len() {
         // Canonicalize this net's backward references first so identity
         // matching sees through earlier aliases.
-        match &mut m.nets[i].driver {
-            Driver::Comb { args, .. } => {
-                for a in args.iter_mut() {
-                    *a = repl.resolve(*a);
-                }
-            }
-            Driver::Rom { index, .. } => *index = repl.resolve(*index),
-            _ => {}
+        for a in m.nets[i].driver.comb_operands_mut() {
+            *a = repl.resolve(*a);
         }
         let width = m.nets[i].width;
         let decision = match &m.nets[i].driver {
             Driver::Comb { op, args, lo } => analyze_comb(m, *op, args, *lo, width),
-            Driver::Rom { rom, index } => as_const(m, *index).map(|idx| {
-                let table = &m.roms[*rom];
-                let word = idx
-                    .try_to_u64()
-                    .and_then(|v| usize::try_from(v).ok())
-                    .and_then(|k| table.contents.get(k))
-                    .cloned()
-                    .unwrap_or_else(|| ApInt::zero(table.width));
-                Rewrite::Driver(Driver::Const(word))
-            }),
+            Driver::Rom { rom, index } => {
+                as_const(m, *index).and_then(|idx| constant(m.roms[*rom].read(idx)))
+            }
             _ => None,
         };
         match decision {

@@ -15,18 +15,20 @@
 //! * [`narrow`] — bitwidth narrowing driven by the value/known planes of
 //!   [`crate::xsim`]: an abstract evaluation with all-X inputs/registers
 //!   proves upper bits dead, ops are re-emitted at their live width and
-//!   users patched with `ZExt` (`-O2` only).
+//!   users patched with `ZExt`.
 //!
 //! Every pass preserves the two-valued [`crate::interp`] semantics of the
 //! output ports exactly, and may only *refine* the four-state
 //! [`crate::xsim`] semantics (an X bit may become known, a known bit never
 //! changes value or becomes X). The pass manager lints its input once and
-//! every pass's output with [`lint_module`], so each pass sees a netlist
-//! whose combinational operands precede their users and whose widths agree,
-//! and a pass that breaks either is caught at once. The compiler's opt
-//! stage then gates the result with [`verify_equivalent`], which runs the
-//! original and optimized modules in lockstep (including X stimulus), and
-//! the full matrix re-checks under `lnc --xcheck`.
+//! the output of every pass that rewrote something with [`lint_module`]
+//! (a pass that reports no rewrite leaves the netlist unchanged), so each
+//! pass sees a netlist whose combinational operands precede their users
+//! and whose widths agree, and a pass that breaks either is caught at
+//! once. The compiler's opt stage then gates the result with
+//! [`verify_equivalent`], which runs the original and optimized modules in
+//! lockstep (including X stimulus), and the full matrix re-checks under
+//! `lnc --xcheck`.
 //!
 //! What it does not do:
 //!
@@ -41,7 +43,7 @@
 
 use crate::interp::Simulator;
 use crate::lint::lint_module;
-use crate::netlist::{Driver, Module, NetId, Port, PortDir};
+use crate::netlist::{CombOp, Driver, Module, Net, NetId, Port, PortDir};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
@@ -53,14 +55,12 @@ mod mux;
 mod narrow;
 mod strength;
 
-/// Optimization effort, mirroring `lnc --opt-level {0,1,2}`.
+/// Optimization effort, mirroring `lnc --opt-level {0,2}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// No optimization: the netlist is emitted as built.
     O0,
-    /// Fold, CSE, mux flattening, strength reduction.
-    O1,
-    /// `O1` plus bitwidth narrowing.
+    /// Every [`Pass`] to a fixpoint.
     O2,
 }
 
@@ -69,7 +69,6 @@ impl OptLevel {
     pub fn from_level(level: u8) -> Option<OptLevel> {
         match level {
             0 => Some(OptLevel::O0),
-            1 => Some(OptLevel::O1),
             2 => Some(OptLevel::O2),
             _ => None,
         }
@@ -79,7 +78,6 @@ impl OptLevel {
     pub fn level(self) -> u8 {
         match self {
             OptLevel::O0 => 0,
-            OptLevel::O1 => 1,
             OptLevel::O2 => 2,
         }
     }
@@ -125,7 +123,7 @@ pub enum Pass {
     Mux,
     /// Strength reduction by powers of two.
     Strength,
-    /// Bitwidth narrowing via the xsim known planes (`-O2`).
+    /// Bitwidth narrowing via the xsim known planes.
     Narrow,
     /// Dead-net (and dead-ROM) elimination.
     Dce,
@@ -172,25 +170,21 @@ pub fn run_pass(module: &Module, pass: Pass, _: &EmitOptions) -> Result<(Module,
     Ok((m, count))
 }
 
-/// Runs `pass` once over `m` in place, lints the result, and returns the
-/// pass's rewrite count.
+/// Runs `pass` once over `m` in place, lints the result if the pass
+/// rewrote anything, and returns the pass's rewrite count.
 fn apply(m: &mut Module, pass: Pass) -> Result<u64, String> {
-    let rebuilt = |m: &mut Module, out: Option<(Module, u64)>| match out {
-        Some((rewritten, count)) => {
-            *m = rewritten;
-            count
-        }
-        None => 0,
-    };
     let count = match pass {
         Pass::Fold => fold::run(m),
         Pass::Cse => cse::run(m),
         Pass::Mux => mux::run(m),
-        Pass::Strength => rebuilt(m, strength::run(m)),
-        Pass::Narrow => rebuilt(m, narrow::run(m)),
+        Pass::Strength => strength::run(m),
+        Pass::Narrow => narrow::run(m),
         Pass::Dce => dce(m),
     };
-    check(m, Some(pass))?;
+    // A pass that rewrote nothing left its linted input unchanged.
+    if count > 0 {
+        check(m, Some(pass))?;
+    }
     Ok(count)
 }
 
@@ -220,9 +214,6 @@ pub fn optimize(module: &Module, level: OptLevel) -> Result<(Module, OptReport),
     for _ in 0..MAX_ITERATIONS {
         let mut changed = 0;
         for pass in Pass::ALL {
-            if pass == Pass::Narrow && level < OptLevel::O2 {
-                continue;
-            }
             let count = apply(&mut m, pass)?;
             report.record(pass.name(), count);
             // DCE only sweeps what the other passes orphaned, so its
@@ -298,22 +289,8 @@ impl Replacements {
     /// register next/enable, outputs) through the alias map. Safe for the
     /// forward references registers may hold.
     pub(crate) fn apply(&self, m: &mut Module) {
-        for net in &mut m.nets {
-            match &mut net.driver {
-                Driver::Comb { args, .. } => {
-                    for a in args {
-                        *a = self.resolve(*a);
-                    }
-                }
-                Driver::Rom { index, .. } => *index = self.resolve(*index),
-                Driver::Reg { next, enable, .. } => {
-                    *next = self.resolve(*next);
-                    if let Some(e) = enable {
-                        *e = self.resolve(*e);
-                    }
-                }
-                Driver::Input { .. } | Driver::Const(_) => {}
-            }
+        for a in m.nets.iter_mut().flat_map(|net| net.driver.operands_mut()) {
+            *a = self.resolve(*a);
         }
         for (_, net) in &mut m.outputs {
             *net = self.resolve(*net);
@@ -329,62 +306,96 @@ pub(crate) fn as_const(m: &Module, id: NetId) -> Option<&ApInt> {
     }
 }
 
-/// Dead-net elimination: drops every net not reachable from an output,
-/// compacting ids (and ROM tables no surviving net reads). Returns the
-/// number of nets removed.
-pub(crate) fn dce(m: &mut Module) -> u64 {
-    let n = m.nets.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = m.outputs.iter().map(|&(_, id)| id.0).collect();
-    while let Some(i) = stack.pop() {
-        if live[i] {
-            continue;
+/// The net list [`rebuild`] is building, and the new id of every old net
+/// already emitted.
+pub(crate) struct Rebuilt {
+    nets: Vec<Net>,
+    map: Vec<NetId>,
+}
+
+impl Rebuilt {
+    /// The new id of old net `id`, which precedes the net being emitted.
+    pub(crate) fn map(&self, id: NetId) -> NetId {
+        self.map[id.0]
+    }
+
+    /// Appends a net. Its combinational operands are new ids; a register's
+    /// `next` and `enable` are old ids, remapped once every net is placed.
+    pub(crate) fn push(&mut self, driver: Driver, width: u32, name: &str) -> NetId {
+        self.nets.push(Net {
+            driver,
+            width,
+            name: name.to_string(),
+        });
+        NetId(self.nets.len() - 1)
+    }
+
+    /// Moves old net `net` across, reading its combinational operands
+    /// through the map.
+    pub(crate) fn keep(&mut self, mut net: Net) -> NetId {
+        for a in net.driver.comb_operands_mut() {
+            *a = self.map[a.0];
         }
-        live[i] = true;
-        match &m.nets[i].driver {
-            Driver::Comb { args, .. } => stack.extend(args.iter().map(|a| a.0)),
-            Driver::Rom { index, .. } => stack.push(index.0),
-            Driver::Reg { next, enable, .. } => {
-                stack.push(next.0);
-                if let Some(e) = enable {
-                    stack.push(e.0);
-                }
-            }
-            Driver::Input { .. } | Driver::Const(_) => {}
+        self.nets.push(net);
+        NetId(self.nets.len() - 1)
+    }
+}
+
+/// Rebuilds `m`'s nets in one forward sweep. `emit` receives each old net
+/// by value with its index and places it: it moves the net across with
+/// [`Rebuilt::keep`], expands it into new nets with [`Rebuilt::push`], or
+/// drops it. It returns the new net that stands for the old one, or `None`
+/// for a dropped net, which nothing kept may read. Registers may read
+/// forward, so their `next`/`enable` and the outputs are remapped once at
+/// the end.
+pub(crate) fn rebuild(
+    m: &mut Module,
+    mut emit: impl FnMut(usize, Net, &mut Rebuilt) -> Option<NetId>,
+) {
+    let old = std::mem::take(&mut m.nets);
+    let mut out = Rebuilt {
+        nets: Vec::with_capacity(old.len()),
+        // A dropped net maps past the end, so a read of it fails lint.
+        map: vec![NetId(usize::MAX); old.len()],
+    };
+    for (i, net) in old.into_iter().enumerate() {
+        if let Some(id) = emit(i, net, &mut out) {
+            out.map[i] = id;
         }
     }
-    let removed = live.iter().filter(|&&l| !l).count() as u64;
-    if removed == 0 {
-        return compact_roms(m);
-    }
-    let mut map = vec![NetId(0); n];
-    let mut nets = Vec::with_capacity(n - removed as usize);
-    for (i, net) in m.nets.iter().enumerate() {
-        if live[i] {
-            map[i] = NetId(nets.len());
-            nets.push(net.clone());
-        }
-    }
-    for net in &mut nets {
-        match &mut net.driver {
-            Driver::Comb { args, .. } => {
-                for a in args {
-                    *a = map[a.0];
-                }
-            }
-            Driver::Rom { index, .. } => *index = map[index.0],
-            Driver::Reg { next, enable, .. } => {
-                *next = map[next.0];
-                if let Some(e) = enable {
-                    *e = map[e.0];
-                }
-            }
-            Driver::Input { .. } | Driver::Const(_) => {}
-        }
+    let Rebuilt { mut nets, map } = out;
+    let regs = nets
+        .iter_mut()
+        .filter(|n| matches!(n.driver, Driver::Reg { .. }));
+    for a in regs.flat_map(|n| n.driver.operands_mut()) {
+        *a = map[a.0];
     }
     m.nets = nets;
     for (_, net) in &mut m.outputs {
         *net = map[net.0];
+    }
+}
+
+/// A combinational driver.
+pub(crate) fn comb(op: CombOp, args: Vec<NetId>, lo: u32) -> Driver {
+    Driver::Comb { op, args, lo }
+}
+
+/// Dead-net elimination: drops every net not reachable from an output,
+/// compacting ids (and ROM tables no surviving net reads). Returns the
+/// number of nets removed.
+pub(crate) fn dce(m: &mut Module) -> u64 {
+    let mut live = vec![false; m.nets.len()];
+    let mut stack: Vec<usize> = m.outputs.iter().map(|&(_, id)| id.0).collect();
+    while let Some(i) = stack.pop() {
+        if !live[i] {
+            live[i] = true;
+            stack.extend(m.nets[i].driver.operands().map(|a| a.0));
+        }
+    }
+    let removed = live.iter().filter(|&&l| !l).count() as u64;
+    if removed > 0 {
+        rebuild(m, |i, net, out| live[i].then(|| out.keep(net)));
     }
     removed + compact_roms(m)
 }
@@ -585,7 +596,6 @@ impl GateSide {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{CombOp, PortDir};
 
     /// a, b 16-bit in; builds a little expression DAG with redundancy,
     /// constants, pow-2 multiplies, and a register.
@@ -681,29 +691,27 @@ mod tests {
     #[test]
     fn fixpoint_collapses_the_sample_and_stays_equivalent() {
         let m = sample_module();
-        for level in [OptLevel::O1, OptLevel::O2] {
-            let (out, report) = optimize(&m, level).unwrap();
-            lint_module(&out).unwrap();
-            assert!(report.total() > 0, "{level:?}: {report:?}");
-            assert!(
-                out.nets.len() < m.nets.len(),
-                "{level:?}: {} -> {}",
-                m.nets.len(),
-                out.nets.len()
-            );
-            // The Mul must be gone (strength-reduced to wiring).
-            assert!(
-                !out.nets.iter().any(|n| matches!(
-                    n.driver,
-                    Driver::Comb {
-                        op: CombOp::Mul,
-                        ..
-                    }
-                )),
-                "{level:?} kept the multiply"
-            );
-            verify_equivalent(&m, &out, &EmitOptions, 32).unwrap();
-        }
+        let (out, report) = optimize(&m, OptLevel::O2).unwrap();
+        lint_module(&out).unwrap();
+        assert!(report.total() > 0, "{report:?}");
+        assert!(
+            out.nets.len() < m.nets.len(),
+            "{} -> {}",
+            m.nets.len(),
+            out.nets.len()
+        );
+        // The Mul must be gone (strength-reduced to wiring).
+        assert!(
+            !out.nets.iter().any(|n| matches!(
+                n.driver,
+                Driver::Comb {
+                    op: CombOp::Mul,
+                    ..
+                }
+            )),
+            "kept the multiply"
+        );
+        verify_equivalent(&m, &out, &EmitOptions, 32).unwrap();
     }
 
     #[test]
@@ -869,9 +877,10 @@ mod tests {
 
     #[test]
     fn opt_level_parses_round_trip() {
-        for n in 0..=2u8 {
+        for n in [0, 2] {
             assert_eq!(OptLevel::from_level(n).unwrap().level(), n);
         }
+        assert_eq!(OptLevel::from_level(1), None);
         assert_eq!(OptLevel::from_level(3), None);
     }
 }

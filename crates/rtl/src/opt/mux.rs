@@ -33,10 +33,8 @@ pub(super) fn run(m: &mut Module) -> u64 {
     let mut repl = Replacements::new(m.nets.len());
     let mut rewrites = 0u64;
     for i in 0..m.nets.len() {
-        if let Driver::Comb { args, .. } = &mut m.nets[i].driver {
-            for a in args.iter_mut() {
-                *a = repl.resolve(*a);
-            }
+        for a in m.nets[i].driver.comb_operands_mut() {
+            *a = repl.resolve(*a);
         }
         let width = m.nets[i].width;
         let Some((c, t, e)) = mux_parts(m, NetId(i)) else {

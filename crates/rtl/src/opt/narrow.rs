@@ -22,13 +22,12 @@
 //! earlier net, so the pass relies on its input linting clean (the pass
 //! manager checks it).
 //! Narrowing strictly shrinks the computed width each time it fires, so
-//! the fixpoint terminates. The pass inserts nets and therefore rebuilds
-//! the module like [`super::strength`].
+//! the fixpoint terminates. The pass inserts nets, so it plans every
+//! rewrite first and then [`rebuild`]s the module like [`super::strength`].
 
-use super::as_const;
-use crate::netlist::{CombOp, Driver, Module, Net, NetId};
-use crate::xsim::{eval_comb, XVal};
-use bits::ApInt;
+use super::{comb, rebuild};
+use crate::netlist::{CombOp, Driver, Module, NetId};
+use crate::xsim::{eval_comb, eval_rom, XVal};
 
 /// Abstract per-net values: all-X at the boundary, exact everywhere else.
 fn abstract_eval(m: &Module) -> Vec<XVal> {
@@ -37,21 +36,7 @@ fn abstract_eval(m: &Module) -> Vec<XVal> {
         let v = match &net.driver {
             Driver::Input { .. } | Driver::Reg { .. } => XVal::all_x(net.width),
             Driver::Const(c) => XVal::known(c.clone()),
-            Driver::Rom { rom, index } => {
-                let table = &m.roms[*rom];
-                match vals[index.0].as_known() {
-                    Some(idx) => {
-                        let word = idx
-                            .try_to_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .and_then(|k| table.contents.get(k))
-                            .cloned()
-                            .unwrap_or_else(|| ApInt::zero(table.width));
-                        XVal::known(word)
-                    }
-                    None => XVal::all_x(net.width),
-                }
-            }
+            Driver::Rom { rom, index } => eval_rom(&m.roms[*rom], &vals[index.0]),
             Driver::Comb { op, args, lo } => eval_comb(*op, |k| &vals[args[k].0], *lo, net.width),
         };
         vals.push(v);
@@ -66,134 +51,77 @@ fn live_width(v: &XVal) -> u32 {
     v.width() - maybe_one.leading_zeros()
 }
 
+/// A planned rewrite of one net; its operands are the module's own ids.
 enum Rewrite {
-    Const(ApInt),
+    /// Replace the driver.
+    Driver(Driver),
+    /// Compute `op` at width `t` behind `Trunc`s and `ZExt` it back.
     Narrow(CombOp, NetId, NetId, u32),
-    ZeroSignExtend(NetId),
 }
 
 fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
     let net = &m.nets[i];
     let w = net.width;
     match &net.driver {
-        Driver::Comb { op, args, .. } => {
-            if vals[i].is_fully_known() {
-                return Some(Rewrite::Const(vals[i].value_plane().clone()));
-            }
-            match op {
-                CombOp::Add | CombOp::Mul | CombOp::And | CombOp::Or | CombOp::Xor => {
-                    let (a, b) = (args[0], args[1]);
-                    let (ua, ub) = (live_width(&vals[a.0]), live_width(&vals[b.0]));
-                    let t = match op {
-                        CombOp::Add => ua.max(ub).saturating_add(1),
-                        CombOp::Mul => ua.saturating_add(ub),
-                        _ => ua.max(ub),
-                    }
-                    .max(1);
-                    (t < w).then_some(Rewrite::Narrow(*op, a, b, t))
+        Driver::Comb { .. } | Driver::Rom { .. } if vals[i].is_fully_known() => Some(
+            Rewrite::Driver(Driver::Const(vals[i].value_plane().clone())),
+        ),
+        Driver::Comb { op, args, .. } => match op {
+            CombOp::Add | CombOp::Mul | CombOp::And | CombOp::Or | CombOp::Xor => {
+                let (a, b) = (args[0], args[1]);
+                let (ua, ub) = (live_width(&vals[a.0]), live_width(&vals[b.0]));
+                let t = match op {
+                    CombOp::Add => ua.max(ub).saturating_add(1),
+                    CombOp::Mul => ua.saturating_add(ub),
+                    _ => ua.max(ub),
                 }
-                CombOp::SExt => {
-                    let src = &vals[args[0].0];
-                    let sw = src.width();
-                    let sign_zero =
-                        sw < w && src.known_plane().bit(sw - 1) && !src.value_plane().bit(sw - 1);
-                    sign_zero.then_some(Rewrite::ZeroSignExtend(args[0]))
-                }
-                _ => None,
+                .max(1);
+                (t < w).then_some(Rewrite::Narrow(*op, a, b, t))
             }
-        }
-        Driver::Rom { .. } => vals[i]
-            .is_fully_known()
-            .then(|| Rewrite::Const(vals[i].value_plane().clone())),
+            CombOp::SExt => {
+                let src = &vals[args[0].0];
+                let sw = src.width();
+                let sign_zero =
+                    sw < w && src.known_plane().bit(sw - 1) && !src.value_plane().bit(sw - 1);
+                sign_zero.then(|| Rewrite::Driver(comb(CombOp::ZExt, vec![args[0]], 0)))
+            }
+            _ => None,
+        },
         _ => None,
     }
 }
 
-pub(super) fn run(m: &Module) -> Option<(Module, u64)> {
+pub(super) fn run(m: &mut Module) -> u64 {
     let vals = abstract_eval(m);
-    let rewrites: Vec<Option<Rewrite>> = (0..m.nets.len())
-        .map(|i| {
-            analyze(m, &vals, i).filter(|r| {
-                // Re-writing a constant to the same constant is no progress.
-                !matches!(r, Rewrite::Const(c) if as_const(m, NetId(i)) == Some(c))
-            })
-        })
-        .collect();
-    if rewrites.iter().all(Option::is_none) {
-        return None;
+    let mut plan: Vec<Option<Rewrite>> = (0..m.nets.len()).map(|i| analyze(m, &vals, i)).collect();
+    let count = plan.iter().flatten().count() as u64;
+    if count == 0 {
+        return 0;
     }
-    let mut out = Module {
-        name: m.name.clone(),
-        ports: m.ports.clone(),
-        nets: Vec::with_capacity(m.nets.len()),
-        outputs: Vec::new(),
-        roms: m.roms.clone(),
-    };
-    let mut map = vec![NetId(0); m.nets.len()];
-    let mut count = 0u64;
-    for (i, net) in m.nets.iter().enumerate() {
-        let w = net.width;
-        let name = &net.name;
-        map[i] = match &rewrites[i] {
-            Some(Rewrite::Const(c)) => {
-                count += 1;
-                push(&mut out, Driver::Const(c.clone()), w, name)
+    rebuild(m, |i, mut net, out| {
+        Some(match plan[i].take() {
+            None => out.keep(net),
+            Some(Rewrite::Driver(driver)) => {
+                net.driver = driver;
+                out.keep(net)
             }
             Some(Rewrite::Narrow(op, a, b, t)) => {
-                count += 1;
-                let ta = push(&mut out, comb(CombOp::Trunc, vec![map[a.0]], 0), *t, name);
-                let tb = push(&mut out, comb(CombOp::Trunc, vec![map[b.0]], 0), *t, name);
-                let narrow = push(&mut out, comb(*op, vec![ta, tb], 0), *t, name);
-                push(&mut out, comb(CombOp::ZExt, vec![narrow], 0), w, name)
+                let (w, name) = (net.width, &net.name);
+                let ta = out.push(comb(CombOp::Trunc, vec![out.map(a)], 0), t, name);
+                let tb = out.push(comb(CombOp::Trunc, vec![out.map(b)], 0), t, name);
+                let narrow = out.push(comb(op, vec![ta, tb], 0), t, name);
+                out.push(comb(CombOp::ZExt, vec![narrow], 0), w, name)
             }
-            Some(Rewrite::ZeroSignExtend(src)) => {
-                count += 1;
-                push(&mut out, comb(CombOp::ZExt, vec![map[src.0]], 0), w, name)
-            }
-            None => {
-                let mut d = net.driver.clone();
-                match &mut d {
-                    Driver::Comb { args, .. } => {
-                        for a in args.iter_mut() {
-                            *a = map[a.0];
-                        }
-                    }
-                    Driver::Rom { index, .. } => *index = map[index.0],
-                    Driver::Reg { .. } | Driver::Input { .. } | Driver::Const(_) => {}
-                }
-                push(&mut out, d, w, name)
-            }
-        };
-    }
-    for net in &mut out.nets {
-        if let Driver::Reg { next, enable, .. } = &mut net.driver {
-            *next = map[next.0];
-            if let Some(e) = enable {
-                *e = map[e.0];
-            }
-        }
-    }
-    out.outputs = m.outputs.iter().map(|&(p, n)| (p, map[n.0])).collect();
-    Some((out, count))
-}
-
-fn comb(op: CombOp, args: Vec<NetId>, lo: u32) -> Driver {
-    Driver::Comb { op, args, lo }
-}
-
-fn push(out: &mut Module, driver: Driver, width: u32, name: &str) -> NetId {
-    out.nets.push(Net {
-        driver,
-        width,
-        name: name.to_string(),
+        })
     });
-    NetId(out.nets.len() - 1)
+    count
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::PortDir;
+    use bits::ApInt;
 
     /// Two 8-bit inputs zero-extended to 32, then added/multiplied at 32.
     fn wide_module(op: CombOp) -> Module {
@@ -214,8 +142,8 @@ mod tests {
     fn wide_ops_on_narrow_data_shrink() {
         for (op, expect) in [(CombOp::Add, 9), (CombOp::Mul, 16), (CombOp::Xor, 8)] {
             let m = wide_module(op);
-            let (narrowed, count) = run(&m).unwrap();
-            assert_eq!(count, 1, "{op:?}");
+            let mut narrowed = m.clone();
+            assert_eq!(run(&mut narrowed), 1, "{op:?}");
             crate::lint::lint_module(&narrowed).unwrap();
             let found = narrowed
                 .nets
@@ -237,9 +165,8 @@ mod tests {
         let zero = m.add_net(Driver::Const(ApInt::zero(8)), 8, "z");
         let and = m.add_net(comb(CombOp::And, vec![na, zero], 0), 8, "and");
         m.connect_output(o, and);
-        let (narrowed, count) = run(&m).unwrap();
-        assert_eq!(count, 1);
-        assert_eq!(narrowed.nets[and.0].driver, Driver::Const(ApInt::zero(8)));
+        assert_eq!(run(&mut m), 1);
+        assert_eq!(m.nets[and.0].driver, Driver::Const(ApInt::zero(8)));
     }
 
     #[test]
@@ -252,7 +179,8 @@ mod tests {
         let pad = m.add_net(comb(CombOp::ZExt, vec![na], 0), 12, "pad");
         let sx = m.add_net(comb(CombOp::SExt, vec![pad], 0), 16, "sx");
         m.connect_output(o, sx);
-        let (narrowed, _) = run(&m).unwrap();
+        let mut narrowed = m.clone();
+        run(&mut narrowed);
         assert!(
             matches!(
                 &narrowed.nets[sx.0].driver,
@@ -277,6 +205,8 @@ mod tests {
         let nb = m.add_net(Driver::Input { port: b }, 8, "b");
         let x = m.add_net(comb(CombOp::Xor, vec![na, nb], 0), 8, "x");
         m.connect_output(o, x);
-        assert!(run(&m).is_none());
+        let mut out = m.clone();
+        assert_eq!(run(&mut out), 0);
+        assert_eq!(out, m);
     }
 }

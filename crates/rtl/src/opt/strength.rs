@@ -9,18 +9,18 @@
 //! * `a % 2^k  → ZExt(a[k-1:0])`            (mask by wiring)
 //!
 //! `k = 0` (multiply/divide by one, remainder by one) belongs to constant
-//! folding. This pass inserts nets, so it rebuilds the module (new nets
-//! are emitted immediately before their user, preserving topological
-//! order); it returns `None` when nothing applies so the common case
-//! costs one scan.
+//! folding. This pass inserts nets, so it plans its rewrites in one scan
+//! and then [`rebuild`]s the module (new nets are emitted immediately
+//! before their user, preserving definition order); when nothing applies
+//! the scan is all it costs.
 //!
 //! Four-state discipline: the wiring forms propagate per-bit X where the
 //! original `Mul`/`DivU`/`RemU` X-poisoned the whole word — a strict
 //! refinement — and compute identical values on known operands (the
 //! divisor `2^k` is never zero, so division guarding does not matter).
 
-use super::as_const;
-use crate::netlist::{CombOp, Driver, Module, Net, NetId};
+use super::{as_const, comb, rebuild};
+use crate::netlist::{CombOp, Driver, Module, NetId};
 use bits::ApInt;
 
 /// `Some(k)` if `c` is exactly `2^k` with `k > 0`.
@@ -38,7 +38,7 @@ fn pow2_exponent(c: &ApInt) -> Option<u32> {
     k.filter(|&k| k > 0)
 }
 
-/// A reducible net: (index, op, value operand, exponent).
+/// A reducible net's op, value operand, and exponent.
 fn reducible(m: &Module, i: usize) -> Option<(CombOp, NetId, u32)> {
     let Driver::Comb { op, args, .. } = &m.nets[i].driver else {
         return None;
@@ -64,85 +64,39 @@ fn reducible(m: &Module, i: usize) -> Option<(CombOp, NetId, u32)> {
     }
 }
 
-pub(super) fn run(m: &Module) -> Option<(Module, u64)> {
-    if !(0..m.nets.len()).any(|i| reducible(m, i).is_some()) {
-        return None;
+pub(super) fn run(m: &mut Module) -> u64 {
+    let plan: Vec<(usize, (CombOp, NetId, u32))> = (0..m.nets.len())
+        .filter_map(|i| reducible(m, i).map(|r| (i, r)))
+        .collect();
+    if plan.is_empty() {
+        return 0;
     }
-    let mut out = Module {
-        name: m.name.clone(),
-        ports: m.ports.clone(),
-        nets: Vec::with_capacity(m.nets.len()),
-        outputs: Vec::new(),
-        roms: m.roms.clone(),
-    };
-    // Old net id → new net id; registers may reference forward, so their
-    // operands (and the outputs) are remapped after the emission sweep.
-    let mut map = vec![NetId(0); m.nets.len()];
-    let mut rewrites = 0u64;
-    for (i, net) in m.nets.iter().enumerate() {
-        let name = &net.name;
-        let w = net.width;
-        map[i] = match reducible(m, i) {
-            Some((op, value, k)) => {
-                rewrites += 1;
-                let a = map[value.0];
-                match op {
-                    CombOp::Mul => {
-                        // {a[w-k-1:0], k'b0}
-                        let low = push(&mut out, comb(CombOp::Extract, vec![a], 0), w - k, name);
-                        let zeros = push(&mut out, Driver::Const(ApInt::zero(k)), k, "");
-                        push(&mut out, comb(CombOp::Concat, vec![low, zeros], 0), w, name)
-                    }
-                    CombOp::DivU => {
-                        let high = push(&mut out, comb(CombOp::Extract, vec![a], k), w - k, name);
-                        push(&mut out, comb(CombOp::ZExt, vec![high], 0), w, name)
-                    }
-                    CombOp::RemU => {
-                        let low = push(&mut out, comb(CombOp::Extract, vec![a], 0), k, name);
-                        push(&mut out, comb(CombOp::ZExt, vec![low], 0), w, name)
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            None => {
-                let mut d = net.driver.clone();
-                match &mut d {
-                    Driver::Comb { args, .. } => {
-                        for a in args.iter_mut() {
-                            *a = map[a.0];
-                        }
-                    }
-                    Driver::Rom { index, .. } => *index = map[index.0],
-                    // Forward references: keep old ids, patch below.
-                    Driver::Reg { .. } | Driver::Input { .. } | Driver::Const(_) => {}
-                }
-                push(&mut out, d, w, name)
-            }
+    let mut plan_iter = plan.iter().peekable();
+    rebuild(m, |i, net, out| {
+        let Some(&(_, (op, value, k))) = plan_iter.next_if(|&&(j, _)| j == i) else {
+            return Some(out.keep(net));
         };
-    }
-    for net in &mut out.nets {
-        if let Driver::Reg { next, enable, .. } = &mut net.driver {
-            *next = map[next.0];
-            if let Some(e) = enable {
-                *e = map[e.0];
+        let (w, name) = (net.width, &net.name);
+        let a = out.map(value);
+        Some(match op {
+            CombOp::Mul => {
+                // {a[w-k-1:0], k'b0}
+                let low = out.push(comb(CombOp::Extract, vec![a], 0), w - k, name);
+                let zeros = out.push(Driver::Const(ApInt::zero(k)), k, "");
+                out.push(comb(CombOp::Concat, vec![low, zeros], 0), w, name)
             }
-        }
-    }
-    out.outputs = m.outputs.iter().map(|&(p, n)| (p, map[n.0])).collect();
-    Some((out, rewrites))
-}
-
-fn comb(op: CombOp, args: Vec<NetId>, lo: u32) -> Driver {
-    Driver::Comb { op, args, lo }
-}
-
-fn push(out: &mut Module, driver: Driver, width: u32, name: &str) -> NetId {
-    out.nets.push(Net {
-        driver,
-        width,
-        name: name.to_string(),
+            CombOp::DivU => {
+                let high = out.push(comb(CombOp::Extract, vec![a], k), w - k, name);
+                out.push(comb(CombOp::ZExt, vec![high], 0), w, name)
+            }
+            CombOp::RemU => {
+                let low = out.push(comb(CombOp::Extract, vec![a], 0), k, name);
+                out.push(comb(CombOp::ZExt, vec![low], 0), w, name)
+            }
+            _ => unreachable!(),
+        })
     });
-    NetId(out.nets.len() - 1)
+    plan.len() as u64
 }
 
 #[cfg(test)]
@@ -195,8 +149,8 @@ mod tests {
     fn mul_div_rem_by_pow2_become_wiring() {
         for (op, konst) in [(CombOp::Mul, 8u64), (CombOp::DivU, 4), (CombOp::RemU, 16)] {
             let m = module_with(op, konst);
-            let (reduced, count) = run(&m).unwrap();
-            assert_eq!(count, 1, "{op:?}");
+            let mut reduced = m.clone();
+            assert_eq!(run(&mut reduced), 1, "{op:?}");
             crate::lint::lint_module(&reduced).unwrap();
             assert!(
                 !reduced.nets.iter().any(|n| matches!(
@@ -215,7 +169,9 @@ mod tests {
     fn non_pow2_and_signed_ops_are_left_alone() {
         for (op, konst) in [(CombOp::Mul, 6u64), (CombOp::DivS, 4), (CombOp::RemS, 8)] {
             let m = module_with(op, konst);
-            assert!(run(&m).is_none(), "{op:?} by {konst}");
+            let mut out = m.clone();
+            assert_eq!(run(&mut out), 0, "{op:?} by {konst}");
+            assert_eq!(out, m);
         }
     }
 }

@@ -18,9 +18,18 @@
 //! are counted separately: they are exactly the places where the emitted
 //! SystemVerilog would diverge from what `interp` (and the golden model
 //! upstream of it) promised.
+//!
+//! What it does not do:
+//!
+//! - **Read the printed text.** It evaluates the netlist as
+//!   [`crate::verilog`] would print it; only `longnail/tests/xcheck.rs`
+//!   checks the emitted text for its guards.
+//! - **Model time.** There is no timing, no delta cycle and no Z.
+//! - **Invent X.** X enters only through undriven inputs, registers not
+//!   yet [`Xsim::reset`], and the operator rules above.
 
 use crate::interp::{outputs_by_name, two_state_ports, Simulator};
-use crate::netlist::{CombOp, Driver, Module};
+use crate::netlist::{CombOp, Driver, Module, RomData};
 use bits::ApInt;
 use std::collections::HashMap;
 use std::fmt;
@@ -228,22 +237,7 @@ impl Xsim {
                 Driver::Input { port } => inputs[*port].clone(),
                 Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
                 Driver::Rom { rom, index } => {
-                    let table = &self.module.roms[*rom];
-                    // The emitter guards out-of-range-capable reads, so a
-                    // known index always yields a known word (zero when
-                    // past the end or the ROM is empty).
-                    match self.values[index.0].as_known() {
-                        Some(idx) => {
-                            let word = idx
-                                .try_to_u64()
-                                .and_then(|v| usize::try_from(v).ok())
-                                .and_then(|k| table.contents.get(k))
-                                .cloned()
-                                .unwrap_or_else(|| ApInt::zero(table.width));
-                            XVal::known(word)
-                        }
-                        None => XVal::all_x(width),
-                    }
+                    eval_rom(&self.module.roms[*rom], &self.values[index.0])
                 }
                 Driver::Comb { op, args, lo } => {
                     let a = |k: usize| &self.values[args[k].0];
@@ -320,6 +314,17 @@ fn four_state_ports(module: &Module, inputs: &HashMap<String, XVal>) -> Vec<XVal
             None => XVal::all_x(p.width),
         })
         .collect()
+}
+
+/// Reads `table` at a four-state `index`. The emitter guards
+/// out-of-range-capable reads, so a known index always yields a known word
+/// (zero when past the end or the ROM is empty); an index with any X bit
+/// reads all-X. Also used by the optimizer's abstract known-bits analysis.
+pub(crate) fn eval_rom(table: &RomData, index: &XVal) -> XVal {
+    match index.as_known() {
+        Some(idx) => XVal::known(table.read(idx)),
+        None => XVal::all_x(table.width),
+    }
 }
 
 /// Evaluates one combinational operator under IEEE-1800 semantics of the

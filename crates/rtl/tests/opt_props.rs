@@ -10,6 +10,8 @@
 //! 2. stay lockstep-equal to the input module over 32 cycles of
 //!    differential simulation, including the four-state cycles where
 //!    `verify_equivalent` knocks input bits to X.
+//!
+//! A pass that reports no rewrite must also return its input unchanged.
 
 use bits::ApInt;
 use proptest::prelude::*;
@@ -343,6 +345,30 @@ fn random_module(seed: u64) -> Module {
         m.connect_output(port, id);
     }
 
+    // Half the registers sample a later net of their width instead, and a
+    // later 1-bit enable where there is one: lint allows the forward
+    // reference, and every pass that renumbers nets must follow it.
+    for r in 0..m.nets.len() {
+        if !matches!(m.nets[r].driver, Driver::Reg { .. }) || g.next() & 1 == 0 {
+            continue;
+        }
+        let later = |w: u32| -> Vec<NetId> {
+            (r + 1..m.nets.len())
+                .filter(|&j| m.nets[j].width == w)
+                .map(NetId)
+                .collect()
+        };
+        let (nexts, enables) = (later(m.nets[r].width), later(1));
+        if let Driver::Reg { next, enable, .. } = &mut m.nets[r].driver {
+            if !nexts.is_empty() {
+                *next = nexts[g.below(nexts.len() as u64) as usize];
+            }
+            if let (Some(e), false) = (enable, enables.is_empty()) {
+                *e = enables[g.below(enables.len() as u64) as usize];
+            }
+        }
+    }
+
     lint_module(&m).expect("random_module produced an invalid netlist");
     m
 }
@@ -382,6 +408,33 @@ proptest! {
             if let Err(e) = verify_equivalent(&m, &out, &EmitOptions, 32) {
                 return Err(TestCaseError::fail(
                     format!("seed {seed}: pass {} diverged: {e}", pass.name())));
+            }
+        }
+    }
+
+    /// A pass that reports no rewrite returns its input unchanged, so the
+    /// pass manager lints only the output of a pass that rewrote
+    /// something. Most passes rewrite a raw netlist, so each also runs on
+    /// the -O2 fixpoint, where most report none.
+    #[test]
+    fn a_pass_without_rewrites_returns_its_input(seed: u64) {
+        let raw = random_module(seed);
+        let fixpoint = match optimize(&raw, OptLevel::O2) {
+            Ok((m, _)) => m,
+            Err(e) => return Err(TestCaseError::fail(format!("seed {seed}: -O2 failed: {e}"))),
+        };
+        for m in [&raw, &fixpoint] {
+            for pass in Pass::ALL {
+                let (out, rewrites) = match run_pass(m, pass, &EmitOptions) {
+                    Ok(r) => r,
+                    Err(e) => return Err(TestCaseError::fail(
+                        format!("seed {seed}: pass {} failed: {e}", pass.name()))),
+                };
+                prop_assert!(
+                    rewrites > 0 || out == *m,
+                    "seed {seed}: pass {} reported no rewrite but changed the module",
+                    pass.name()
+                );
             }
         }
     }

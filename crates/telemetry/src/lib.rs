@@ -181,7 +181,7 @@ pub fn is_nondeterministic(name: &str) -> bool {
 /// opens exactly one span with each of these names per compilation (the
 /// per-unit stages appear once per instruction/always-block, nested in
 /// that unit's `unit` span) — except `opt`, which only exists at
-/// `--opt-level` 1 and above.
+/// `--opt-level` 2.
 pub const STAGES: [&str; 9] = [
     "frontend", "lower", "problem", "solve", "modes", "rtl", "opt", "verilog", "config",
 ];
