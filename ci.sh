@@ -308,22 +308,25 @@ echo "== bench gate: deterministic work counters vs BENCH_baseline.json"
 #   cp BENCH_compile.json BENCH_baseline.json
 cargo run -q --release -p bench -- --check BENCH_baseline.json
 
-echo "== gate: -O2 strictly reduces the modeled matrix area vs -O0"
+echo "== gate: -O2 cuts the modeled matrix area by at least 25% vs -O0"
 # The bench's opt section records the 22nm-model area of the full matrix
-# unoptimized and at -O2; the optimizer earning its keep is gate-worthy
-# (the bench itself asserts the strict inequality at full precision —
-# this re-checks the recorded values at integer-um2 resolution).
+# unoptimized and at -O2, and the reduction between them. -O2 drops the
+# register bits that never change from reset and narrows what carries
+# them (27.08% of the matrix area); the bench itself asserts the strict
+# inequality at full precision, and this re-checks the recorded
+# reduction at whole-percent resolution.
 area_o0=$(sed -n 's/^[[:space:]]*"area_o0_um2": \([0-9][0-9]*\)\..*/\1/p' BENCH_compile.json | head -1)
 area_o2=$(sed -n 's/^[[:space:]]*"area_o2_um2": \([0-9][0-9]*\)\..*/\1/p' BENCH_compile.json | head -1)
-if [ -z "$area_o0" ] || [ -z "$area_o2" ]; then
+reduction=$(sed -n 's/^[[:space:]]*"area_reduction_pct": \(-\{0,1\}[0-9][0-9]*\)\..*/\1/p' BENCH_compile.json | head -1)
+if [ -z "$area_o0" ] || [ -z "$area_o2" ] || [ -z "$reduction" ]; then
     echo "error: opt area figures missing from BENCH_compile.json" >&2
     exit 1
 fi
-if [ "$area_o2" -gt "$area_o0" ]; then
-    echo "error: -O2 matrix area ${area_o2} um2 exceeds -O0 area ${area_o0} um2" >&2
+if [ "$reduction" -lt 25 ]; then
+    echo "error: -O2 matrix area ${area_o2} um2 is only ${reduction}% below the -O0 area ${area_o0} um2 (gate: 25%)" >&2
     exit 1
 fi
-echo "matrix area: ${area_o0} um2 at -O0, ${area_o2} um2 at -O2"
+echo "matrix area: ${area_o0} um2 at -O0, ${area_o2} um2 at -O2 (${reduction}% lower)"
 
 echo "== gate: solver.pivots stays under the 2761 ceiling"
 # A coarse guard on solver work next to the bench gate's exact counters.

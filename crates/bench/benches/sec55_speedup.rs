@@ -7,6 +7,7 @@
 //! and prints the comparison.
 
 use bench::extended_core;
+use longnail::OptLevel;
 
 fn baseline_program(n: u32, base: u32) -> String {
     format!(
@@ -86,7 +87,7 @@ fn main() {
         speedup,
         (speedup - 1.0) * 100.0
     );
-    let report = bench::table4_cell("VexRiscv", &["autoinc", "zol"], true);
+    let report = bench::table4_cell("VexRiscv", &["autoinc", "zol"], true, OptLevel::O0);
     println!(
         "  area for the combination on VexRiscv: +{:.0} % (paper: ~16 %)",
         report.area_overhead_pct()

@@ -11,6 +11,7 @@
 use bench::compile_isaxes;
 use eda::report::IsaxInput;
 use eda::{evaluate_integration, CoreAsicProfile, TechLibrary};
+use longnail::OptLevel;
 use scaiev::integrate::size_interface_logic;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         "core", "variant", "isax µm²", "area ovh", "fmax Δ"
     );
     for core in ["ORCA", "Piccolo"] {
-        let compiled = compile_isaxes(core, &["sqrt_tightly"]);
+        let compiled = compile_isaxes(core, &["sqrt_tightly"], OptLevel::O0);
         let profile = CoreAsicProfile::for_core(core).unwrap();
         let ds = longnail::driver::builtin_datasheet(core).unwrap();
         let iface = size_interface_logic(

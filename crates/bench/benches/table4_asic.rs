@@ -1,5 +1,7 @@
 //! Regenerates Table 4: ASIC area and frequency overheads of each ISAX
-//! integrated into each of the four base cores.
+//! integrated into each of the four base cores, once for the netlists as
+//! built (-O0) and once after the netlist optimizer (-O2), which stands in
+//! for the clean-up the paper's commercial synthesis flow applies.
 //!
 //! Absolute numbers come from this reproduction's 22 nm-class cost model,
 //! not the paper's commercial flow; compare *shapes* (which ISAXes are
@@ -8,10 +10,19 @@
 use bench::{fmt_pct, table4_cell, table4_rows};
 use eda::CoreAsicProfile;
 use longnail::driver::EVAL_CORES;
+use longnail::OptLevel;
 
 fn main() {
     println!("Table 4: ASIC results for area and frequency overheads of ISAX");
-    println!("when integrated into base cores (reproduction model)\n");
+    println!("when integrated into base cores (reproduction model)");
+    for level in [OptLevel::O0, OptLevel::O2] {
+        print_table(level);
+    }
+    println!("\n(area overhead % / fmax delta % relative to the base core)");
+}
+
+fn print_table(level: OptLevel) {
+    println!("\nnetlists at -O{}:", level.level());
     print!("{:<32}", "");
     for core in EVAL_CORES {
         print!("{:>22}", core);
@@ -29,7 +40,7 @@ fn main() {
     for (label, isaxes, hazard) in table4_rows() {
         print!("{label:<32}");
         for core in EVAL_CORES {
-            let report = table4_cell(core, &isaxes, hazard);
+            let report = table4_cell(core, &isaxes, hazard, level);
             print!(
                 "{:>22}",
                 format!(
@@ -41,5 +52,4 @@ fn main() {
         }
         println!();
     }
-    println!("\n(area overhead % / fmax delta % relative to the base core)");
 }

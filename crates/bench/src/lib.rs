@@ -10,18 +10,18 @@ use eda::report::IsaxInput;
 use eda::{evaluate_integration, AsicReport, CoreAsicProfile, TechLibrary};
 use longnail::driver::{builtin_datasheet, CompiledIsax};
 use longnail::isax_lib;
-use longnail::Longnail;
+use longnail::{Longnail, OptLevel};
 use riscv::asm::Assembler;
 use scaiev::integrate::size_interface_logic;
 use scaiev::modes::ExecutionMode;
 
-/// Compiles the named Table 3 ISAXes for `core`.
+/// Compiles the named Table 3 ISAXes for `core` at `level`.
 ///
 /// # Panics
 ///
 /// Panics on any flow error (benches want loud failures).
-pub fn compile_isaxes(core: &str, names: &[&str]) -> Vec<CompiledIsax> {
-    let ln = Longnail::new();
+pub fn compile_isaxes(core: &str, names: &[&str], level: OptLevel) -> Vec<CompiledIsax> {
+    let ln = Longnail::new().with_opt_level(level);
     let ds = builtin_datasheet(core).expect("known core");
     names
         .iter()
@@ -33,14 +33,14 @@ pub fn compile_isaxes(core: &str, names: &[&str]) -> Vec<CompiledIsax> {
         .collect()
 }
 
-/// Builds an [`ExtendedCore`] with the named ISAXes and an assembler with
-/// their mnemonics registered.
+/// Builds an [`ExtendedCore`] with the named ISAXes (compiled at -O0) and
+/// an assembler with their mnemonics registered.
 ///
 /// # Panics
 ///
 /// Panics on any flow error.
 pub fn extended_core(core: &str, names: &[&str]) -> (ExtendedCore, Assembler) {
-    let compiled = compile_isaxes(core, names);
+    let compiled = compile_isaxes(core, names, OptLevel::O0);
     let mut asm = Assembler::new();
     for isax in &compiled {
         isax_lib::register_mnemonics(&mut asm, &isax.module).expect("mnemonics");
@@ -50,13 +50,18 @@ pub fn extended_core(core: &str, names: &[&str]) -> (ExtendedCore, Assembler) {
 }
 
 /// Computes a Table 4 cell: the ASIC report for integrating the named
-/// ISAXes into `core`.
+/// ISAXes, compiled at `level`, into `core`.
 ///
 /// # Panics
 ///
 /// Panics on any flow error.
-pub fn table4_cell(core: &str, names: &[&str], hazard_handling: bool) -> AsicReport {
-    let compiled = compile_isaxes(core, names);
+pub fn table4_cell(
+    core: &str,
+    names: &[&str],
+    hazard_handling: bool,
+    level: OptLevel,
+) -> AsicReport {
+    let compiled = compile_isaxes(core, names, level);
     let lib = TechLibrary::new();
     let profile = CoreAsicProfile::for_core(core).expect("known core");
     let ds = builtin_datasheet(core).expect("known core");

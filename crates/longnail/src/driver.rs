@@ -286,13 +286,17 @@ impl Longnail {
 
     /// The canonical fingerprint of every configuration knob that shapes
     /// emitted artifacts but is *not* part of the datasheet, chaining
-    /// budget, or work limit: the optimization level. Folded into
+    /// budget, or work limit: the optimization level, and above -O0 the
+    /// optimizer's [`rtl::opt::REVISION`]. Folded into
     /// [`pipeline::core_config_key`] (so every backend key tracks it) and
     /// into the on-disk [`pipeline::schema_fingerprint`] — a `-O0`
     /// artifact can never be served to a `-O2` run from a shared cache
-    /// directory.
+    /// directory, nor an earlier optimizer's netlist to this one.
     pub fn config_fingerprint(&self) -> String {
-        format!("opt={}", self.opt_level.level())
+        match self.opt_level {
+            OptLevel::O0 => "opt=0".to_string(),
+            level => format!("opt={} rev={}", level.level(), rtl::opt::REVISION),
+        }
     }
 
     /// A sibling compiler configured like `self` but at `level` — used by

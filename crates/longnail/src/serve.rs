@@ -223,9 +223,9 @@ pub struct Job {
     pub core: String,
     /// Inline CoreDSL source text.
     pub src: Option<String>,
-    /// Per-job optimization level override (0 or 2). Jobs without
-    /// one compile at the daemon's `--opt-level`.
-    pub opt_level: Option<u8>,
+    /// Per-job optimization level override (`"0"` or `"2"`). Jobs
+    /// without one compile at the daemon's `--opt-level`.
+    pub opt_level: Option<OptLevel>,
 }
 
 /// Parses one job line: a flat JSON object with string values. The
@@ -242,10 +242,14 @@ pub fn parse_job(line: &str) -> Result<Job, String> {
             "unit" => job.unit = Some(v.into_owned()),
             "core" => job.core = v.into_owned(),
             "src" => job.src = Some(v.into_owned()),
-            "opt_level" => match &*v {
-                "0" | "2" => job.opt_level = Some(v.as_bytes()[0] - b'0'),
-                other => return Err(format!("opt_level `{other}` is not 0 or 2")),
-            },
+            "opt_level" => {
+                let level = match *v.as_bytes() {
+                    [digit] => OptLevel::from_level(digit.wrapping_sub(b'0')),
+                    _ => None,
+                };
+                let level = level.ok_or_else(|| format!("opt_level `{v}` is not 0 or 2"))?;
+                job.opt_level = Some(level);
+            }
             other => return Err(format!("unknown job field `{other}`")),
         }
     }
@@ -480,11 +484,11 @@ pub fn run_serve(
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .collect();
-    let base = ln.opt_level.level();
+    let base = ln.opt_level;
     let mut results: Vec<Option<JobResult>> = vec![None; lines.len()];
     // Resolved jobs by opt level: each one's `(result slot, id)` beside the
     // cell it compiles.
-    let mut batches: BTreeMap<u8, (Vec<_>, Vec<_>)> = BTreeMap::new();
+    let mut batches: BTreeMap<OptLevel, (Vec<_>, Vec<_>)> = BTreeMap::new();
     for (i, line) in lines.iter().enumerate() {
         let mut job = match parse_job(line) {
             Ok(j) => j,
@@ -515,8 +519,7 @@ pub fn run_serve(
         let lnl = if level == base {
             ln
         } else {
-            let opt = OptLevel::from_level(level).expect("parse_job validated the level");
-            sibling = ln.with_opt_level(opt);
+            sibling = ln.with_opt_level(level);
             &sibling
         };
         let run = run_cells(lnl, pipe, &cells, jobs);
@@ -630,10 +633,10 @@ mod tests {
     fn parses_and_validates_the_opt_level_field() {
         let j = parse_job(r#"{"id": "a", "isax": "dotprod", "core": "ORCA", "opt_level": "2"}"#)
             .unwrap();
-        assert_eq!(j.opt_level, Some(2));
+        assert_eq!(j.opt_level, Some(OptLevel::O2));
         let j = parse_job(r#"{"id": "a", "isax": "dotprod", "core": "ORCA"}"#).unwrap();
         assert_eq!(j.opt_level, None);
-        for level in ["1", "3"] {
+        for level in ["1", "3", "00", "+2", "２", ""] {
             let line =
                 format!(r#"{{"id": "a", "isax": "dotprod", "core": "ORCA", "opt_level": "{level}"}}"#);
             assert_eq!(

@@ -405,3 +405,58 @@ fn opt_level_is_part_of_the_cell_cache_key() {
     assert_eq!(b2, longnail::serve::cell_bundle(&c2), "-O2 bytes");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A cache directory written by an -O2 compiler from before the optimizer
+/// narrowed registers holds wider netlists under the config `opt=2`. The
+/// optimizer's revision is part of the -O2 fingerprint, so this compiler
+/// misses such a bundle, by key and by schema, while -O0 keeps `opt=0` and
+/// with it every -O0 cache directory.
+#[test]
+fn an_earlier_optimizers_o2_bundle_is_a_miss() {
+    let root = tmp_root("optrev");
+    assert_eq!(Longnail::new().config_fingerprint(), "opt=0");
+    let ln2 = Longnail::new().with_opt_level(longnail::OptLevel::O2);
+    let (name, unit, src) = isax_lib::all_isaxes()
+        .into_iter()
+        .find(|(n, _, _)| n == "dotprod")
+        .unwrap();
+    let cell = MatrixCell {
+        isax: name,
+        unit,
+        src,
+        datasheet: builtin_datasheet("ORCA").unwrap(),
+    };
+    let key = |config: &str| {
+        longnail::cell_key(
+            &cell.unit,
+            &cell.src,
+            &cell.datasheet,
+            ln2.chain_depth,
+            ln2.work_limit,
+            config,
+        )
+    };
+    // What the earlier compiler stored: an -O2 bundle under `opt=2`.
+    let old = PipelineCache::with_disk(&root, "opt=2").unwrap();
+    let compiled = ln2
+        .compile_cell(&cell.src, &cell.unit, &cell.datasheet, &old)
+        .unwrap();
+    let bundle = longnail::serve::cell_bundle(&compiled).to_bytes();
+    let old_disk = old.disk().unwrap();
+    old_disk.store("cell", &key("opt=2"), &bundle).unwrap();
+    assert!(old_disk.load("cell", &key("opt=2")).is_some());
+
+    let new = PipelineCache::with_disk(&root, &ln2.config_fingerprint()).unwrap();
+    let disk = new.disk().unwrap();
+    assert!(
+        probe_cell(disk, &ln2, &cell).is_none(),
+        "an earlier optimizer's bundle was served"
+    );
+    assert_eq!(disk.stage_stats("cell").misses, 1);
+    // Moved under the new key, the entry still carries the old schema.
+    let path = |config: &str| root.join("cell").join(format!("{}.bin", key(config).to_hex()));
+    std::fs::copy(path("opt=2"), path(&ln2.config_fingerprint())).unwrap();
+    assert!(probe_cell(disk, &ln2, &cell).is_none(), "stale schema trusted");
+    assert_eq!(disk.stage_stats("cell").invalid, 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}

@@ -13,6 +13,7 @@ use longnail::serve::{parse_job, Job};
 /// `opt_level` arm, which accepts the optimizer's levels.
 mod reference {
     use super::Job;
+    use longnail::OptLevel;
 
     /// Parses one job line: a flat JSON object with string values. The
     /// hand-rolled parser accepts exactly the subset the protocol emits —
@@ -29,7 +30,8 @@ mod reference {
                 "core" => job.core = v,
                 "src" => job.src = Some(v),
                 "opt_level" => match v.as_str() {
-                    "0" | "2" => job.opt_level = Some(v.as_bytes()[0] - b'0'),
+                    "0" => job.opt_level = Some(OptLevel::O0),
+                    "2" => job.opt_level = Some(OptLevel::O2),
                     other => return Err(format!("opt_level `{other}` is not 0 or 2")),
                 },
                 other => return Err(format!("unknown job field `{other}`")),

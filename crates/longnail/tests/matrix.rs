@@ -1,10 +1,16 @@
 //! Parallel compile-matrix integration tests: the shared stage store
 //! must not change any observable output, and the worker count must not
 //! change anything at all — Verilog, YAML configs, diagnostics, and
-//! stripped traces are byte-identical for every `jobs` value.
+//! stripped traces are byte-identical for every `jobs` value. At -O2 every
+//! unit of the full matrix keeps its registers reading backward and
+//! matches its -O0 netlist from reset.
 
 use longnail::driver::{builtin_datasheet, eval_datasheets};
-use longnail::{isax_lib, matrix_cells, Longnail, PipelineCache};
+use longnail::{isax_lib, matrix_cells, Longnail, OptLevel, PipelineCache};
+use rtl::opt::verify_equivalent;
+use rtl::verilog::EmitOptions;
+use rtl::Driver;
+use telemetry::metrics;
 
 /// A small but representative slice of the Table 3 matrix: a plain
 /// instruction, an always-block ISAX with custom registers, and the
@@ -125,4 +131,38 @@ fn matrix_lookup_finds_cells_by_name() {
     let compiled = cell.outcome.as_ref().unwrap();
     assert_eq!(compiled.core, "PicoRV32");
     assert!(matrix.entry("zol", "ORCA").is_none());
+}
+
+/// -O2 over the full matrix: no optimized unit has a register that reads
+/// forward, so `narrow` evaluates each unit in one sweep, and every unit
+/// matches its -O0 netlist from reset for 64 cycles without an opt
+/// fallback.
+#[test]
+fn o2_matrix_registers_read_backward_and_match_o0_from_reset() {
+    let cells = matrix_cells(&isax_lib::all_isaxes(), &eval_datasheets());
+    let o0 = Longnail::new().compile_cells(&cells, 2, &PipelineCache::new());
+    let o2 = Longnail::new()
+        .with_opt_level(OptLevel::O2)
+        .compile_cells(&cells, 2, &PipelineCache::new());
+    let mut units = 0;
+    for ((entry, plain), (_, opt)) in o0.compiled().zip(o2.compiled()) {
+        let cell = format!("{}×{}", entry.isax, entry.core);
+        assert_eq!(opt.trace.counter_total(metrics::OPT_FALLBACK), 0, "{cell}");
+        assert_eq!(plain.graphs.len(), opt.graphs.len(), "{cell}");
+        for (g0, g2) in plain.graphs.iter().zip(&opt.graphs) {
+            let unit = format!("{cell} {}", g2.name);
+            for (i, net) in g2.built.module.nets.iter().enumerate() {
+                if let Driver::Reg { next, enable, .. } = &net.driver {
+                    assert!(
+                        next.0 < i && enable.is_none_or(|e| e.0 < i),
+                        "{unit}: register {i} reads forward"
+                    );
+                }
+            }
+            verify_equivalent(&g0.built.module, &g2.built.module, &EmitOptions, 64)
+                .unwrap_or_else(|e| panic!("{unit}: {e}"));
+            units += 1;
+        }
+    }
+    assert_eq!(units, 72);
 }

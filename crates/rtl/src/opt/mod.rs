@@ -13,14 +13,20 @@
 //! * [`strength`] — strength reduction of `Mul`/`DivU`/`RemU` by powers of
 //!   two into free-wiring shifts, masks, and extracts,
 //! * [`narrow`] — bitwidth narrowing driven by the value/known planes of
-//!   [`crate::xsim`]: an abstract evaluation with all-X inputs/registers
-//!   proves upper bits dead, ops are re-emitted at their live width and
-//!   users patched with `ZExt`.
+//!   [`crate::xsim`]: an abstract evaluation from reset, with all-X inputs
+//!   and each register at its `init` joined with its `next` until nothing
+//!   changes (one sweep unless a register reads forward), proves upper
+//!   bits dead. Ops and muxes are re-emitted at their live width and users
+//!   patched with `ZExt`; a register that never leaves its `init` becomes
+//!   a constant, and one whose top bits stay zero a narrower register
+//!   behind a `ZExt`.
 //!
 //! Every pass preserves the two-valued [`crate::interp`] semantics of the
-//! output ports exactly, and may only *refine* the four-state
-//! [`crate::xsim`] semantics (an X bit may become known, a known bit never
-//! changes value or becomes X). The pass manager lints its input once and
+//! output ports exactly on every run that starts from reset, and may only
+//! *refine* the four-state [`crate::xsim`] semantics there (an X bit may
+//! become known, a known bit never changes value or becomes X; before
+//! reset, a narrowed register's top bits read 0 where the original's read
+//! X). The pass manager lints its input once and
 //! the output of every pass that rewrote something with [`lint_module`]
 //! (a pass that reports no rewrite leaves the netlist unchanged), so each
 //! pass sees a netlist whose combinational operands precede their users
@@ -40,6 +46,10 @@
 //!   another or with the structural rules; nothing here evaluates the
 //!   instruction's CoreDSL semantics. An unoptimized netlist that computes
 //!   the wrong value yields an optimized one that agrees with it.
+//! - **Preserve behaviour from an arbitrary register state.** `narrow`
+//!   reasons about the states reachable from reset, so a register forced
+//!   to a value it never holds after reset may make the optimized module
+//!   behave differently.
 
 use crate::interp::Simulator;
 use crate::lint::lint_module;
@@ -82,6 +92,12 @@ impl OptLevel {
         }
     }
 }
+
+/// The optimizer's revision. It changes whenever -O2 can emit a different
+/// netlist for the same input, so that caches keyed on the level alone
+/// never serve an earlier optimizer's output. Revision 2 narrows registers
+/// and muxes.
+pub const REVISION: u32 = 2;
 
 /// What the optimizer did: per-pass rewrite counters (deterministic — the
 /// bench and CI compare them against checked-in expectations) and net
@@ -311,6 +327,11 @@ pub(crate) fn as_const(m: &Module, id: NetId) -> Option<&ApInt> {
 pub(crate) struct Rebuilt {
     nets: Vec<Net>,
     map: Vec<NetId>,
+    /// New ids of the registers [`Rebuilt::keep`] placed, whose `next` and
+    /// `enable` are still old ids.
+    kept_regs: Vec<usize>,
+    /// Nets [`Rebuilt::append`] queued behind the last old net.
+    tail: Vec<Net>,
 }
 
 impl Rebuilt {
@@ -319,8 +340,13 @@ impl Rebuilt {
         self.map[id.0]
     }
 
-    /// Appends a net. Its combinational operands are new ids; a register's
-    /// `next` and `enable` are old ids, remapped once every net is placed.
+    /// The placed net with new id `id`.
+    pub(crate) fn net(&self, id: NetId) -> &Net {
+        &self.nets[id.0]
+    }
+
+    /// Appends a net whose operands, a register's `next` and `enable`
+    /// included, are new ids.
     pub(crate) fn push(&mut self, driver: Driver, width: u32, name: &str) -> NetId {
         self.nets.push(Net {
             driver,
@@ -331,22 +357,39 @@ impl Rebuilt {
     }
 
     /// Moves old net `net` across, reading its combinational operands
-    /// through the map.
+    /// through the map. A register's `next` and `enable` stay old ids,
+    /// remapped once every net is placed.
     pub(crate) fn keep(&mut self, mut net: Net) -> NetId {
         for a in net.driver.comb_operands_mut() {
             *a = self.map[a.0];
         }
+        if matches!(net.driver, Driver::Reg { .. }) {
+            self.kept_regs.push(self.nets.len());
+        }
         self.nets.push(net);
         NetId(self.nets.len() - 1)
+    }
+
+    /// Queues a net to be placed after the last old net. Its operands are
+    /// old ids, and so is the id it returns: one past every old net, which
+    /// a register moved by [`Rebuilt::keep`] may read.
+    pub(crate) fn append(&mut self, driver: Driver, width: u32, name: &str) -> NetId {
+        self.tail.push(Net {
+            driver,
+            width,
+            name: name.to_string(),
+        });
+        NetId(self.map.len() + self.tail.len() - 1)
     }
 }
 
 /// Rebuilds `m`'s nets in one forward sweep. `emit` receives each old net
 /// by value with its index and places it: it moves the net across with
-/// [`Rebuilt::keep`], expands it into new nets with [`Rebuilt::push`], or
-/// drops it. It returns the new net that stands for the old one, or `None`
-/// for a dropped net, which nothing kept may read. Registers may read
-/// forward, so their `next`/`enable` and the outputs are remapped once at
+/// [`Rebuilt::keep`], expands it into new nets with [`Rebuilt::push`] (and
+/// [`Rebuilt::append`]), or drops it. It returns the new net that stands
+/// for the old one, or `None` for a dropped net, which nothing kept may
+/// read. Registers may read forward, so the appended nets, the `next` and
+/// `enable` of every kept register and the outputs are remapped once at
 /// the end.
 pub(crate) fn rebuild(
     m: &mut Module,
@@ -357,18 +400,31 @@ pub(crate) fn rebuild(
         nets: Vec::with_capacity(old.len()),
         // A dropped net maps past the end, so a read of it fails lint.
         map: vec![NetId(usize::MAX); old.len()],
+        kept_regs: Vec::new(),
+        tail: Vec::new(),
     };
     for (i, net) in old.into_iter().enumerate() {
         if let Some(id) = emit(i, net, &mut out) {
             out.map[i] = id;
         }
     }
-    let Rebuilt { mut nets, map } = out;
-    let regs = nets
-        .iter_mut()
-        .filter(|n| matches!(n.driver, Driver::Reg { .. }));
-    for a in regs.flat_map(|n| n.driver.operands_mut()) {
-        *a = map[a.0];
+    let Rebuilt {
+        mut nets,
+        mut map,
+        kept_regs,
+        tail,
+    } = out;
+    for mut net in tail {
+        for a in net.driver.operands_mut() {
+            *a = map[a.0];
+        }
+        map.push(NetId(nets.len()));
+        nets.push(net);
+    }
+    for r in kept_regs {
+        for a in nets[r].driver.operands_mut() {
+            *a = map[a.0];
+        }
     }
     m.nets = nets;
     for (_, net) in &mut m.outputs {

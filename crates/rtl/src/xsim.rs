@@ -330,9 +330,11 @@ pub(crate) fn eval_rom(table: &RomData, index: &XVal) -> XVal {
 /// Evaluates one combinational operator under IEEE-1800 semantics of the
 /// expression the emitter produces for it. Also used by the optimizer's
 /// abstract known-bits analysis (`crate::opt`), which evaluates the fabric
-/// once with all-X inputs/registers: any bit that comes out known there is
-/// known (with the same value) under every concrete stimulus, because each
-/// operator here is monotone under refinement of its inputs.
+/// from reset with all-X inputs and each register holding its `init`
+/// joined with every value of its `next`: any bit that comes out known
+/// there is known (with the same value) in every cycle of every run from
+/// reset, under every concrete stimulus, because each operator here is
+/// monotone under refinement of its inputs.
 pub(crate) fn eval_comb<'a>(
     op: CombOp,
     a: impl Fn(usize) -> &'a XVal,

@@ -319,13 +319,30 @@ fn random_module(seed: u64) -> Module {
                 (id, reps * w)
             }
             14 => {
-                let (next, w) = pool.any(&mut g);
+                let (mut next, mut w) = pool.any(&mut g);
                 let enable = if g.next() & 1 == 0 {
                     Some(pool.of_width(&mut m, &mut g, 1))
                 } else {
                     None
                 };
-                let init = g.apint(w);
+                let mut init = g.apint(w);
+                // A quarter of the registers hold a value whose top half
+                // stays zero from reset, which -O2 narrows: twice the
+                // width of their source, `ZExt`ed, and an `init` that
+                // fits in the bottom half.
+                if g.below(4) == 0 {
+                    init = init.zext(2 * w);
+                    w *= 2;
+                    next = m.add_net(
+                        Driver::Comb {
+                            op: CombOp::ZExt,
+                            args: vec![next],
+                            lo: 0,
+                        },
+                        w,
+                        &format!("n{k}_wide"),
+                    );
+                }
                 let id = m.add_net(Driver::Reg { next, enable, init }, w, &format!("n{k}"));
                 (id, w)
             }
