@@ -119,9 +119,7 @@ pub fn repair_breakers(
     let mut out = Vec::new();
     for (i, op) in problem.operations.iter().enumerate() {
         let ot = &problem.operator_types[op.operator_type.0];
-        if ot.latency != 0
-            || schedule.start_time_in_cycle[i] + ot.outgoing_delay <= budget
-        {
+        if ot.latency != 0 || schedule.start_time_in_cycle[i] + ot.outgoing_delay <= budget {
             continue;
         }
         // Break the in-cycle edge with the largest arrival contribution.
@@ -181,7 +179,9 @@ mod tests {
             ..LongnailProblem::default()
         };
         let add = p.add_operator_type(OperatorType::combinational("add", 1.0));
-        let ops: Vec<_> = (0..5).map(|i| p.add_operation(&format!("a{i}"), add)).collect();
+        let ops: Vec<_> = (0..5)
+            .map(|i| p.add_operation(&format!("a{i}"), add))
+            .collect();
         for w in ops.windows(2) {
             p.add_dependence(w[0], w[1]);
         }
@@ -201,7 +201,9 @@ mod tests {
             ..LongnailProblem::default()
         };
         let op12 = p.add_operator_type(OperatorType::combinational("op", 1.2));
-        let ops: Vec<_> = (0..9).map(|i| p.add_operation(&format!("o{i}"), op12)).collect();
+        let ops: Vec<_> = (0..9)
+            .map(|i| p.add_operation(&format!("o{i}"), op12))
+            .collect();
         for w in ops.windows(2) {
             p.add_dependence(w[0], w[1]);
         }

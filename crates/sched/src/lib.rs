@@ -42,8 +42,8 @@ pub mod stic;
 pub use ilp::{Budget, Exhausted, WorkKind};
 pub use ilp_sched::{schedule_ilp, schedule_ilp_with_budget};
 pub use list_sched::schedule_asap;
-pub use resilient::{schedule_resilient, Degradation, DegradationReason, SchedOutcome};
 pub use problem::{
     Dependence, LongnailProblem, Operation, OperationId, OperatorType, OperatorTypeId, Schedule,
     ScheduleError,
 };
+pub use resilient::{schedule_resilient, Degradation, DegradationReason, SchedOutcome};

@@ -355,8 +355,7 @@ impl LongnailProblem {
             for (i, op) in self.operations.iter().enumerate() {
                 let ot = &self.operator_types[op.operator_type.0];
                 if ot.latency == 0
-                    && schedule.start_time_in_cycle[i] + ot.outgoing_delay
-                        > self.cycle_time + 1e-9
+                    && schedule.start_time_in_cycle[i] + ot.outgoing_delay > self.cycle_time + 1e-9
                 {
                     return Err(ScheduleError::Violation(format!(
                         "chaining: `{}` completes at {:.2} ns, exceeding the cycle time {:.2} ns",

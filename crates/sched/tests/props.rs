@@ -18,21 +18,20 @@ fn random_problem() -> impl Strategy<Value = RandomProblem> {
     (2usize..=14).prop_flat_map(|n| {
         let ops = proptest::collection::vec(
             (
-                0u32..=2,                       // latency
-                0u32..=10,                      // delay in tenths
-                0u32..=3,                       // earliest
+                0u32..=2,                                   // latency
+                0u32..=10,                                  // delay in tenths
+                0u32..=3,                                   // earliest
                 proptest::option::weighted(0.3, 4u32..=20), // latest
             ),
             n,
         );
-        let edges = proptest::collection::vec((0usize..n, 0usize..n), 0..=2 * n).prop_map(
-            move |pairs| {
+        let edges =
+            proptest::collection::vec((0usize..n, 0usize..n), 0..=2 * n).prop_map(move |pairs| {
                 pairs
                     .into_iter()
                     .filter(|(a, b)| a < b) // acyclic by construction
                     .collect::<Vec<_>>()
-            },
-        );
+            });
         (ops, edges, 12u32..=40).prop_map(|(ops, edges, cycle_tenths)| RandomProblem {
             ops,
             edges,
