@@ -144,8 +144,7 @@ impl IsaxConfig {
                             .ok_or("register must be an inline map")?;
                         let mut map = BTreeMap::new();
                         for pair in body.split(',') {
-                            let (k, v) =
-                                pair.split_once(':').ok_or("bad register field")?;
+                            let (k, v) = pair.split_once(':').ok_or("bad register field")?;
                             map.insert(k.trim().to_string(), v.trim().to_string());
                         }
                         config.registers.push(RegisterRequest {

@@ -121,7 +121,9 @@ impl VirtualDatasheet {
             map.insert("earliest".to_string(), t.earliest.to_string());
             map.insert(
                 "latest".to_string(),
-                t.latest.map(|l| l.to_string()).unwrap_or_else(|| "inf".into()),
+                t.latest
+                    .map(|l| l.to_string())
+                    .unwrap_or_else(|| "inf".into()),
             );
             map.insert("latency".to_string(), t.latency.to_string());
             items.push(map);
@@ -174,7 +176,8 @@ impl VirtualDatasheet {
                 .map(|s| s.parse().map_err(|_| "invalid `latency`"))
                 .transpose()?
                 .unwrap_or(0);
-            ds.entries.insert(key, Timing::new(earliest, latest, latency));
+            ds.entries
+                .insert(key, Timing::new(earliest, latest, latency));
         }
         Ok(ds)
     }
@@ -216,14 +219,18 @@ mod tests {
         ds.entries
             .insert("WrCustReg.data".into(), Timing::new(2, None, 0));
         let t = ds
-            .timing(&SubInterfaceOp::RdCustReg { reg: "COUNT".into() })
+            .timing(&SubInterfaceOp::RdCustReg {
+                reg: "COUNT".into(),
+            })
             .unwrap();
         assert_eq!(t.earliest, 2);
         // A per-register override wins.
         ds.entries
             .insert("RdCOUNT".into(), Timing::new(1, Some(4), 0));
         let t = ds
-            .timing(&SubInterfaceOp::RdCustReg { reg: "COUNT".into() })
+            .timing(&SubInterfaceOp::RdCustReg {
+                reg: "COUNT".into(),
+            })
             .unwrap();
         assert_eq!(t.earliest, 1);
     }

@@ -72,11 +72,8 @@ impl Scoreboard {
             return false;
         }
         self.pending.iter().any(|p| {
-            p.rd.map(|prd| {
-                prd != 0
-                    && (rs1 == Some(prd) || rs2 == Some(prd) || rd == Some(prd))
-            })
-            .unwrap_or(false)
+            p.rd.map(|prd| prd != 0 && (rs1 == Some(prd) || rs2 == Some(prd) || rd == Some(prd)))
+                .unwrap_or(false)
         })
     }
 

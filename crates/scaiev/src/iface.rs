@@ -170,9 +170,15 @@ mod tests {
             SubInterfaceOp::WrRD,
             SubInterfaceOp::WrPC,
             SubInterfaceOp::WrMem,
-            SubInterfaceOp::RdCustReg { reg: "COUNT".into() },
-            SubInterfaceOp::WrCustRegAddr { reg: "COUNT".into() },
-            SubInterfaceOp::WrCustRegData { reg: "COUNT".into() },
+            SubInterfaceOp::RdCustReg {
+                reg: "COUNT".into(),
+            },
+            SubInterfaceOp::WrCustRegAddr {
+                reg: "COUNT".into(),
+            },
+            SubInterfaceOp::WrCustRegData {
+                reg: "COUNT".into(),
+            },
             SubInterfaceOp::RdIValid { stage: 3 },
             SubInterfaceOp::WrStall { stage: 2 },
             SubInterfaceOp::WrFlush { stage: 4 },

@@ -68,10 +68,7 @@ pub fn size_interface_logic(
         }
     }
     report.custom_reg_count = reg_widths.len();
-    report.custom_reg_bits = reg_widths
-        .values()
-        .map(|&(w, e)| w as u64 * e)
-        .sum();
+    report.custom_reg_bits = reg_widths.values().map(|&(w, e)| w as u64 * e).sum();
 
     // Write-target fan-in for arbitration muxes.
     let mut fan_in: BTreeMap<String, (usize, u64)> = BTreeMap::new(); // target -> (count, width)
@@ -117,7 +114,10 @@ pub fn size_interface_logic(
                     "WrPC" => ("WrPC".to_string(), 32),
                     "WrMem" => ("WrMem".to_string(), 64), // address + data
                     other => {
-                        if let Some(reg) = other.strip_prefix("Wr").and_then(|r| r.strip_suffix(".data")) {
+                        if let Some(reg) = other
+                            .strip_prefix("Wr")
+                            .and_then(|r| r.strip_suffix(".data"))
+                        {
                             let width = reg_widths.get(reg).map(|&(w, _)| w).unwrap_or(32);
                             (format!("Wr{reg}"), width as u64)
                         } else {

@@ -22,9 +22,9 @@
 pub mod config;
 pub mod datasheet;
 pub mod hazard;
+pub mod iface;
 pub mod integrate;
 pub mod modes;
-pub mod iface;
 pub mod yaml;
 
 pub use config::{IsaxConfig, RegisterRequest, ScheduleEntry};

@@ -88,7 +88,10 @@ mod tests {
     #[test]
     fn in_window_is_in_pipeline() {
         let t = Timing::new(2, None, 0);
-        assert_eq!(select_mode(3, t, 4, false, false), ExecutionMode::InPipeline);
+        assert_eq!(
+            select_mode(3, t, 4, false, false),
+            ExecutionMode::InPipeline
+        );
         assert_eq!(select_mode(4, t, 4, true, false), ExecutionMode::InPipeline);
     }
 

@@ -82,10 +82,7 @@ impl Doc {
                     return err("list item without a preceding list key");
                 };
                 let inner = rest.trim();
-                let Some(body) = inner
-                    .strip_prefix('{')
-                    .and_then(|s| s.strip_suffix('}'))
-                else {
+                let Some(body) = inner.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
                     return err("expected inline map `- {key: value, ...}`");
                 };
                 let mut map = BTreeMap::new();
