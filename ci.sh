@@ -90,8 +90,8 @@ echo "== cargo test --release: allocation counts in the build that ships"
 cargo test --release -p longnail --test layer_allocations --test cycle_allocations
 
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -p eda -p cores -p proptest -- --check"
-    cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -p eda -p cores -p proptest -- --check
+    echo "== cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -p eda -p cores -p proptest -p sched -p scaiev -- --check"
+    cargo fmt -p telemetry -p bits -p ilp -p qcache -p pool -p rand -p rtl -p eda -p cores -p proptest -p sched -p scaiev -- --check
 else
     echo "== rustfmt not installed; skipping format step"
 fi

@@ -26,11 +26,11 @@
 use bits::ApInt;
 use ir::eval::{eval_graph, LilEnv, StateUpdate, UpdateKind};
 use longnail::driver::{CompiledGraph, CompiledIsax};
+use longnail::golden::CustRegs;
 use riscv::decode::DecodedInstr;
 use riscv::iss::{Cpu, IssError, StepOutcome};
 use scaiev::hazard::Scoreboard;
 use scaiev::modes::ExecutionMode;
-use std::collections::HashMap;
 
 use crate::descriptor::{CoreDescriptor, CoreKind};
 
@@ -41,8 +41,7 @@ pub struct ExtendedCore {
     /// Base-ISA architectural state.
     pub cpu: Cpu,
     isaxes: Vec<CompiledIsax>,
-    cust: HashMap<String, HashMap<u64, ApInt>>,
-    widths: HashMap<String, u32>,
+    cust: CustRegs,
     scoreboard: Scoreboard,
     /// In-flight decoupled results: (tag, updates to apply at commit).
     in_flight: Vec<(u64, Vec<StateUpdate>, u32)>,
@@ -56,19 +55,18 @@ pub struct ExtendedCore {
 impl ExtendedCore {
     /// Creates a core with the given ISAXes integrated.
     pub fn new(desc: CoreDescriptor, isaxes: Vec<CompiledIsax>, hazard_handling: bool) -> Self {
-        let mut widths = HashMap::new();
-        for isax in &isaxes {
-            for reg in &isax.lil.custom_regs {
-                widths.insert(reg.name.clone(), reg.width);
-            }
-        }
+        let cust = CustRegs::new(
+            isaxes
+                .iter()
+                .flat_map(|isax| &isax.lil.custom_regs)
+                .map(|reg| (reg.name.clone(), reg.width)),
+        );
         ExtendedCore {
             cycles: desc.startup_cycles,
             desc,
             cpu: Cpu::new(),
             isaxes,
-            cust: HashMap::new(),
-            widths,
+            cust,
             scoreboard: if hazard_handling {
                 Scoreboard::new()
             } else {
@@ -87,11 +85,7 @@ impl ExtendedCore {
 
     /// Reads a custom register.
     pub fn cust_reg(&self, name: &str, index: u64) -> ApInt {
-        self.cust
-            .get(name)
-            .and_then(|m| m.get(&index))
-            .cloned()
-            .unwrap_or_else(|| ApInt::zero(self.widths.get(name).copied().unwrap_or(32)))
+        self.cust.read(name, index)
     }
 
     /// True once the program executed `ebreak`/`ecall`.
@@ -227,8 +221,7 @@ impl ExtendedCore {
         let updates = {
             let mut env = CoreEnv {
                 cpu: &mut self.cpu,
-                cust: &mut self.cust,
-                widths: &self.widths,
+                cust: &self.cust,
                 word,
                 pc,
             };
@@ -300,8 +293,7 @@ impl ExtendedCore {
                 let updates = {
                     let mut env = CoreEnv {
                         cpu: &mut self.cpu,
-                        cust: &mut self.cust,
-                        widths: &self.widths,
+                        cust: &self.cust,
                         word: 0,
                         pc,
                     };
@@ -373,10 +365,7 @@ impl ExtendedCore {
                 }
                 UpdateKind::Cust(name) => {
                     let idx = u.addr.as_ref().map(|a| a.to_u64()).unwrap_or(0);
-                    self.cust
-                        .entry(name.clone())
-                        .or_default()
-                        .insert(idx, u.value.clone());
+                    self.cust.write(name, idx, u.value.clone());
                 }
             }
         }
@@ -464,8 +453,7 @@ fn split_spawn_updates(
 /// Bridges the LIL evaluator onto core state.
 struct CoreEnv<'a> {
     cpu: &'a mut Cpu,
-    cust: &'a mut HashMap<String, HashMap<u64, ApInt>>,
-    widths: &'a HashMap<String, u32>,
+    cust: &'a CustRegs,
     word: u32,
     pc: u32,
 }
@@ -492,10 +480,6 @@ impl<'a> LilEnv for CoreEnv<'a> {
     }
 
     fn read_cust_reg(&mut self, name: &str, index: &ApInt) -> ApInt {
-        self.cust
-            .get(name)
-            .and_then(|m| m.get(&index.to_u64()))
-            .cloned()
-            .unwrap_or_else(|| ApInt::zero(self.widths.get(name).copied().unwrap_or(32)))
+        self.cust.read(name, index.to_u64())
     }
 }

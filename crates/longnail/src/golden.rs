@@ -19,28 +19,62 @@ pub struct GoldenMachine {
     /// The base-ISA CPU (GPRs, PC, memory).
     pub cpu: Cpu,
     isaxes: Vec<TypedModule>,
-    /// Custom-register state: name → index → value.
-    cust: HashMap<String, HashMap<u64, ApInt>>,
+    cust: CustRegs,
+}
+
+/// The custom registers of the integrated ISAXes: every element written so
+/// far, by register name and index. The golden model and the cycle-level
+/// cores (`cores::exec`) keep their state in one, so both read the same
+/// value for an element nothing has written yet.
+#[derive(Debug)]
+pub struct CustRegs {
+    values: HashMap<String, HashMap<u64, ApInt>>,
     /// Declared widths of custom registers.
     widths: HashMap<String, u32>,
+}
+
+impl CustRegs {
+    /// Registers of the declared `(name, width)` pairs, nothing written.
+    pub fn new(widths: impl IntoIterator<Item = (String, u32)>) -> Self {
+        CustRegs {
+            values: HashMap::new(),
+            widths: widths.into_iter().collect(),
+        }
+    }
+
+    /// Element `index` of register `name`. One never written reads zero
+    /// at the register's declared width, or 32 bits if it is undeclared.
+    pub fn read(&self, name: &str, index: u64) -> ApInt {
+        self.values
+            .get(name)
+            .and_then(|m| m.get(&index))
+            .cloned()
+            .unwrap_or_else(|| ApInt::zero(self.widths.get(name).copied().unwrap_or(32)))
+    }
+
+    /// Writes element `index` of register `name`.
+    pub fn write(&mut self, name: &str, index: u64, value: ApInt) {
+        self.values
+            .entry(name.to_string())
+            .or_default()
+            .insert(index, value);
+    }
 }
 
 impl GoldenMachine {
     /// Creates a machine with the given ISAXes integrated.
     pub fn new(isaxes: Vec<TypedModule>) -> Self {
-        let mut widths = HashMap::new();
-        for module in &isaxes {
-            for reg in &module.registers {
-                if reg.builtin.is_none() {
-                    widths.insert(reg.name.clone(), reg.ty.width);
-                }
-            }
-        }
+        let cust = CustRegs::new(
+            isaxes
+                .iter()
+                .flat_map(|module| &module.registers)
+                .filter(|reg| reg.builtin.is_none())
+                .map(|reg| (reg.name.clone(), reg.ty.width)),
+        );
         GoldenMachine {
             cpu: Cpu::new(),
             isaxes,
-            cust: HashMap::new(),
-            widths,
+            cust,
         }
     }
 
@@ -51,11 +85,7 @@ impl GoldenMachine {
 
     /// Reads a custom register (zero if never written).
     pub fn cust_reg(&self, name: &str, index: u64) -> ApInt {
-        self.cust
-            .get(name)
-            .and_then(|m| m.get(&index))
-            .cloned()
-            .unwrap_or_else(|| ApInt::zero(self.widths.get(name).copied().unwrap_or(32)))
+        self.cust.read(name, index)
     }
 
     /// Executes one instruction (plus one evaluation of every
@@ -70,7 +100,6 @@ impl GoldenMachine {
             let mut hook = GoldenHook {
                 isaxes: &self.isaxes,
                 cust: &mut self.cust,
-                widths: &self.widths,
                 instr_pc: pc,
             };
             self.cpu.step(Some(&mut hook))?
@@ -92,7 +121,6 @@ impl GoldenMachine {
                     let mut bridge = Bridge {
                         cpu: &mut self.cpu,
                         cust: &mut self.cust,
-                        widths: &self.widths,
                         pc_value: pc,
                         pc_write: Some(&mut pending_pc),
                     };
@@ -134,8 +162,7 @@ impl GoldenMachine {
 /// CustomExecutor dispatching unknown words into ISAX behaviors.
 struct GoldenHook<'a> {
     isaxes: &'a [TypedModule],
-    cust: &'a mut HashMap<String, HashMap<u64, ApInt>>,
-    widths: &'a HashMap<String, u32>,
+    cust: &'a mut CustRegs,
     instr_pc: u32,
 }
 
@@ -150,7 +177,6 @@ impl<'a> CustomExecutor for GoldenHook<'a> {
                 let mut bridge = Bridge {
                     cpu,
                     cust: self.cust,
-                    widths: self.widths,
                     pc_value: self.instr_pc,
                     pc_write: None,
                 };
@@ -170,8 +196,7 @@ impl<'a> CustomExecutor for GoldenHook<'a> {
 /// Bridges the CoreDSL interpreter's [`ArchState`] onto the ISS state.
 struct Bridge<'a, 'b> {
     cpu: &'a mut Cpu,
-    cust: &'a mut HashMap<String, HashMap<u64, ApInt>>,
-    widths: &'a HashMap<String, u32>,
+    cust: &'a mut CustRegs,
     /// Value returned for PC reads (the executing instruction's PC, or the
     /// fetch PC for always-blocks).
     pc_value: u32,
@@ -186,14 +211,7 @@ impl<'a, 'b> ArchState for Bridge<'a, 'b> {
             "X" => ApInt::from_u64(self.cpu.read_reg(index as u32 & 31) as u64, 32),
             "PC" => ApInt::from_u64(self.pc_value as u64, 32),
             "MEM" => ApInt::from_u64(self.cpu.read_byte(index as u32) as u64, 8),
-            custom => self
-                .cust
-                .get(custom)
-                .and_then(|m| m.get(&index))
-                .cloned()
-                .unwrap_or_else(|| {
-                    ApInt::zero(self.widths.get(custom).copied().unwrap_or(32))
-                }),
+            custom => self.cust.read(custom, index),
         }
     }
 
@@ -208,12 +226,7 @@ impl<'a, 'b> ArchState for Bridge<'a, 'b> {
                 }
             }
             "MEM" => self.cpu.write_byte(index as u32, value.to_u64() as u8),
-            custom => {
-                self.cust
-                    .entry(custom.to_string())
-                    .or_default()
-                    .insert(index, value);
-            }
+            custom => self.cust.write(custom, index, value),
         }
     }
 }

@@ -86,10 +86,11 @@ impl PipelineCache {
         PipelineCache::default()
     }
 
-    /// In-memory store backed by a persistent cell-artifact cache rooted
-    /// at `dir` (created if absent), fingerprinted by
-    /// [`schema_fingerprint`] over `config` — the run's canonical config
-    /// fingerprint ([`crate::Longnail::config_fingerprint`]).
+    /// In-memory store backed by a persistent cell-artifact cache whose
+    /// entries live at `<dir>/cell/<key-hex>.bin` (created if absent),
+    /// fingerprinted by [`schema_fingerprint`] over `config` — the run's
+    /// canonical config fingerprint
+    /// ([`crate::Longnail::config_fingerprint`]).
     ///
     /// # Errors
     ///
@@ -97,7 +98,7 @@ impl PipelineCache {
     pub fn with_disk(dir: &Path, config: &str) -> io::Result<Self> {
         Ok(PipelineCache {
             store: Store::new(),
-            disk: Some(DiskCache::new(dir, schema_fingerprint(config))?),
+            disk: Some(DiskCache::new(dir.join("cell"), schema_fingerprint(config))?),
         })
     }
 

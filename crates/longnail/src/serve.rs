@@ -89,7 +89,7 @@ pub fn probe_cell(disk: &DiskCache, ln: &Longnail, cell: &MatrixCell) -> Option<
         ln.work_limit,
         &ln.config_fingerprint(),
     );
-    CellBundle::from_bytes(&disk.load("cell", &key)?)
+    CellBundle::from_bytes(&disk.load(&key)?)
 }
 
 /// Persists a freshly compiled cell's bundle if — and only if — the
@@ -121,7 +121,7 @@ pub fn store_cell(
         ln.work_limit,
         &ln.config_fingerprint(),
     );
-    disk.store("cell", &key, &cell_bundle(compiled).to_bytes())?;
+    disk.store(&key, &cell_bundle(compiled).to_bytes())?;
     Ok(true)
 }
 

@@ -314,7 +314,7 @@ fn corrupted_or_truncated_disk_entries_are_recomputed() {
     // Truncate mid-payload: rejected too.
     std::fs::write(&entry_path, &pristine[..mid]).unwrap();
     assert!(probe_cell(disk, &ln, &cell).is_none(), "truncation trusted");
-    assert!(disk.stage_stats("cell").invalid >= 2, "defects not counted");
+    assert!(disk.stats().invalid >= 2, "defects not counted");
 
     // Recompute-and-store heals the entry with identical contents.
     assert!(store_cell(disk, &ln, &cell, &compiled).unwrap());
@@ -443,8 +443,8 @@ fn an_earlier_optimizers_o2_bundle_is_a_miss() {
         .unwrap();
     let bundle = longnail::serve::cell_bundle(&compiled).to_bytes();
     let old_disk = old.disk().unwrap();
-    old_disk.store("cell", &key("opt=2"), &bundle).unwrap();
-    assert!(old_disk.load("cell", &key("opt=2")).is_some());
+    old_disk.store(&key("opt=2"), &bundle).unwrap();
+    assert!(old_disk.load(&key("opt=2")).is_some());
 
     let new = PipelineCache::with_disk(&root, &ln2.config_fingerprint()).unwrap();
     let disk = new.disk().unwrap();
@@ -452,11 +452,11 @@ fn an_earlier_optimizers_o2_bundle_is_a_miss() {
         probe_cell(disk, &ln2, &cell).is_none(),
         "an earlier optimizer's bundle was served"
     );
-    assert_eq!(disk.stage_stats("cell").misses, 1);
+    assert_eq!(disk.stats().misses, 1);
     // Moved under the new key, the entry still carries the old schema.
     let path = |config: &str| root.join("cell").join(format!("{}.bin", key(config).to_hex()));
     std::fs::copy(path("opt=2"), path(&ln2.config_fingerprint())).unwrap();
     assert!(probe_cell(disk, &ln2, &cell).is_none(), "stale schema trusted");
-    assert_eq!(disk.stage_stats("cell").invalid, 1);
+    assert_eq!(disk.stats().invalid, 1);
     std::fs::remove_dir_all(&root).unwrap();
 }

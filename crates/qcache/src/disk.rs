@@ -1,6 +1,6 @@
 //! Persistent on-disk cache layer.
 //!
-//! Entries live at `<root>/<stage>/<key-hex>.bin` and are written as a
+//! Entries live at `<root>/<key-hex>.bin` and are written as a
 //! temp file in the same directory followed by an atomic rename, so a
 //! reader never observes a half-written entry and concurrent writers of
 //! the same key are last-writer-wins with both writers having written
@@ -21,10 +21,9 @@
 //! `load` validates every field before trusting the payload: wrong magic
 //! or version, a fingerprint from a different compiler revision, a
 //! length mismatch (truncation), or a checksum mismatch (corruption) all
-//! return `None` and bump the stage's `invalid` counter — the caller
-//! recomputes and overwrites the bad entry.
+//! return `None` and bump the `invalid` counter — the caller recomputes
+//! and overwrites the bad entry.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -37,7 +36,7 @@ const MAGIC: &[u8; 4] = b"LNQC";
 const FORMAT_VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 32;
 
-/// Per-stage disk counters, snapshotted by [`DiskCache::stage_stats`].
+/// Disk counters, snapshotted by [`DiskCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Entries loaded and validated successfully.
@@ -47,7 +46,7 @@ pub struct DiskStats {
     /// Entries present but rejected (stale fingerprint, truncated,
     /// corrupted) — recomputed, never trusted.
     pub invalid: u64,
-    /// Entries written.
+    /// Entries written (a store whose final rename fails wrote none).
     pub stores: u64,
 }
 
@@ -56,7 +55,7 @@ pub struct DiskCache {
     root: PathBuf,
     fingerprint: u64,
     tmp_seq: AtomicU64,
-    stats: Mutex<BTreeMap<String, DiskStats>>,
+    stats: Mutex<DiskStats>,
 }
 
 impl DiskCache {
@@ -70,38 +69,36 @@ impl DiskCache {
             root,
             fingerprint,
             tmp_seq: AtomicU64::new(0),
-            stats: Mutex::new(BTreeMap::new()),
+            stats: Mutex::new(DiskStats::default()),
         })
     }
 
-    fn entry_path(&self, stage: &str, key: &Digest) -> PathBuf {
-        self.root.join(stage).join(format!("{}.bin", key.to_hex()))
+    fn entry_path(&self, key: &Digest) -> PathBuf {
+        self.root.join(format!("{}.bin", key.to_hex()))
     }
 
-    fn bump(&self, stage: &str, f: impl FnOnce(&mut DiskStats)) {
-        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        f(stats.entry(stage.to_string()).or_default())
+    fn bump(&self, f: impl FnOnce(&mut DiskStats)) {
+        f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Load and validate the payload under `(stage, key)`. Any defect in
-    /// the entry yields `None` (counted as `invalid`); a simple absence
-    /// is also `None` (counted as `miss`).
-    pub fn load(&self, stage: &str, key: &Digest) -> Option<Vec<u8>> {
-        let path = self.entry_path(stage, key);
-        let bytes = match fs::read(&path) {
+    /// Load and validate the payload under `key`. Any defect in the entry
+    /// yields `None` (counted as `invalid`); a simple absence is also
+    /// `None` (counted as `miss`).
+    pub fn load(&self, key: &Digest) -> Option<Vec<u8>> {
+        let bytes = match fs::read(self.entry_path(key)) {
             Ok(b) => b,
             Err(_) => {
-                self.bump(stage, |c| c.misses += 1);
+                self.bump(|c| c.misses += 1);
                 return None;
             }
         };
         match Self::decode(&bytes, self.fingerprint) {
             Some(payload) => {
-                self.bump(stage, |c| c.hits += 1);
+                self.bump(|c| c.hits += 1);
                 Some(payload)
             }
             None => {
-                self.bump(stage, |c| c.invalid += 1);
+                self.bump(|c| c.invalid += 1);
                 None
             }
         }
@@ -128,11 +125,14 @@ impl DiskCache {
         Some(payload.to_vec())
     }
 
-    /// Persist `payload` under `(stage, key)` via write-then-rename.
-    pub fn store(&self, stage: &str, key: &Digest, payload: &[u8]) -> io::Result<()> {
-        let path = self.entry_path(stage, key);
-        let dir = path.parent().expect("entry path has a stage dir");
-        fs::create_dir_all(dir)?;
+    /// Persist `payload` under `key` via write-then-rename.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error of any step. A failed store is not
+    /// counted, and one whose rename fails removes its temp file.
+    pub fn store(&self, key: &Digest, payload: &[u8]) -> io::Result<()> {
+        fs::create_dir_all(&self.root)?;
         let mut entry = Vec::with_capacity(HEADER_LEN + payload.len());
         entry.extend_from_slice(MAGIC);
         entry.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -140,7 +140,7 @@ impl DiskCache {
         entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         entry.extend_from_slice(&digest(payload).0);
         entry.extend_from_slice(payload);
-        let tmp = dir.join(format!(
+        let tmp = self.root.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
@@ -150,18 +150,17 @@ impl DiskCache {
             f.write_all(&entry)?;
             f.sync_all()?;
         }
-        let renamed = fs::rename(&tmp, &path);
-        if renamed.is_err() {
+        if let Err(e) = fs::rename(&tmp, self.entry_path(key)) {
             let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        self.bump(stage, |c| c.stores += 1);
-        renamed
+        self.bump(|c| c.stores += 1);
+        Ok(())
     }
 
-    /// Snapshot the counters for one stage.
-    pub fn stage_stats(&self, stage: &str) -> DiskStats {
-        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats.get(stage).copied().unwrap_or_default()
+    /// Snapshot the counters.
+    pub fn stats(&self) -> DiskStats {
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -180,13 +179,13 @@ mod tests {
         let root = tmp_root("roundtrip");
         let cache = DiskCache::new(&root, 0xfeed).unwrap();
         let key = digest(b"cell-1");
-        assert_eq!(cache.load("cell", &key), None);
-        cache.store("cell", &key, b"module m; endmodule\n").unwrap();
+        assert_eq!(cache.load(&key), None);
+        cache.store(&key, b"module m; endmodule\n").unwrap();
         assert_eq!(
-            cache.load("cell", &key).as_deref(),
+            cache.load(&key).as_deref(),
             Some(&b"module m; endmodule\n"[..])
         );
-        let s = cache.stage_stats("cell");
+        let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalid, s.stores), (1, 1, 0, 1));
         fs::remove_dir_all(&root).unwrap();
     }
@@ -196,24 +195,17 @@ mod tests {
         let root = tmp_root("corrupt");
         let cache = DiskCache::new(&root, 1).unwrap();
         let key = digest(b"k");
-        cache.store("rtl", &key, b"payload-bytes").unwrap();
-        let path = root.join("rtl").join(format!("{}.bin", key.to_hex()));
+        cache.store(&key, b"payload-bytes").unwrap();
+        let path = root.join(format!("{}.bin", key.to_hex()));
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // flip one payload bit
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(
-            cache.load("rtl", &key),
-            None,
-            "checksum must catch the flip"
-        );
-        assert_eq!(cache.stage_stats("rtl").invalid, 1);
+        assert_eq!(cache.load(&key), None, "checksum must catch the flip");
+        assert_eq!(cache.stats().invalid, 1);
         // Recompute path: overwrite with a good entry, loads again.
-        cache.store("rtl", &key, b"payload-bytes").unwrap();
-        assert_eq!(
-            cache.load("rtl", &key).as_deref(),
-            Some(&b"payload-bytes"[..])
-        );
+        cache.store(&key, b"payload-bytes").unwrap();
+        assert_eq!(cache.load(&key).as_deref(), Some(&b"payload-bytes"[..]));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -222,15 +214,15 @@ mod tests {
         let root = tmp_root("truncate");
         let cache = DiskCache::new(&root, 1).unwrap();
         let key = digest(b"k");
-        cache.store("solve", &key, b"0123456789abcdef").unwrap();
-        let path = root.join("solve").join(format!("{}.bin", key.to_hex()));
+        cache.store(&key, b"0123456789abcdef").unwrap();
+        let path = root.join(format!("{}.bin", key.to_hex()));
         let bytes = fs::read(&path).unwrap();
         // Chop mid-payload and mid-header.
         for cut in [bytes.len() - 5, HEADER_LEN, 3] {
             fs::write(&path, &bytes[..cut]).unwrap();
-            assert_eq!(cache.load("solve", &key), None, "cut at {cut}");
+            assert_eq!(cache.load(&key), None, "cut at {cut}");
         }
-        assert_eq!(cache.stage_stats("solve").invalid, 3);
+        assert_eq!(cache.stats().invalid, 3);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -240,16 +232,13 @@ mod tests {
         let key = digest(b"k");
         {
             let old = DiskCache::new(&root, 100).unwrap();
-            old.store("cell", &key, b"old-schema-artifact").unwrap();
+            old.store(&key, b"old-schema-artifact").unwrap();
         }
         let new = DiskCache::new(&root, 101).unwrap();
-        assert_eq!(new.load("cell", &key), None, "old fingerprint rejected");
-        assert_eq!(new.stage_stats("cell").invalid, 1);
-        new.store("cell", &key, b"new-schema-artifact").unwrap();
-        assert_eq!(
-            new.load("cell", &key).as_deref(),
-            Some(&b"new-schema-artifact"[..])
-        );
+        assert_eq!(new.load(&key), None, "old fingerprint rejected");
+        assert_eq!(new.stats().invalid, 1);
+        new.store(&key, b"new-schema-artifact").unwrap();
+        assert_eq!(new.load(&key).as_deref(), Some(&b"new-schema-artifact"[..]));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -258,12 +247,12 @@ mod tests {
         let root = tmp_root("magic");
         let cache = DiskCache::new(&root, 1).unwrap();
         let key = digest(b"k");
-        cache.store("modes", &key, b"x").unwrap();
-        let path = root.join("modes").join(format!("{}.bin", key.to_hex()));
+        cache.store(&key, b"x").unwrap();
+        let path = root.join(format!("{}.bin", key.to_hex()));
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(cache.load("modes", &key), None);
+        assert_eq!(cache.load(&key), None);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -272,8 +261,22 @@ mod tests {
         let root = tmp_root("empty");
         let cache = DiskCache::new(&root, 1).unwrap();
         let key = digest(b"k");
-        cache.store("cfg", &key, b"").unwrap();
-        assert_eq!(cache.load("cfg", &key).as_deref(), Some(&b""[..]));
+        cache.store(&key, b"").unwrap();
+        assert_eq!(cache.load(&key).as_deref(), Some(&b""[..]));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_store_whose_rename_fails_is_an_error_and_not_counted() {
+        let root = tmp_root("rename");
+        let cache = DiskCache::new(&root, 1).unwrap();
+        let key = digest(b"k");
+        // A directory at the entry path: the final rename cannot replace it.
+        fs::create_dir(root.join(format!("{}.bin", key.to_hex()))).unwrap();
+        assert!(cache.store(&key, b"payload").is_err());
+        assert_eq!(cache.stats().stores, 0);
+        // Only the directory is left: the temp file went with the error.
+        assert_eq!(fs::read_dir(&root).unwrap().count(), 1);
         fs::remove_dir_all(&root).unwrap();
     }
 }

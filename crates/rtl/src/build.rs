@@ -97,9 +97,6 @@ pub struct PortBinding {
     pub name: String,
     pub dir: PortDir,
     pub width: u32,
-    /// True if the driving/consuming LIL operation came from a
-    /// `spawn`-block (needed for decoupled-mode port classification).
-    pub in_spawn: bool,
 }
 
 /// The result of building: the module plus its port bindings.
@@ -197,7 +194,7 @@ fn slot(v: &mut Vec<Option<NetId>>, i: usize) -> &mut Option<NetId> {
 }
 
 impl<'a> Builder<'a> {
-    fn input_port(&mut self, signal: IfaceSignal, stage: u32, width: u32, in_spawn: bool) -> NetId {
+    fn input_port(&mut self, signal: IfaceSignal, stage: u32, width: u32) -> NetId {
         let name = format!("{}_{stage}", signal.stem());
         let port = self.module.add_port(&name, PortDir::Input, width);
         let net = self.module.add_net(Driver::Input { port }, width, &name);
@@ -207,13 +204,12 @@ impl<'a> Builder<'a> {
             name,
             dir: PortDir::Input,
             width,
-            in_spawn,
         });
         self.max_stage = self.max_stage.max(stage);
         net
     }
 
-    fn output_port(&mut self, signal: IfaceSignal, stage: u32, net: NetId, in_spawn: bool) {
+    fn output_port(&mut self, signal: IfaceSignal, stage: u32, net: NetId) {
         let width = self.module.nets[net.0].width;
         let name = format!("{}_{stage}", signal.stem());
         let port = self.module.add_port(&name, PortDir::Output, width);
@@ -224,7 +220,6 @@ impl<'a> Builder<'a> {
             name,
             dir: PortDir::Output,
             width,
-            in_spawn,
         });
         self.max_stage = self.max_stage.max(stage);
     }
@@ -233,7 +228,7 @@ impl<'a> Builder<'a> {
         if let Some(n) = *slot(&mut self.stall, stage as usize) {
             return n;
         }
-        let n = self.input_port(IfaceSignal::StallIn, stage, 1, false);
+        let n = self.input_port(IfaceSignal::StallIn, stage, 1);
         *slot(&mut self.stall, stage as usize) = Some(n);
         n
     }
@@ -309,7 +304,6 @@ impl<'a> Builder<'a> {
     fn run(&mut self) {
         for (v, op) in self.graph.iter() {
             let stage = self.start_time[v.0];
-            let in_spawn = op.in_spawn;
             let pred_net = op.pred.map(|p| self.value_in_stage(p, stage));
             let operand_nets: Vec<NetId> = op
                 .operands
@@ -319,7 +313,7 @@ impl<'a> Builder<'a> {
             match &op.kind {
                 OpKind::Const(_) => { /* interned on demand */ }
                 OpKind::InstrWord => {
-                    let n = self.input_port(IfaceSignal::InstrWord, stage, 32, in_spawn);
+                    let n = self.input_port(IfaceSignal::InstrWord, stage, 32);
                     self.define(v, stage, n);
                 }
                 OpKind::ReadRs1 | OpKind::ReadRs2 | OpKind::ReadPc => {
@@ -329,17 +323,17 @@ impl<'a> Builder<'a> {
                         _ => IfaceSignal::PcData,
                     };
                     let lat = (self.read_latency)(&op.kind);
-                    let n = self.input_port(sig, stage + lat, 32, in_spawn);
+                    let n = self.input_port(sig, stage + lat, 32);
                     self.define(v, stage + lat, n);
                 }
                 OpKind::ReadMem => {
-                    self.output_port(IfaceSignal::MemRdAddr, stage, operand_nets[0], in_spawn);
+                    self.output_port(IfaceSignal::MemRdAddr, stage, operand_nets[0]);
                     let pred = pred_net.unwrap_or_else(|| {
                         self.module.add_net(Driver::Const(ApInt::one(1)), 1, "true")
                     });
-                    self.output_port(IfaceSignal::MemRdPred, stage, pred, in_spawn);
+                    self.output_port(IfaceSignal::MemRdPred, stage, pred);
                     let lat = (self.read_latency)(&op.kind);
-                    let n = self.input_port(IfaceSignal::MemRdData, stage + lat, 32, in_spawn);
+                    let n = self.input_port(IfaceSignal::MemRdData, stage + lat, 32);
                     self.define(v, stage + lat, n);
                 }
                 OpKind::ReadCustReg(name) => {
@@ -347,14 +341,12 @@ impl<'a> Builder<'a> {
                         IfaceSignal::CustRdAddr(name.clone()),
                         stage,
                         operand_nets[0],
-                        in_spawn,
                     );
                     let lat = (self.read_latency)(&op.kind);
                     let n = self.input_port(
                         IfaceSignal::CustRdData(name.clone()),
                         stage + lat,
                         op.width,
-                        in_spawn,
                     );
                     self.define(v, stage + lat, n);
                 }
@@ -365,7 +357,6 @@ impl<'a> Builder<'a> {
                         stage,
                         operand_nets[0],
                         pred_net,
-                        in_spawn,
                     );
                 }
                 OpKind::WritePc => {
@@ -375,18 +366,16 @@ impl<'a> Builder<'a> {
                         stage,
                         operand_nets[0],
                         pred_net,
-                        in_spawn,
                     );
                 }
                 OpKind::WriteMem => {
-                    self.output_port(IfaceSignal::MemWrAddr, stage, operand_nets[0], in_spawn);
+                    self.output_port(IfaceSignal::MemWrAddr, stage, operand_nets[0]);
                     self.emit_write(
                         IfaceSignal::MemWrData,
                         IfaceSignal::MemWrPred,
                         stage,
                         operand_nets[1],
                         pred_net,
-                        in_spawn,
                     );
                 }
                 OpKind::WriteCustReg(name) => {
@@ -394,7 +383,6 @@ impl<'a> Builder<'a> {
                         IfaceSignal::CustWrAddr(name.clone()),
                         stage,
                         operand_nets[0],
-                        in_spawn,
                     );
                     self.emit_write(
                         IfaceSignal::CustWrData(name.clone()),
@@ -402,7 +390,6 @@ impl<'a> Builder<'a> {
                         stage,
                         operand_nets[1],
                         pred_net,
-                        in_spawn,
                     );
                 }
                 OpKind::RomRead(name) => {
@@ -447,12 +434,11 @@ impl<'a> Builder<'a> {
         stage: u32,
         data: NetId,
         pred: Option<NetId>,
-        in_spawn: bool,
     ) {
-        self.output_port(data_sig, stage, data, in_spawn);
+        self.output_port(data_sig, stage, data);
         let pred =
             pred.unwrap_or_else(|| self.module.add_net(Driver::Const(ApInt::one(1)), 1, "true"));
-        self.output_port(pred_sig, stage, pred, in_spawn);
+        self.output_port(pred_sig, stage, pred);
     }
 }
 

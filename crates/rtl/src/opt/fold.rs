@@ -21,8 +21,8 @@
 //! constant has the width of the net it replaces.
 
 use super::{as_const, Replacements};
-use crate::interp::eval_comb;
 use crate::netlist::{CombOp, Driver, Module, NetId};
+use crate::sim::Value;
 use bits::ApInt;
 
 /// What the analysis decided for one net.
@@ -80,7 +80,7 @@ fn analyze_comb(m: &Module, op: CombOp, args: &[NetId], lo: u32, width: u32) -> 
     // Fully-constant operands: evaluate outright.
     let consts: Vec<Option<&ApInt>> = args.iter().map(|&a| as_const(m, a)).collect();
     if consts.iter().all(Option::is_some) {
-        return constant(eval_comb(op, |k| consts[k].unwrap(), lo, width));
+        return constant(ApInt::comb(op, |k| consts[k].unwrap(), lo, width));
     }
     let c = |k: usize| consts.get(k).copied().flatten();
     match op {

@@ -33,8 +33,8 @@
 //! and whose widths agree, and a pass that breaks either is caught at
 //! once. The compiler's opt stage then gates the result with
 //! [`verify_equivalent`], which runs the original and optimized modules in
-//! lockstep (including X stimulus), and the full matrix re-checks under
-//! `lnc --xcheck`.
+//! lockstep on one stimulus (including X bits), since no pass touches a
+//! port, and the full matrix re-checks under `lnc --xcheck`.
 //!
 //! What it does not do:
 //!
@@ -53,7 +53,7 @@
 
 use crate::interp::Simulator;
 use crate::lint::lint_module;
-use crate::netlist::{CombOp, Driver, Module, Net, NetId, Port, PortDir};
+use crate::netlist::{CombOp, Driver, Module, Net, NetId, PortDir};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
@@ -506,7 +506,7 @@ fn rand_apint(state: &mut u64, width: u32) -> ApInt {
 
 /// The runtime half of the oracle gate: drives the original and optimized
 /// modules in lockstep over `cycles` cycles of deterministic pseudo-random
-/// stimulus and checks
+/// stimulus, one vector that both read, and checks
 ///
 /// 1. two-valued output equality (the interpreter semantics are the
 ///    compiler's contract), and
@@ -517,7 +517,9 @@ fn rand_apint(state: &mut u64, width: u32) -> ApInt {
 ///
 /// # Errors
 ///
-/// A description of the first divergence.
+/// A description of the first divergence, or of ports that differ: the
+/// passes rewrite nets and never ports, so the two modules must have
+/// identical ones.
 ///
 /// The [`EmitOptions`] marker is accepted and ignored.
 pub fn verify_equivalent(
@@ -526,6 +528,11 @@ pub fn verify_equivalent(
     _: &EmitOptions,
     cycles: u32,
 ) -> Result<(), String> {
+    // The passes rewrite nets, never ports, so both modules read one
+    // stimulus vector.
+    if optimized.ports != original.ports {
+        return Err("optimized module's ports differ from the original's".into());
+    }
     // Outputs are compared in port-connection order, so the first
     // divergence reported is the same on every run.
     let outputs = original
@@ -536,28 +543,26 @@ pub fn verify_equivalent(
             let net_b = optimized
                 .outputs
                 .iter()
-                .find(|&&(q, _)| optimized.ports[q].name == *name)
+                .find(|&&(q, _)| q == port)
                 .map(|&(_, net)| net)
                 .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
             Ok((name, net_a.0, net_b.0))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    // Each port of the optimized module reads the original's input port of
-    // the same name; one the original lacks reads as a missing input would
-    // (zero, and all-X).
-    let feed: Vec<Option<usize>> = optimized
-        .ports
-        .iter()
-        .map(|q| {
-            let same_input = |p: &Port| p.dir == PortDir::Input && p.name == q.name;
-            match q.dir {
-                PortDir::Input => original.ports.iter().position(same_input),
-                PortDir::Output => None,
-            }
-        })
-        .collect();
     let mut a = GateSide::new(original);
     let mut b = GateSide::new(optimized);
+    // One value per port, reused every cycle; the entries of output ports
+    // are not read.
+    let mut known: Vec<ApInt> = original
+        .ports
+        .iter()
+        .map(|p| ApInt::zero(p.width))
+        .collect();
+    let mut fourstate: Vec<XVal> = original
+        .ports
+        .iter()
+        .map(|p| XVal::all_x(p.width))
+        .collect();
     let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
     for cycle in 0..cycles {
         for (p, port) in original.ports.iter().enumerate() {
@@ -567,23 +572,18 @@ pub fn verify_equivalent(
             let value = rand_apint(&mut state, port.width);
             // Every third cycle knocks a pseudo-random subset of bits to X
             // so refinement is exercised, not just the all-known case.
-            a.fourstate[p] = if cycle % 3 == 2 {
+            fourstate[p] = if cycle % 3 == 2 {
                 let mask = rand_apint(&mut state, port.width);
                 XVal::from_planes(value.and(&mask), mask)
             } else {
                 XVal::known(value.clone())
             };
-            a.known[p] = value;
+            known[p] = value;
         }
-        for (q, p) in feed.iter().enumerate() {
-            if let Some(p) = *p {
-                b.set_input(q, &a.known[p], &a.fourstate[p]);
-            }
-        }
-        a.eval();
-        b.eval();
+        a.eval(&known, &fourstate);
+        b.eval(&known, &fourstate);
         for &(name, net_a, net_b) in &outputs {
-            let (va, vb) = (&a.interp.net_values()[net_a], &b.interp.net_values()[net_b]);
+            let (va, vb) = (a.interp.net(net_a), b.interp.net(net_b));
             if va != vb {
                 return Err(format!(
                     "cycle {cycle}: output `{name}` diverged: original={va:x} optimized={vb:x}"
@@ -601,22 +601,17 @@ pub fn verify_equivalent(
                 ));
             }
         }
-        a.interp.clock();
-        b.interp.clock();
-        a.xsim.clock();
-        b.xsim.clock();
+        a.clock();
+        b.clock();
     }
     Ok(())
 }
 
 /// One module's half of [`verify_equivalent`]: its two-valued and
-/// four-state simulators and the stimulus they read, one value per port,
-/// reused every cycle.
+/// four-state simulators.
 struct GateSide {
     interp: Simulator,
     xsim: Xsim,
-    known: Vec<ApInt>,
-    fourstate: Vec<XVal>,
 }
 
 impl GateSide {
@@ -626,26 +621,17 @@ impl GateSide {
         GateSide {
             interp: Simulator::new(m.clone()),
             xsim,
-            known: m.ports.iter().map(|p| ApInt::zero(p.width)).collect(),
-            fourstate: m.ports.iter().map(|p| XVal::all_x(p.width)).collect(),
         }
     }
 
-    /// Drives port `q` with the original's stimulus, zero-extended or
-    /// truncated to the port's width (plane by plane on the four-state
-    /// side), as the name-keyed adapters resize a named input.
-    fn set_input(&mut self, q: usize, known: &ApInt, fourstate: &XVal) {
-        let width = self.known[q].width();
-        self.known[q] = known.zext_or_trunc(width);
-        self.fourstate[q] = XVal::from_planes(
-            fourstate.value_plane().zext_or_trunc(width),
-            fourstate.known_plane().zext_or_trunc(width),
-        );
+    fn eval(&mut self, known: &[ApInt], fourstate: &[XVal]) {
+        self.interp.eval_ports(known);
+        self.xsim.eval_ports(fourstate);
     }
 
-    fn eval(&mut self) {
-        self.interp.eval_ports(&self.known);
-        self.xsim.eval_ports(&self.fourstate);
+    fn clock(&mut self) {
+        self.interp.clock();
+        self.xsim.clock();
     }
 }
 
@@ -841,6 +827,22 @@ mod tests {
         optimized.outputs.retain(|&(port, _)| port != 2);
         let err = verify_equivalent(&original, &optimized, &EmitOptions, 32).unwrap_err();
         assert_eq!(err, "output `o1` missing from optimized module");
+    }
+
+    #[test]
+    fn verify_refuses_a_renamed_or_resized_input_port() {
+        // Both modules read one stimulus vector, so a changed port is
+        // refused before any cycle runs; matched by name, the renamed `a`
+        // would read as a missing input and the resized one as truncated.
+        let original = sample_module();
+        let mut renamed = original.clone();
+        renamed.ports[0].name = "c".into();
+        let mut resized = original.clone();
+        resized.ports[0].width = 8;
+        for optimized in [renamed, resized] {
+            let err = verify_equivalent(&original, &optimized, &EmitOptions, 32).unwrap_err();
+            assert_eq!(err, "optimized module's ports differ from the original's");
+        }
     }
 
     #[test]

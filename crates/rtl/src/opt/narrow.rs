@@ -41,7 +41,8 @@
 
 use super::{comb, rebuild, Rebuilt};
 use crate::netlist::{CombOp, Driver, Module, Net, NetId};
-use crate::xsim::{eval_comb, eval_rom, XVal};
+use crate::sim::Value;
+use crate::xsim::XVal;
 
 /// Abstract per-net values over every run from reset, and the sweeps it
 /// took: all-X inputs, exact operators, and each register its `init`
@@ -73,9 +74,9 @@ fn abstract_eval(m: &Module) -> (Vec<XVal>, u32) {
                     XVal::known(init.clone()).merge(&vals[next.0])
                 }
                 Driver::Reg { .. } => forward.next().expect("held in net order").1.clone(),
-                Driver::Rom { rom, index } => eval_rom(&m.roms[*rom], &vals[index.0]),
+                Driver::Rom { rom, index } => XVal::rom(&m.roms[*rom], &vals[index.0]),
                 Driver::Comb { op, args, lo } => {
-                    eval_comb(*op, |k| &vals[args[k].0], *lo, net.width)
+                    XVal::comb(*op, |k| &vals[args[k].0], *lo, net.width)
                 }
             };
             vals.push(v);

@@ -7,8 +7,9 @@
 //! commercial simulators instead implement the IEEE-1800 semantics of the
 //! *emitted SystemVerilog*, in which division by zero, out-of-range indexed
 //! part-selects, ambiguous mux selects, and un-reset registers all produce
-//! X. [`Xsim`] models that second world: every net carries a value/known
-//! bit-pair over [`ApInt`], and every [`CombOp`] is evaluated with the
+//! X. [`Xsim`] models that second world: it runs the same [`Sim`] engine
+//! as the interpreter, but every net carries a value/known bit-pair over
+//! [`ApInt`] ([`XVal`]), and every [`CombOp`] is evaluated with the
 //! semantics of the expression [`crate::verilog`] emits for it.
 //!
 //! [`DiffSim`] drives both simulators in lockstep over the same stimulus
@@ -17,7 +18,9 @@
 //! and driving operator. X bits reaching outputs under fully-known inputs
 //! are counted separately: they are exactly the places where the emitted
 //! SystemVerilog would diverge from what `interp` (and the golden model
-//! upstream of it) promised.
+//! upstream of it) promised. The two halves share the engine's traversal
+//! but not their rules: each value is computed by its own domain's
+//! operator, ROM and latch semantics.
 //!
 //! What it does not do:
 //!
@@ -26,10 +29,11 @@
 //!   checks the emitted text for its guards.
 //! - **Model time.** There is no timing, no delta cycle and no Z.
 //! - **Invent X.** X enters only through undriven inputs, registers not
-//!   yet [`Xsim::reset`], and the operator rules above.
+//!   yet [`Sim::reset`], and the operator rules above.
 
-use crate::interp::{outputs_by_name, two_state_ports, Simulator};
+use crate::interp::Simulator;
 use crate::netlist::{CombOp, Driver, Module, RomData};
+use crate::sim::{named_ports, Sim, Value};
 use bits::ApInt;
 use std::collections::HashMap;
 use std::fmt;
@@ -153,320 +157,200 @@ impl fmt::Display for XVal {
     }
 }
 
-/// The four-state netlist simulator.
+/// The four-state netlist simulator: the [`Sim`] engine over [`XVal`],
+/// modelling the SystemVerilog that [`crate::verilog::emit_verilog`]
+/// produces.
 ///
 /// Registers power up all-X, exactly like un-reset `always_ff` state in
-/// real simulation; [`Xsim::reset`] models a completed synchronous reset
-/// pulse (every register takes its `init`). Missing inputs are all-X,
+/// real simulation; [`Sim::reset`] models a completed synchronous reset
+/// pulse (every register takes its `init`). Missing named inputs are all-X,
 /// where the two-valued interpreter silently assumes zero.
-///
-/// Like [`Simulator`], it steps port-indexed ([`Xsim::eval_ports`]),
-/// writes constant nets once at construction and latches in place.
-#[derive(Debug, Clone)]
-pub struct Xsim {
-    module: Module,
-    /// Register state (indexed by net id; `None` for non-regs).
-    regs: Vec<Option<XVal>>,
-    /// Net values from the most recent evaluation; constant nets hold their
-    /// constant from construction on.
-    values: Vec<XVal>,
-}
+pub type Xsim = Sim<XVal>;
 
-impl Xsim {
-    /// Creates a simulator modelling the SystemVerilog that
-    /// [`crate::verilog::emit_verilog`] produces, with all registers at X.
-    pub fn new(module: Module) -> Self {
-        let regs = module
-            .nets
-            .iter()
-            .map(|n| match &n.driver {
-                Driver::Reg { .. } => Some(XVal::all_x(n.width)),
-                _ => None,
-            })
-            .collect();
-        let values = module
-            .nets
-            .iter()
-            .map(|n| match &n.driver {
-                Driver::Const(c) => XVal::known(c.clone()),
-                _ => XVal::all_x(n.width),
-            })
-            .collect();
-        Xsim {
-            module,
-            regs,
-            values,
+/// The four-state domain: a net not yet driven, a missing named input and
+/// a register at power-up are all-X, a resized input's new bits are X, and
+/// an X enable merges a register's hold and load pessimistically.
+impl Value for XVal {
+    fn constant(c: &ApInt) -> Self {
+        XVal::known(c.clone())
+    }
+
+    fn undriven(width: u32) -> Self {
+        XVal::all_x(width)
+    }
+
+    fn power_up(init: &ApInt) -> Self {
+        XVal::all_x(init.width())
+    }
+
+    fn width(&self) -> u32 {
+        XVal::width(self)
+    }
+
+    fn resize(&self, width: u32) -> Self {
+        XVal {
+            value: self.value.zext_or_trunc(width),
+            known: self.known.zext_or_trunc(width),
         }
     }
 
-    /// The simulated module.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
-    /// Models a completed synchronous reset: every register holds its
-    /// `init` value, fully known.
-    pub fn reset(&mut self) {
-        for (i, net) in self.module.nets.iter().enumerate() {
-            if let Driver::Reg { init, .. } = &net.driver {
-                self.regs[i] = Some(XVal::known(init.clone()));
-            }
+    /// The emitter guards out-of-range-capable reads, so a known index
+    /// always yields a known word (zero when past the end or the ROM is
+    /// empty); an index with any X bit reads all-X.
+    #[inline]
+    fn rom(table: &RomData, index: &Self) -> Self {
+        match index.as_known() {
+            Some(idx) => XVal::known(table.read(idx)),
+            None => XVal::all_x(table.width),
         }
     }
 
-    /// The most recent value of net `i`.
-    pub fn net(&self, i: usize) -> &XVal {
-        &self.values[i]
-    }
-
-    /// All net values from the most recent evaluation.
-    pub fn net_values(&self) -> &[XVal] {
-        &self.values
-    }
-
-    /// Evaluates the combinational fabric with `inputs[p]` on port `p`
-    /// (one entry per port, each of its port's width; the entries of
-    /// output ports are not read). Does **not** clock the registers.
-    pub fn eval_ports(&mut self, inputs: &[XVal]) {
-        debug_assert_eq!(inputs.len(), self.module.ports.len());
-        for i in 0..self.module.nets.len() {
-            let net = &self.module.nets[i];
-            let width = net.width;
-            let value = match &net.driver {
-                Driver::Const(_) => continue,
-                Driver::Input { port } => inputs[*port].clone(),
-                Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
-                Driver::Rom { rom, index } => {
-                    eval_rom(&self.module.roms[*rom], &self.values[index.0])
-                }
-                Driver::Comb { op, args, lo } => {
-                    let a = |k: usize| &self.values[args[k].0];
-                    eval_comb(*op, a, *lo, width)
-                }
-            };
-            debug_assert_eq!(value.width(), width, "net {i} width mismatch");
-            self.values[i] = value;
-        }
-    }
-
-    /// Evaluates the combinational fabric with fully-known inputs.
-    /// Missing inputs are all-X.
-    pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
-        self.eval_x(&known_inputs(inputs))
-    }
-
-    /// Evaluates the combinational fabric with four-state inputs and
-    /// returns the output-port values by name: an adapter over
-    /// [`Xsim::eval_ports`]. Does **not** clock the registers.
-    pub fn eval_x(&mut self, inputs: &HashMap<String, XVal>) -> HashMap<String, XVal> {
-        let ports = four_state_ports(&self.module, inputs);
-        self.eval_ports(&ports);
-        outputs_by_name(&self.module, &self.values)
-    }
-
-    /// Latches all registers based on the most recent evaluation. An X
-    /// enable merges hold and load pessimistically. Every register reads
-    /// the net values of that evaluation, which latching leaves untouched,
-    /// so registers that feed each other swap cleanly.
-    pub fn clock(&mut self) {
-        for (i, net) in self.module.nets.iter().enumerate() {
-            if let Driver::Reg { next, enable, .. } = &net.driver {
-                let load = &self.values[next.0];
-                let hold = self.regs[i].as_mut().expect("register state");
-                match enable.map(|e| self.values[e.0].as_known()) {
-                    Some(Some(en)) if en.is_zero() => {}
-                    Some(None) => *hold = hold.merge(load),
-                    None | Some(Some(_)) => *hold = load.clone(),
+    /// The IEEE-1800 semantics of the expression the emitter produces for
+    /// `op`. Also used by the optimizer's abstract known-bits analysis
+    /// (`crate::opt`), which evaluates the fabric from reset with all-X
+    /// inputs and each register holding its `init` joined with every value
+    /// of its `next`: any bit that comes out known there is known (with the
+    /// same value) in every cycle of every run from reset, under every
+    /// concrete stimulus, because each operator here is monotone under
+    /// refinement of its inputs, and so is [`Value::rom`].
+    #[inline]
+    fn comb<'a>(op: CombOp, a: impl Fn(usize) -> &'a Self, lo: u32, width: u32) -> Self {
+        match op {
+            // Arithmetic, shifts, comparisons and the dynamic part-select
+            // (emitted as a zero-filled shift): any X in any operand X-poisons
+            // the entire result, per the LRM, and known operands compute the
+            // two-valued result. That covers `/` and `%`, whose zero-divisor
+            // guard makes them total under the ApInt (RISC-V) convention.
+            CombOp::Add
+            | CombOp::Sub
+            | CombOp::Mul
+            | CombOp::DivU
+            | CombOp::DivS
+            | CombOp::RemU
+            | CombOp::RemS
+            | CombOp::Shl
+            | CombOp::ShrU
+            | CombOp::ShrS
+            | CombOp::ExtractDyn
+            | CombOp::Eq
+            | CombOp::Ne
+            | CombOp::Ult
+            | CombOp::Ule
+            | CombOp::Slt
+            | CombOp::Sle => {
+                if a(0).is_fully_known() && a(1).is_fully_known() {
+                    XVal::known(ApInt::comb(op, |k| &a(k).value, lo, width))
+                } else {
+                    XVal::all_x(width)
                 }
             }
-        }
-    }
-
-    /// Convenience: `eval` then `clock`, returning the sampled outputs.
-    pub fn step(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
-        let outputs = self.eval(inputs);
-        self.clock();
-        outputs
-    }
-}
-
-/// Named fully-known inputs as four-state values.
-fn known_inputs(inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
-    inputs
-        .iter()
-        .map(|(k, v)| (k.clone(), XVal::known(v.clone())))
-        .collect()
-}
-
-/// One four-state value per port of `module` from named inputs: a missing
-/// input is all-X, and one of another width has both planes zero-extended
-/// or truncated (so a widened input's new bits are X).
-fn four_state_ports(module: &Module, inputs: &HashMap<String, XVal>) -> Vec<XVal> {
-    module
-        .ports
-        .iter()
-        .map(|p| match inputs.get(&p.name) {
-            Some(v) if v.width() == p.width => v.clone(),
-            Some(v) => XVal {
-                value: v.value.zext_or_trunc(p.width),
-                known: v.known.zext_or_trunc(p.width),
+            CombOp::And => {
+                let (x, y) = (a(0), a(1));
+                // A known 0 on either side pins the bit regardless of the other.
+                let zero_x = x.known.and(&x.value.not());
+                let zero_y = y.known.and(&y.value.not());
+                let known = x.known.and(&y.known).or(&zero_x).or(&zero_y);
+                XVal {
+                    value: x.value.and(&y.value),
+                    known,
+                }
+            }
+            CombOp::Or => {
+                let (x, y) = (a(0), a(1));
+                let one_x = x.known.and(&x.value);
+                let one_y = y.known.and(&y.value);
+                let known = x.known.and(&y.known).or(&one_x).or(&one_y);
+                XVal {
+                    value: x.value.or(&y.value),
+                    known,
+                }
+            }
+            CombOp::Xor => {
+                let (x, y) = (a(0), a(1));
+                let known = x.known.and(&y.known);
+                XVal {
+                    value: x.value.xor(&y.value).and(&known),
+                    known,
+                }
+            }
+            CombOp::Not => {
+                let x = a(0);
+                XVal {
+                    value: x.value.not().and(&x.known),
+                    known: x.known.clone(),
+                }
+            }
+            CombOp::Mux => match a(0).as_known() {
+                Some(c) if c.is_zero() => a(2).clone(),
+                Some(_) => a(1).clone(),
+                None => a(1).merge(a(2)),
             },
-            None => XVal::all_x(p.width),
-        })
-        .collect()
-}
-
-/// Reads `table` at a four-state `index`. The emitter guards
-/// out-of-range-capable reads, so a known index always yields a known word
-/// (zero when past the end or the ROM is empty); an index with any X bit
-/// reads all-X. Also used by the optimizer's abstract known-bits analysis.
-pub(crate) fn eval_rom(table: &RomData, index: &XVal) -> XVal {
-    match index.as_known() {
-        Some(idx) => XVal::known(table.read(idx)),
-        None => XVal::all_x(table.width),
+            CombOp::Concat => {
+                let (x, y) = (a(0), a(1));
+                XVal {
+                    value: x.value.concat(&y.value),
+                    known: x.known.concat(&y.known),
+                }
+            }
+            CombOp::Replicate => {
+                let x = a(0);
+                XVal {
+                    value: x.value.replicate(lo),
+                    known: x.known.replicate(lo),
+                }
+            }
+            CombOp::Extract => {
+                // `base[lo+width-1:lo]` — bits past the base are X in SV (the
+                // lint rejects such netlists; the interpreter zero-pads).
+                a(0).window(lo, width)
+            }
+            CombOp::ZExt => {
+                let x = a(0);
+                let sw = x.width();
+                if width == sw {
+                    // Emitted as a plain alias.
+                    x.clone()
+                } else {
+                    XVal {
+                        value: x.value.zext(width),
+                        known: ApInt::ones(width - sw).concat(&x.known),
+                    }
+                }
+            }
+            CombOp::SExt => {
+                let x = a(0);
+                let sw = x.width();
+                if width == sw {
+                    x.clone()
+                } else if x.known.bit(sw - 1) {
+                    XVal {
+                        value: x.value.sext(width),
+                        known: ApInt::ones(width - sw).concat(&x.known),
+                    }
+                } else {
+                    // Unknown sign bit: the replicated pad is X.
+                    XVal {
+                        value: x.value.zext(width),
+                        known: x.known.zext(width),
+                    }
+                }
+            }
+            CombOp::Trunc => {
+                let x = a(0);
+                XVal {
+                    value: x.value.trunc(width),
+                    known: x.known.trunc(width),
+                }
+            }
+        }
     }
-}
 
-/// Evaluates one combinational operator under IEEE-1800 semantics of the
-/// expression the emitter produces for it. Also used by the optimizer's
-/// abstract known-bits analysis (`crate::opt`), which evaluates the fabric
-/// from reset with all-X inputs and each register holding its `init`
-/// joined with every value of its `next`: any bit that comes out known
-/// there is known (with the same value) in every cycle of every run from
-/// reset, under every concrete stimulus, because each operator here is
-/// monotone under refinement of its inputs.
-pub(crate) fn eval_comb<'a>(
-    op: CombOp,
-    a: impl Fn(usize) -> &'a XVal,
-    lo: u32,
-    width: u32,
-) -> XVal {
-    match op {
-        // Arithmetic, shifts, comparisons and the dynamic part-select
-        // (emitted as a zero-filled shift): any X in any operand X-poisons
-        // the entire result, per the LRM, and known operands compute the
-        // two-valued result. That covers `/` and `%`, whose zero-divisor
-        // guard makes them total under the ApInt (RISC-V) convention.
-        CombOp::Add
-        | CombOp::Sub
-        | CombOp::Mul
-        | CombOp::DivU
-        | CombOp::DivS
-        | CombOp::RemU
-        | CombOp::RemS
-        | CombOp::Shl
-        | CombOp::ShrU
-        | CombOp::ShrS
-        | CombOp::ExtractDyn
-        | CombOp::Eq
-        | CombOp::Ne
-        | CombOp::Ult
-        | CombOp::Ule
-        | CombOp::Slt
-        | CombOp::Sle => {
-            if a(0).is_fully_known() && a(1).is_fully_known() {
-                XVal::known(crate::interp::eval_comb(op, |k| &a(k).value, lo, width))
-            } else {
-                XVal::all_x(width)
-            }
-        }
-        CombOp::And => {
-            let (x, y) = (a(0), a(1));
-            // A known 0 on either side pins the bit regardless of the other.
-            let zero_x = x.known.and(&x.value.not());
-            let zero_y = y.known.and(&y.value.not());
-            let known = x.known.and(&y.known).or(&zero_x).or(&zero_y);
-            XVal {
-                value: x.value.and(&y.value),
-                known,
-            }
-        }
-        CombOp::Or => {
-            let (x, y) = (a(0), a(1));
-            let one_x = x.known.and(&x.value);
-            let one_y = y.known.and(&y.value);
-            let known = x.known.and(&y.known).or(&one_x).or(&one_y);
-            XVal {
-                value: x.value.or(&y.value),
-                known,
-            }
-        }
-        CombOp::Xor => {
-            let (x, y) = (a(0), a(1));
-            let known = x.known.and(&y.known);
-            XVal {
-                value: x.value.xor(&y.value).and(&known),
-                known,
-            }
-        }
-        CombOp::Not => {
-            let x = a(0);
-            XVal {
-                value: x.value.not().and(&x.known),
-                known: x.known.clone(),
-            }
-        }
-        CombOp::Mux => match a(0).as_known() {
-            Some(c) if c.is_zero() => a(2).clone(),
-            Some(_) => a(1).clone(),
-            None => a(1).merge(a(2)),
-        },
-        CombOp::Concat => {
-            let (x, y) = (a(0), a(1));
-            XVal {
-                value: x.value.concat(&y.value),
-                known: x.known.concat(&y.known),
-            }
-        }
-        CombOp::Replicate => {
-            let x = a(0);
-            XVal {
-                value: x.value.replicate(lo),
-                known: x.known.replicate(lo),
-            }
-        }
-        CombOp::Extract => {
-            // `base[lo+width-1:lo]` — bits past the base are X in SV (the
-            // lint rejects such netlists; the interpreter zero-pads).
-            a(0).window(lo, width)
-        }
-        CombOp::ZExt => {
-            let x = a(0);
-            let sw = x.width();
-            if width == sw {
-                // Emitted as a plain alias.
-                x.clone()
-            } else {
-                XVal {
-                    value: x.value.zext(width),
-                    known: ApInt::ones(width - sw).concat(&x.known),
-                }
-            }
-        }
-        CombOp::SExt => {
-            let x = a(0);
-            let sw = x.width();
-            if width == sw {
-                x.clone()
-            } else if x.known.bit(sw - 1) {
-                XVal {
-                    value: x.value.sext(width),
-                    known: ApInt::ones(width - sw).concat(&x.known),
-                }
-            } else {
-                // Unknown sign bit: the replicated pad is X.
-                XVal {
-                    value: x.value.zext(width),
-                    known: x.known.zext(width),
-                }
-            }
-        }
-        CombOp::Trunc => {
-            let x = a(0);
-            XVal {
-                value: x.value.trunc(width),
-                known: x.known.trunc(width),
-            }
+    #[inline]
+    fn latch(&mut self, load: &Self, enable: Option<&Self>) {
+        match enable.map(XVal::as_known) {
+            Some(Some(en)) if en.is_zero() => {}
+            Some(None) => *self = self.merge(load),
+            None | Some(Some(_)) => *self = load.clone(),
         }
     }
 }
@@ -571,7 +455,7 @@ impl DiffSim {
     }
 
     /// Drives both simulators one cycle with the same fully-known inputs,
-    /// `inputs[p]` on port `p` as in [`Simulator::eval_ports`], and
+    /// `inputs[p]` on port `p` as in [`Sim::eval_ports`], and
     /// compares every net.
     ///
     /// # Errors
@@ -590,7 +474,7 @@ impl DiffSim {
 
     /// [`DiffSim::step_ports`] with named inputs: a missing input reads
     /// zero in the interpreter and X in the four-state half, as in
-    /// [`Simulator::eval`] and [`Xsim::eval`].
+    /// [`Sim::eval`].
     ///
     /// # Errors
     ///
@@ -599,8 +483,8 @@ impl DiffSim {
         &mut self,
         inputs: &HashMap<String, ApInt>,
     ) -> Result<DiffCycle, Box<DiffMismatch>> {
-        let two_state = two_state_ports(self.interp.module(), inputs);
-        let four_state = four_state_ports(self.xsim.module(), &known_inputs(inputs));
+        let two_state = named_ports(self.interp.module(), inputs);
+        let four_state = named_ports(self.xsim.module(), inputs);
         self.step_with(&two_state, &four_state)
     }
 
@@ -1056,7 +940,7 @@ mod tests {
             // Windows from inside the base to wholly past its top.
             let lo = lo_seed % (bw + 70);
             let x = planes(bw, &words[..4], &words[4..], all_known);
-            let got = eval_comb(CombOp::Extract, |_| &x, lo, w);
+            let got = XVal::comb(CombOp::Extract, |_| &x, lo, w);
             proptest::prop_assert_eq!(got, extract_by_bit(&x, u64::from(lo), w));
         }
 
@@ -1074,7 +958,7 @@ mod tests {
             let x = planes(bw, &words[..4], &words[4..], base_known);
             let off = planes(ow, &off_words, &words[6..], off_known);
             let args = [&x, &off];
-            let got = eval_comb(CombOp::ExtractDyn, |k| args[k], 0, w);
+            let got = XVal::comb(CombOp::ExtractDyn, |k| args[k], 0, w);
             // A zero-filled shift of a known base by a known offset, and
             // all X otherwise.
             let want = match (x.as_known(), off.as_known()) {
